@@ -5,9 +5,10 @@ Library layout:
 - ``distributions``: F distribution CDF/quantile at fractional degrees of
   freedom, built on a continued-fraction incomplete beta; keyed random
   streams for reproducible simulation.
-- ``inference``: the one-sided upper confidence bound for the population
-  variance share P2 and the non-inferiority p-value, both via fixed-point
-  iteration on a scaled central F approximation.
+- ``inference``: the non-inferiority p-value for the population variance
+  share P2, a closed-form lower tail of a scaled central F approximation,
+  and the one-sided upper confidence bound that solves p = alpha/2 for it
+  by bisection.
 - ``regression``: intercept-included ordinary least squares and R2.
 - ``montecarlo``: the rejection-rate simulation harness and the built-in
   30-scenario study grid.
@@ -21,7 +22,6 @@ from .distributions import (
     f_quantile,
     ln_gamma,
     reg_inc_beta,
-    sample_standard_normal,
 )
 from .errors import (
     ConvergenceError,
@@ -35,10 +35,8 @@ from .errors import (
 )
 from .inference import (
     ConfidenceBound,
-    FixedPoint,
     NonInfResult,
     TestInput,
-    fixed_point_v,
     noninferiority_pvalue,
     upper_ci_p2,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "DomainError",
     "ExcessiveSkipsError",
     "FParams",
-    "FixedPoint",
     "NonInfResult",
     "NotPositiveDefiniteError",
     "OlsFit",
@@ -82,7 +79,6 @@ __all__ = [
     "f_cdf",
     "f_quantile",
     "fit_ols",
-    "fixed_point_v",
     "generate_dataset",
     "ln_gamma",
     "noninferiority_pvalue",
@@ -90,7 +86,6 @@ __all__ = [
     "r_squared",
     "reg_inc_beta",
     "run_scenario",
-    "sample_standard_normal",
     "true_p2",
     "upper_ci_p2",
 ]

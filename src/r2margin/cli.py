@@ -113,11 +113,8 @@ def _cmd_ci(args) -> int:
 
 def _cmd_test(args) -> int:
     observed = TestInput(r2=args.r2, n=args.n, k=args.k)
-    result = noninferiority_pvalue(observed, args.delta, tol=args.tol)
-    meta = (
-        f"# r2margin test --r2 {args.r2!r} --n {args.n} --k {args.k} "
-        f"--delta {args.delta!r} --tol {args.tol!r}"
-    )
+    result = noninferiority_pvalue(observed, args.delta)
+    meta = f"# r2margin test --r2 {args.r2!r} --n {args.n} --k {args.k} --delta {args.delta!r}"
     _print_report(
         meta,
         [
@@ -125,7 +122,6 @@ def _cmd_test(args) -> int:
             ("f_stat", _fmt(result.f_stat, args.precision)),
             ("v_final", _fmt(result.v_final, args.precision)),
             ("delta", _fmt(result.delta, args.precision)),
-            ("iterations", str(result.iterations)),
         ],
     )
     return EXIT_OK
@@ -336,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--n", type=int, required=True, help="number of observations")
     ci.add_argument("--k", type=int, required=True, help="number of covariates")
     ci.add_argument("--alpha", type=float, required=True, help="one minus the confidence level")
-    ci.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance")
+    ci.add_argument(
+        "--tol", type=float, default=1e-12, help="bracket width of the bound's root search"
+    )
     ci.add_argument(
         "--full-alpha",
         action="store_true",
@@ -350,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--n", type=int, required=True, help="number of observations")
     test.add_argument("--k", type=int, required=True, help="number of covariates")
     test.add_argument("--delta", type=float, required=True, help="non-inferiority margin in (0, 1)")
-    test.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance")
     test.add_argument("--precision", type=int, default=7, help="significant digits to print")
     test.set_defaults(handler=_cmd_test)
 

@@ -1,8 +1,8 @@
 """Central F distribution built from first principles, plus keyed normal streams.
 
-The inference layer evaluates the F CDF and quantile at real-valued
-(fractional) degrees of freedom inside fixed-point loops, so this module
-implements the classical chain
+The inference layer evaluates the F CDF at real-valued (fractional)
+degrees of freedom, once per p-value and once per step of the confidence
+bound's root search, so this module implements the classical chain
 
     ln_gamma -> regularized incomplete beta -> F CDF -> F quantile
 
@@ -36,7 +36,6 @@ __all__ = [
     "f_quantile",
     "ln_gamma",
     "reg_inc_beta",
-    "sample_standard_normal",
 ]
 
 # Continued-fraction controls.  The expansion converges in well under 100
@@ -309,8 +308,3 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"RandomStream{self.key_parts!r}"
-
-
-def sample_standard_normal(stream: RandomStream) -> float:
-    """Draw one standard normal variate from ``stream``."""
-    return stream.standard_normal()

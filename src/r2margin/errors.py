@@ -22,8 +22,7 @@ class DimensionMismatchError(R2MarginError, ValueError):
 
 
 class DegenerateInputError(R2MarginError, ValueError):
-    """Inputs place the computation in a degenerate regime, e.g. a zero
-    F statistic whose fixed-point image escapes the parameter space."""
+    """Inputs place the computation in a degenerate regime."""
 
 
 class ConvergenceError(R2MarginError, RuntimeError):

@@ -4,28 +4,30 @@ The observed coefficient of determination R2 of a least-squares fit with K
 random (multivariate normal) covariates and N observations estimates a
 population parameter P2.  A transform of R2 is well approximated by a scaled
 central F distribution whose numerator degrees of freedom ``v`` depend on the
-parameter itself, so ``v`` is pinned down by fixed-point iteration.  Two
-entry points build on that approximation:
+parameter itself.  At a candidate value z of P2 both the statistic and the
+degrees of freedom are closed forms,
 
-``upper_ci_p2``
-    Upper limit of a one-sided confidence interval for P2.  The interval
-    endpoint and the degrees of freedom depend on each other, so both are
-    iterated: compute v from the current endpoint, take an F quantile,
-    update the endpoint, repeat until stable.
+    F(z) = (n-k-1) r2 (1 - z) / [(1 - r2) (z (n-k-1) + k)]
+    v(z) = ((n-k-1) z + k)^2 / (n - 1 - (n-k-1) (1 - z)^2)
+
+and, for r2 > 0, the lower tail p(z) = F_cdf(F(z); v(z), n-k-1) decreases
+from 1 to 0 as z runs from -k/(n-k-1) to 1.  Two entry points build on it:
 
 ``noninferiority_pvalue``
-    p-value for H0: P2 >= delta against H1: P2 < delta, obtained by
-    inverting the interval.  The margin fixes the F statistic in closed
-    form; the degrees of freedom are iterated to convergence and the
-    p-value is the lower tail of the resulting F distribution.  Small
-    p-values support treating the whole model's explanatory power as
+    p-value for H0: P2 >= delta against H1: P2 < delta: p(delta) itself.
+    Small p-values support treating the whole model's explanatory power as
     negligible (below ``delta``).
 
-Quantile convention: by default the confidence bound takes the F quantile at
+``upper_ci_p2``
+    Upper limit of a one-sided confidence interval for P2: the root of
+    p(z) = alpha/2, found by bisection.  The test inverts this interval, so
+    the p-value at the bound recovers the bound's tail probability.
+
+Quantile convention: by default the confidence bound solves for the tail
 probability ``alpha/2``, which makes the one-sided bound coincide with the
 upper limit of a two-sided ``1 - 2*alpha`` interval; this is the convention
 the golden values in the test suite were generated under.  Pass
-``halve_alpha=False`` for the literal one-sided reading (quantile at
+``halve_alpha=False`` for the literal one-sided reading (tail probability
 ``alpha``).
 """
 
@@ -33,36 +35,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import FParams, f_cdf, f_quantile
-from .errors import ConvergenceError, DegenerateInputError, DomainError
+from .distributions import FParams, f_cdf
+from .errors import DomainError
 
 __all__ = [
     "DEFAULT_TOL",
-    "MAX_ITERATIONS",
     "ConfidenceBound",
-    "FixedPoint",
     "NonInfResult",
     "TestInput",
-    "fixed_point_v",
     "noninferiority_pvalue",
     "upper_ci_p2",
 ]
 
 DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 10_000
 
-# Ceiling applied to the variance-fraction iterate before the
-# degrees-of-freedom map is evaluated; keeps v positive and finite even when
-# an update transiently overshoots the parameter space.
+# Ceiling applied to a candidate P2 before the degrees-of-freedom map is
+# evaluated, and the upper end of the bound's search bracket.
 _PSQ_CEILING = 1.0 - 1e-12
-
-# Plain confidence-bound passes before switching to the bracketing solver;
-# convergent inputs settle in well under this many iterations.
-_PLAIN_ITERATION_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,14 @@ class TestInput:
 
 @dataclass(frozen=True)
 class ConfidenceBound:
-    """Upper limit of the one-sided confidence interval for P2."""
+    """Upper limit of the one-sided confidence interval for P2.
+
+    ``upper_raw`` is the root of p(z) = tail probability, which lies below 0
+    when even z = 0 leaves too little tail (e.g. r2 = 0, where it is
+    -k/(n-k-1)); ``upper`` is that root clamped into [0, 1) and ``clamped``
+    says whether the clamp moved it.  ``v_final`` is v(upper_raw) and
+    ``iterations`` counts the bisection steps, one F CDF each.
+    """
 
     upper: float
     level: float
@@ -131,84 +130,22 @@ class NonInfResult:
     f_stat: float
     v_final: float
     delta: float
-    iterations: int
-
-
-class FixedPoint(NamedTuple):
-    psq: float
-    v: float
-    iterations: int
 
 
 def _v_from_psq(psq: float, n: int, k: int) -> float:
-    # Degrees-of-freedom map.  The iterate is clamped into [0, 1) first; at
-    # psq = 0 the denominator equals k > 0, so the clamp guarantees v > 0.
+    # Degrees-of-freedom map.  psq is clamped into [0, 1) first, so the
+    # denominator is at least n - 1 - (n-k-1) = k > 0 and v stays positive.
     psq = min(max(psq, 0.0), _PSQ_CEILING)
     resid_df = n - k - 1
-    denominator = n - 1 - resid_df * (1.0 - psq) ** 2
-    if denominator <= 0.0:
-        raise DegenerateInputError(
-            f"degrees-of-freedom denominator {denominator!r} is not positive "
-            f"(psq={psq!r}, n={n}, k={k})"
-        )
-    return (resid_df * psq + k) ** 2 / denominator
+    return (resid_df * psq + k) ** 2 / (n - 1 - resid_df * (1.0 - psq) ** 2)
 
 
-def _psq_update(r2: float, n: int, k: int, f_stat: float) -> float:
-    resid_df = n - k - 1
-    numerator = resid_df * r2 - (1.0 - r2) * k * f_stat
-    denominator = resid_df * (r2 + (1.0 - r2) * f_stat)
-    return numerator / denominator
-
-
-def fixed_point_v(
-    input: TestInput,
-    f_stat: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITERATIONS,
-) -> FixedPoint:
-    """Iterate the variance-fraction map at a fixed F statistic.
-
-    Runs the update psq -> [(n-k-1) r2 - (1-r2) k F] / [(n-k-1)(r2 + (1-r2) F)],
-    recomputing the degrees of freedom v from the current iterate on every
-    pass, until successive iterates agree to ``tol``.  The initial iterate is
-    the observed r2.  Returns the (possibly out-of-range) fixed point, the v
-    computed from the iterate that produced it, and the iteration count.
-
-    Raises
-    ------
-    DegenerateInputError
-        If ``f_stat`` is zero: the map's image is identically 1 for r2 > 0
-        (and 0/0 at r2 = 0), so no fixed point exists inside [0, 1).
-    ConvergenceError
-        If the tolerance is not met within ``max_iter`` iterations.
-    """
-    f_stat = float(f_stat)
-    if not math.isfinite(f_stat) or f_stat < 0.0:
-        raise DomainError(f"f_stat must be finite and >= 0, got {f_stat!r}")
-    if f_stat == 0.0:
-        raise DegenerateInputError(
-            "f_stat = 0 is degenerate: the fixed-point image lies outside [0, 1)"
-        )
-    tol = float(tol)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
-
-    psq = input.r2
-    v = math.nan
-    iterations = 0
-    while True:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"fixed point not reached within {max_iter} iterations "
-                f"(r2={input.r2!r}, n={input.n}, k={input.k}, f_stat={f_stat!r})"
-            )
-        psq_before = psq
-        v = _v_from_psq(psq, input.n, input.k)
-        psq = _psq_update(input.r2, input.n, input.k, f_stat)
-        iterations += 1
-        if abs(psq_before - psq) <= tol:
-            return FixedPoint(psq=psq, v=v, iterations=iterations)
+def _tail_at(input: TestInput, z: float) -> tuple[float, float, float]:
+    """(p, F, v) at candidate P2 value z, for -k/(n-k-1) < z < 1."""
+    resid_df = input.residual_df
+    f_stat = (resid_df * input.r2 * (1.0 - z)) / ((1.0 - input.r2) * (z * resid_df + input.k))
+    v = _v_from_psq(z, input.n, input.k)
+    return f_cdf(f_stat, FParams(v, resid_df)), f_stat, v
 
 
 def upper_ci_p2(
@@ -217,21 +154,18 @@ def upper_ci_p2(
     tol: float = DEFAULT_TOL,
     *,
     halve_alpha: bool = True,
-    max_iter: int = MAX_ITERATIONS,
 ) -> ConfidenceBound:
     """Upper limit of the one-sided (1 - alpha) confidence interval for P2.
 
-    Each pass computes the degrees of freedom v from the current endpoint,
-    takes the central F quantile at ``alpha/2`` (or ``alpha`` when
-    ``halve_alpha=False``) with (v, n-k-1) degrees of freedom, and maps the
-    quantile back to an endpoint; iteration stops when the endpoint is
-    stable to ``tol``.  For very small observed r2 the plain iteration
-    oscillates in a two-point cycle rather than converging; the cycle is
-    detected and the same fixed-point equation is then solved by bisection
-    over the cycle's bracket, so those inputs get the identical
-    (duality-consistent) bound instead of a convergence failure.  The
-    reported bound is clamped into [0, 1); the raw fixed point is kept in
-    ``upper_raw`` for diagnostics.
+    The bound is the root of p(z) = alpha/2 (or alpha when
+    ``halve_alpha=False``), where p(z) is the non-inferiority p-value at
+    margin z.  p decreases over the bracket [-k/(n-k-1), 1 - 1e-12], so the
+    root is found by bisection, one F CDF per step; p is evaluated only at
+    midpoints, never at the lower end where F is infinite (at r2 = 0, p is 0
+    throughout and the search closes on that end).  The search stops once
+    the bracket is narrower than ``tol`` or its midpoint no longer falls
+    strictly inside it.  The reported bound is clamped into [0, 1); the root
+    itself is kept in ``upper_raw``.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
@@ -241,108 +175,53 @@ def upper_ci_p2(
         raise DomainError(f"tol must be > 0, got {tol!r}")
 
     prob = 0.5 * alpha if halve_alpha else alpha
-    resid_df = input.residual_df
-
-    def endpoint_image(psq):
-        v = _v_from_psq(psq, input.n, input.k)
-        f_stat = f_quantile(prob, FParams(v, resid_df))
-        return _psq_update(input.r2, input.n, input.k, f_stat), v
-
-    psq = input.r2
-    psq_before = math.inf
-    v = math.nan
-    converged = False
+    lo, hi = -input.k / input.residual_df, _PSQ_CEILING
     iterations = 0
-    while iterations < _PLAIN_ITERATION_BUDGET:
-        psq_before = psq
-        psq, v = endpoint_image(psq)
-        iterations += 1
-        if abs(psq_before - psq) <= tol:
-            converged = True
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
+        iterations += 1
+        if _tail_at(input, mid)[0] > prob:
+            lo = mid
+        else:
+            hi = mid
 
-    if not converged:
-        # The endpoint map decreases in its argument (v grows with the
-        # iterate and the lower-tail quantile grows with v, which shrinks
-        # the update), so for tiny observed r2 the plain iteration
-        # oscillates around the fixed point, either in a stable two-point
-        # cycle or with nearly neutral damping.  Consecutive iterates of a
-        # decreasing map straddle the fixed point, so the last two bracket
-        # the root of image(z) - z; solve by bisection.
-        lo, hi = min(psq_before, psq), max(psq_before, psq)
-        while True:
-            if iterations >= max_iter:
-                raise ConvergenceError(
-                    f"confidence bound not converged within {max_iter} iterations "
-                    f"(r2={input.r2!r}, n={input.n}, k={input.k}, alpha={alpha!r})"
-                )
-            mid = 0.5 * (lo + hi)
-            psq, v = endpoint_image(mid)
-            iterations += 1
-            if abs(psq - mid) <= tol:
-                break
-            if psq > mid:
-                lo = mid
-            else:
-                hi = mid
-
-    upper_raw = psq
+    upper_raw = 0.5 * (lo + hi)
     upper = min(max(upper_raw, 0.0), _PSQ_CEILING)
     return ConfidenceBound(
         upper=upper,
         level=1.0 - alpha,
         alpha_param=alpha,
-        v_final=v,
+        v_final=_v_from_psq(upper_raw, input.n, input.k),
         iterations=iterations,
         upper_raw=upper_raw,
         clamped=(upper != upper_raw),
     )
 
 
-def noninferiority_pvalue(
-    input: TestInput,
-    delta: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITERATIONS,
-) -> NonInfResult:
+def noninferiority_pvalue(input: TestInput, delta: float) -> NonInfResult:
     """p-value for testing H0: P2 >= delta against H1: P2 < delta.
 
     The margin fixes the F statistic
 
-        F = (n-k-1) r2 (delta - 1) / [(r2 - 1) (delta (n-k-1) + k)]
+        F = (n-k-1) r2 (1 - delta) / [(1 - r2) (delta (n-k-1) + k)]
 
-    in closed form; the degrees of freedom are then iterated to their fixed
-    point and the p-value is the lower tail of the central F distribution
-    with (v, n-k-1) degrees of freedom at that statistic.
+    and the degrees of freedom v(delta) in closed form; the p-value is the
+    lower tail of the central F distribution with (v, n-k-1) degrees of
+    freedom at that statistic.
 
-    At r2 = 0 the statistic is identically zero and the fixed-point map is
-    0/0, so the p-value short-circuits to 0 without iterating (the lower
-    tail at zero is zero: an observed R2 of exactly zero is maximal evidence
-    that the population share is below any positive margin).
+    At r2 = 0 the statistic is identically zero, so the p-value
+    short-circuits to 0 (the lower tail at zero is zero: an observed R2 of
+    exactly zero is maximal evidence that the population share is below any
+    positive margin).
     """
     delta = float(delta)
     if not math.isfinite(delta) or not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie strictly inside (0, 1), got {delta!r}")
 
-    resid_df = input.residual_df
     if input.r2 == 0.0:
-        return NonInfResult(
-            p_value=0.0,
-            f_stat=0.0,
-            v_final=float(input.k),
-            delta=delta,
-            iterations=0,
-        )
+        return NonInfResult(p_value=0.0, f_stat=0.0, v_final=float(input.k), delta=delta)
 
-    f_stat = (resid_df * input.r2 * (delta - 1.0)) / (
-        (input.r2 - 1.0) * (delta * resid_df + input.k)
-    )
-    converged = fixed_point_v(input, f_stat, tol=tol, max_iter=max_iter)
-    p_value = f_cdf(f_stat, FParams(converged.v, resid_df))
-    return NonInfResult(
-        p_value=p_value,
-        f_stat=f_stat,
-        v_final=converged.v,
-        delta=delta,
-        iterations=converged.iterations,
-    )
+    p_value, f_stat, v = _tail_at(input, delta)
+    return NonInfResult(p_value=p_value, f_stat=f_stat, v_final=v, delta=delta)

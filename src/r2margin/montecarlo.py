@@ -45,7 +45,6 @@ __all__ = [
     "GRID_OFFDIAG",
     "GRID_SAMPLE_SIZES",
     "GRID_VARIANCES",
-    "NOMINAL_GRID_P2",
     "RejectionRecord",
     "Scenario",
     "cholesky_factor",
@@ -68,12 +67,6 @@ GRID_SAMPLE_SIZES = (60, 180, 540, 1000, 8000)
 GRID_VARIANCES = (0.4, 0.5, 1.0)
 GRID_BETAS = {2: (0.11, -0.15), 4: (0.11, 0.10, -0.05, -0.10)}
 GRID_OFFDIAG = 0.05
-
-# Headline variance-share targets the standard grid was designed around.
-# The analytic values from `true_p2` land slightly lower (~0.032, 0.062,
-# 0.076) because the covariance cross terms subtract signal; the analytic
-# values are the ones used for boundary calibration.
-NOMINAL_GRID_P2 = (0.034, 0.065, 0.080)
 
 
 @dataclass(frozen=True, eq=False)

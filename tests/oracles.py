@@ -3,9 +3,10 @@
 Each oracle deliberately avoids the code path it validates: the F CDF oracle
 integrates the density numerically instead of going through the incomplete
 beta; the least-squares oracle solves the normal equations with a hand-rolled
-Gauss-Jordan inversion instead of a QR factorization; the confidence-bound
-oracle root-solves the defining tail equation directly with an external CDF
-instead of running the fixed-point iteration.
+Gauss-Jordan inversion instead of a QR factorization; the p-value oracle runs
+the original fixed-point construction with an external CDF instead of the
+closed form; the confidence-bound oracle root-solves the defining tail
+equation with an external CDF over its own bracket.
 """
 
 from __future__ import annotations
@@ -119,3 +120,25 @@ def ci_upper_bisection(r2: float, n: int, k: int, alpha: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def pvalue_fixed_point(r2: float, n: int, k: int, delta: float) -> tuple[float, float]:
+    """Non-inferiority p-value by fixed-point iteration at the margin's F.
+
+    Iterates the variance-fraction update
+    psq -> [(n-k-1) r2 - (1-r2) k F] / [(n-k-1)(r2 + (1-r2) F)] from psq = r2,
+    recomputing the degrees of freedom from each iterate (clamped into
+    [0, 1 - 1e-12]), until successive iterates agree to 1e-12; the p-value
+    is the lower tail of an external F CDF at F with the last degrees of
+    freedom.  The update ignores its iterate, so this stops on the second
+    pass.  Returns (p-value, fixed point).
+    """
+    resid = n - k - 1
+    f_stat = (resid * r2 * (delta - 1.0)) / ((r2 - 1.0) * (delta * resid + k))
+    psq, before = r2, math.inf
+    while abs(psq - before) > 1e-12:
+        before = psq
+        clamped = min(max(psq, 0.0), 1.0 - 1e-12)
+        v = (resid * clamped + k) ** 2 / (n - 1 - resid * (1.0 - clamped) ** 2)
+        psq = (resid * r2 - (1.0 - r2) * k * f_stat) / (resid * (r2 + (1.0 - r2) * f_stat))
+    return float(stats.f.cdf(f_stat, v, resid)), psq

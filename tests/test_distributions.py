@@ -17,7 +17,6 @@ from r2margin.distributions import (
     f_quantile,
     ln_gamma,
     reg_inc_beta,
-    sample_standard_normal,
 )
 from r2margin.errors import DomainError
 
@@ -195,8 +194,8 @@ class TestRandomStream:
 
     def test_scalar_draws_are_floats_and_advance(self):
         stream = RandomStream("scalar-check")
-        first = sample_standard_normal(stream)
-        second = sample_standard_normal(stream)
+        first = stream.standard_normal()
+        second = stream.standard_normal()
         assert isinstance(first, float)
         assert first != second
 

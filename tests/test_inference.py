@@ -2,9 +2,9 @@
 
 The two canonical cases are pinned as golden values to 1e-6.  Randomized
 grids check the structural identities the construction must satisfy: the
-margin statistic inverts the endpoint update exactly, the p-value at the
-converged bound recovers the bound's own tail probability (duality), and
-both quantities are monotone in their arguments.
+closed-form p-value equals the original fixed-point construction, the
+p-value at the bound recovers the bound's own tail probability (duality),
+and both quantities are monotone in their arguments.
 """
 
 import math
@@ -12,15 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from r2margin.errors import ConvergenceError, DegenerateInputError, DomainError
-from r2margin.inference import (
-    TestInput,
-    fixed_point_v,
-    noninferiority_pvalue,
-    upper_ci_p2,
-)
+from r2margin.errors import DomainError
+from r2margin.inference import TestInput, noninferiority_pvalue, upper_ci_p2
 
-from oracles import ci_upper_bisection
+from oracles import ci_upper_bisection, pvalue_fixed_point
 
 GOLDEN_CI = 0.1069415
 GOLDEN_P = 0.02710537
@@ -57,40 +52,6 @@ class TestTestInput:
         assert observed.n == 100 and observed.k == 3
 
 
-class TestFixedPointV:
-    def test_zero_f_stat_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            fixed_point_v(TestInput(r2=0.2, n=100, k=3), 0.0)
-
-    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
-    def test_rejects_invalid_f_stat(self, bad):
-        with pytest.raises(DomainError):
-            fixed_point_v(TestInput(r2=0.2, n=100, k=3), bad)
-
-    def test_rejects_non_positive_tolerance(self):
-        with pytest.raises(DomainError):
-            fixed_point_v(TestInput(r2=0.2, n=100, k=3), 1.0, tol=0.0)
-
-    def test_margin_statistic_is_exact_inverse_of_update(self):
-        # Feeding the margin's F statistic into the iteration must land on
-        # the margin itself, to full precision, in few iterations.
-        rng = np.random.default_rng(101)
-        for _ in range(200):
-            n = int(rng.integers(30, 10_001))
-            k = int(rng.integers(1, 11))
-            r2 = float(rng.uniform(0.005, 0.5))
-            delta = float(rng.uniform(0.01, 0.9))
-            f_stat = margin_f_stat(r2, n, k, delta)
-            result = fixed_point_v(TestInput(r2=r2, n=n, k=k), f_stat, tol=1e-12)
-            assert abs(result.psq - delta) <= 1e-12
-            assert result.v > 0.0
-            assert result.iterations <= 100
-
-    def test_iteration_cap_raises(self):
-        with pytest.raises(ConvergenceError):
-            fixed_point_v(TestInput(r2=0.2, n=100, k=3), 1.0, max_iter=1)
-
-
 class TestUpperCiP2:
     def test_golden_value(self):
         bound = upper_ci_p2(TestInput(r2=0.085, n=1250, k=6), 0.10)
@@ -106,12 +67,22 @@ class TestUpperCiP2:
         # raw endpoint is -k / (n - k - 1) at a zero observed r2
         assert bound.upper_raw == pytest.approx(-3.0 / 96.0, abs=1e-12)
 
-    def test_matches_bisection_oracle(self):
-        bound = upper_ci_p2(TestInput(r2=0.3, n=50, k=2), 0.05)
-        assert abs(bound.upper - ci_upper_bisection(0.3, 50, 2, 0.05)) <= 1e-7
+    @pytest.mark.parametrize(
+        "r2,n,k",
+        [
+            (0.3, 50, 2),
+            # a plain endpoint iteration falls into a two-point cycle here
+            (0.000569773152371722, 1000, 2),
+            (0.5, 100_000, 3),
+            (0.1, 1_000_000, 5),
+        ],
+    )
+    def test_matches_bisection_oracle(self, r2, n, k):
+        bound = upper_ci_p2(TestInput(r2=r2, n=n, k=k), 0.05)
+        assert abs(bound.upper - ci_upper_bisection(r2, n, k, 0.05)) <= 1e-7
 
     def test_tiny_r2_cycling_input_still_satisfies_duality(self):
-        # At this input the plain endpoint iteration falls into a two-point
+        # At this input a plain endpoint iteration falls into a two-point
         # cycle; the bound must still come back and invert correctly.
         observed = TestInput(r2=0.000569773152371722, n=1000, k=2)
         bound = upper_ci_p2(observed, 0.05)
@@ -140,6 +111,23 @@ class TestUpperCiP2:
         with pytest.raises(DomainError):
             upper_ci_p2(TestInput(r2=0.1, n=100, k=2), alpha)
 
+    def test_rejects_non_positive_tolerance(self):
+        with pytest.raises(DomainError):
+            upper_ci_p2(TestInput(r2=0.1, n=100, k=2), 0.05, tol=0.0)
+
+    @pytest.mark.parametrize(
+        "r2,n,k",
+        [
+            (0.085, 1250, 6),
+            (0.0, 100, 3),
+            (0.000569773152371722, 1000, 2),
+            (0.99, 10, 8),  # one residual degree of freedom: widest bracket
+            (0.1, 1_000_000, 5),
+        ],
+    )
+    def test_bisection_steps_stay_within_budget(self, r2, n, k):
+        assert upper_ci_p2(TestInput(r2=r2, n=n, k=k), 0.05).iterations <= 64
+
 
 class TestNonInferiorityPvalue:
     def test_golden_value(self):
@@ -151,8 +139,23 @@ class TestNonInferiorityPvalue:
         result = noninferiority_pvalue(TestInput(r2=0.0, n=100, k=2), 0.05)
         assert result.p_value == 0.0
         assert result.f_stat == 0.0
-        assert result.iterations == 0
         assert result.v_final == 2.0
+
+    def test_matches_fixed_point_construction(self):
+        # The margin's F statistic inverts the variance-fraction update, so
+        # the fixed point is the margin itself and the closed form must
+        # reproduce the iterated p-value.
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            n = int(rng.integers(30, 10_001))
+            k = int(rng.integers(1, 11))
+            r2 = float(rng.uniform(0.005, 0.5))
+            delta = float(rng.uniform(0.01, 0.9))
+            expected, fixed_point = pvalue_fixed_point(r2, n, k, delta)
+            assert abs(fixed_point - delta) <= 1e-12
+            result = noninferiority_pvalue(TestInput(r2=r2, n=n, k=k), delta)
+            assert abs(result.p_value - expected) <= 1e-9
+            assert result.v_final > 0.0
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, 1.2, -0.1, math.nan])
     def test_rejects_out_of_range_margin(self, delta):
