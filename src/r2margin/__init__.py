@@ -20,12 +20,10 @@ from .distributions import (
     RandomStream,
     f_cdf,
     f_quantile,
-    ln_gamma,
     reg_inc_beta,
 )
 from .errors import (
     ConvergenceError,
-    DegenerateInputError,
     DimensionMismatchError,
     DomainError,
     ExcessiveSkipsError,
@@ -59,7 +57,6 @@ __all__ = [
     "ConfidenceBound",
     "ConvergenceError",
     "Dataset",
-    "DegenerateInputError",
     "DimensionMismatchError",
     "DomainError",
     "ExcessiveSkipsError",
@@ -80,7 +77,6 @@ __all__ = [
     "f_quantile",
     "fit_ols",
     "generate_dataset",
-    "ln_gamma",
     "noninferiority_pvalue",
     "paper_grid",
     "r_squared",

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DegenerateInputError,
     DimensionMismatchError,
     DomainError,
     ExcessiveSkipsError,
@@ -42,7 +41,7 @@ from .montecarlo import (
     paper_grid,
     run_scenario,
 )
-from .regression import Dataset, fit_ols
+from .regression import Dataset, r_squared
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,16 +65,10 @@ RESULT_COLUMNS = (
 
 _VALIDATION_ERRORS = (
     DomainError,
-    DegenerateInputError,
     DimensionMismatchError,
     RankDeficiencyError,
     NotPositiveDefiniteError,
 )
-
-# Upper bound for the observed R2 handed to the inference layer; a perfect
-# fit rounds to exactly 1.0 in floats, which sits outside the parameter
-# space, so it is nudged to the largest admissible value (p-value ~ 1).
-_R2_CEILING = 1.0 - 1e-12
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -91,10 +84,9 @@ def _print_report(meta: str, lines: list[tuple[str, str]]) -> None:
 
 def _cmd_ci(args) -> int:
     observed = TestInput(r2=args.r2, n=args.n, k=args.k)
-    bound = upper_ci_p2(observed, args.alpha, tol=args.tol, halve_alpha=not args.full_alpha)
+    bound = upper_ci_p2(observed, args.alpha, halve_alpha=not args.full_alpha)
     meta = (
-        f"# r2margin ci --r2 {args.r2!r} --n {args.n} --k {args.k} "
-        f"--alpha {args.alpha!r} --tol {args.tol!r}"
+        f"# r2margin ci --r2 {args.r2!r} --n {args.n} --k {args.k} --alpha {args.alpha!r}"
         + (" --full-alpha" if args.full_alpha else "")
     )
     _print_report(
@@ -157,8 +149,7 @@ def _read_dataset_csv(path: str) -> Dataset:
 
 def _cmd_fit(args) -> int:
     data = _read_dataset_csv(args.data)
-    fit = fit_ols(data)
-    r2 = min(max(fit.r2, 0.0), _R2_CEILING)
+    r2 = r_squared(data)
     observed = TestInput(r2=r2, n=data.n_obs, k=data.n_covariates)
     bound = upper_ci_p2(observed, args.alpha)
     result = noninferiority_pvalue(observed, args.delta)
@@ -182,6 +173,15 @@ def _cmd_fit(args) -> int:
         ],
     )
     return EXIT_OK
+
+
+def _number(where: str, key: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            pass
+    raise DomainError(f"{where}: {key!r} holds a non-numeric value {value!r}")
 
 
 def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
@@ -223,21 +223,24 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
             raise DomainError(f"scenario {index}: 'k' must be an integer")
         if not isinstance(entry["beta"], list):
             raise DomainError(f"scenario {index}: 'beta' must be a list of numbers")
+        where = f"scenario {index}"
         scenarios.append(
             Scenario(
                 id=entry["id"],
                 n=entry["n"],
                 k=entry["k"],
-                beta=np.asarray(entry["beta"], dtype=float),
-                sigma2=float(entry["sigma2"]),
-                sigma_matrix=exchangeable_covariance(entry["k"], float(entry["sigma_offdiag"])),
-                beta0=float(entry.get("beta0", 0.0)),
+                beta=np.array([_number(where, "beta", b) for b in entry["beta"]]),
+                sigma2=_number(where, "sigma2", entry["sigma2"]),
+                sigma_matrix=exchangeable_covariance(
+                    entry["k"], _number(where, "sigma_offdiag", entry["sigma_offdiag"])
+                ),
+                beta0=_number(where, "beta0", entry.get("beta0", 0.0)),
             )
         )
     identifiers = [s.id for s in scenarios]
     if len(set(identifiers)) != len(identifiers):
         raise DomainError("scenario ids must be unique")
-    deltas = [float(d) for d in raw_deltas]
+    deltas = [_number("config", "deltas", d) for d in raw_deltas]
     return scenarios, deltas
 
 
@@ -333,12 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--k", type=int, required=True, help="number of covariates")
     ci.add_argument("--alpha", type=float, required=True, help="one minus the confidence level")
     ci.add_argument(
-        "--tol", type=float, default=1e-12, help="bracket width of the bound's root search"
-    )
-    ci.add_argument(
         "--full-alpha",
         action="store_true",
-        help="take the F quantile at alpha instead of the default alpha/2",
+        help="solve p = alpha for the bound instead of the default p = alpha/2",
     )
     ci.add_argument("--precision", type=int, default=7, help="significant digits to print")
     ci.set_defaults(handler=_cmd_ci)
@@ -393,6 +393,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "precision", 1) < 1:
+            raise DomainError(f"--precision must be >= 1, got {args.precision}")
         return args.handler(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

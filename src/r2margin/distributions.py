@@ -4,13 +4,13 @@ The inference layer evaluates the F CDF at real-valued (fractional)
 degrees of freedom, once per p-value and once per step of the confidence
 bound's root search, so this module implements the classical chain
 
-    ln_gamma -> regularized incomplete beta -> F CDF -> F quantile
+    regularized incomplete beta -> F CDF -> F quantile
 
 directly.  The incomplete beta uses the continued-fraction expansion
 (modified Lentz recurrence, with the usual series/fraction pivot at
-x = (a+1)/(a+b+2)); the quantile is found by bracketing plus Newton
-refinement that falls back to bisection whenever a step would leave the
-bracket.
+x = (a+1)/(a+b+2)) on top of the platform's ``math.lgamma``; the quantile
+inverts the CDF by bisection on log x.  ``_bisect`` is the one root search
+of the package: the confidence bound in ``inference`` runs on it as well.
 
 ``RandomStream`` supplies standard normal variates from a counter-based
 generator (Philox) keyed by hashing arbitrary labels, so independent,
@@ -34,7 +34,6 @@ __all__ = [
     "RandomStream",
     "f_cdf",
     "f_quantile",
-    "ln_gamma",
     "reg_inc_beta",
 ]
 
@@ -45,12 +44,10 @@ _BETA_MAX_ITER = 300
 _BETA_EPS = 1e-14
 _LENTZ_TINY = 1e-300
 
-_BRACKET_LO = 1e-10
-_BRACKET_HI = 1e10
-_BRACKET_GROWTH = 1e3
-_MAX_BRACKET_EXPANSIONS = 80
-_QUANTILE_CDF_TOL = 1e-12
-_QUANTILE_MAX_REFINE = 200
+# The quantile's search bracket and the CDF error it accepts at its answer.
+_QUANTILE_LO = 1e-300
+_QUANTILE_HI = 1e300
+_QUANTILE_CDF_TOL = 1e-10
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -78,18 +75,6 @@ class FParams:
             if value <= 0.0:
                 raise DomainError(f"{name} must be > 0, got {value!r}")
             object.__setattr__(self, name, value)
-
-
-def ln_gamma(x: float) -> float:
-    """Natural logarithm of the gamma function for x > 0.
-
-    A validating wrapper over the platform C implementation, which is
-    accurate to a few ulp over the whole range used here.
-    """
-    x = _require_finite("x", x)
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
@@ -162,9 +147,9 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     if x == 1.0:
         return 1.0
     ln_front = (
-        ln_gamma(a + b)
-        - ln_gamma(a)
-        - ln_gamma(b)
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
         + a * math.log(x)
         + b * math.log1p(-x)
     )
@@ -189,87 +174,48 @@ def f_cdf(x: float, params: FParams) -> float:
     return reg_inc_beta(0.5 * params.d1, 0.5 * params.d2, t)
 
 
-def _f_log_pdf(x: float, params: FParams) -> float:
-    # Density used only to drive Newton steps in the quantile search.
-    a = 0.5 * params.d1
-    b = 0.5 * params.d2
-    ln_beta = ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-    return (
-        a * math.log(params.d1 / params.d2)
-        + (a - 1.0) * math.log(x)
-        - (a + b) * math.log1p(params.d1 * x / params.d2)
-        - ln_beta
-    )
+def _bisect(go_right, lo: float, hi: float, width: float) -> tuple[float, int]:
+    """Bisect [lo, hi] for the point where ``go_right`` turns false.
+
+    ``go_right(mid)``, true when the root lies right of ``mid``, is called
+    only at midpoints.  The search stops once the bracket is no wider than
+    ``width`` or its midpoint is no longer strictly inside it.  Returns the
+    final midpoint and the number of ``go_right`` calls.
+    """
+    steps = 0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        steps += 1
+        if go_right(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), steps
 
 
 def f_quantile(prob: float, params: FParams) -> float:
     """Lower-tail quantile: the x at which ``f_cdf(x, params) == prob``.
 
-    Brackets the root (geometrically expanding [1e-10, 1e10] if the initial
-    bracket misses), collapses the bracket on a log scale, then polishes
-    with Newton steps safeguarded by bisection.  Raises ConvergenceError if
-    the refinement budget runs out, which signals pathological degrees of
-    freedom rather than a tolerance problem.
+    Bisects log x over the fixed bracket [1e-300, 1e300] down to the float
+    resolution of log x.  Raises ConvergenceError when the root lies outside
+    that bracket, or when the CDF at the answer misses ``prob`` by more than
+    1e-10 (near 1 the CDF can be too coarse in floats to be inverted).
     """
     prob = _require_finite("prob", prob)
     if not 0.0 < prob < 1.0:
         raise DomainError(f"prob must lie strictly inside (0, 1), got {prob!r}")
+    context = f"(prob={prob!r}, d1={params.d1!r}, d2={params.d2!r})"
+    if not f_cdf(_QUANTILE_LO, params) < prob < f_cdf(_QUANTILE_HI, params):
+        raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")
 
-    lo = _BRACKET_LO
-    hi = _BRACKET_HI
-    expansions = 0
-    while f_cdf(lo, params) >= prob:
-        lo /= _BRACKET_GROWTH
-        expansions += 1
-        if expansions > _MAX_BRACKET_EXPANSIONS:
-            raise ConvergenceError(
-                f"could not bracket quantile below {_BRACKET_LO} "
-                f"(prob={prob!r}, d1={params.d1!r}, d2={params.d2!r})"
-            )
-    while f_cdf(hi, params) <= prob:
-        hi *= _BRACKET_GROWTH
-        expansions += 1
-        if expansions > _MAX_BRACKET_EXPANSIONS:
-            raise ConvergenceError(
-                f"could not bracket quantile above {_BRACKET_HI} "
-                f"(prob={prob!r}, d1={params.d1!r}, d2={params.d2!r})"
-            )
-
-    # Collapse the bracket on a log scale first: each step halves the
-    # exponent range, so a handful of evaluations leaves hi/lo < 2.
-    while hi / lo > 2.0:
-        mid = math.sqrt(lo * hi)
-        if f_cdf(mid, params) < prob:
-            lo = mid
-        else:
-            hi = mid
-
-    x = 0.5 * (lo + hi)
-    for _ in range(_QUANTILE_MAX_REFINE):
-        err = f_cdf(x, params) - prob
-        if abs(err) <= _QUANTILE_CDF_TOL:
-            return x
-        if err < 0.0:
-            lo = x
-        else:
-            hi = x
-        density = math.exp(_f_log_pdf(x, params))
-        if density > 0.0:
-            candidate = x - err / density
-            if lo < candidate < hi:
-                x = candidate
-                continue
-        x = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(x, 1.0):
-            # Bracket exhausted at float resolution; accept if within the
-            # documented tolerance, otherwise report failure.
-            if abs(f_cdf(x, params) - prob) <= 1e-10:
-                return x
-            break
-    raise ConvergenceError(
-        f"quantile refinement did not converge "
-        f"(prob={prob!r}, d1={params.d1!r}, d2={params.d2!r})"
-    )
+    lo, hi = math.log(_QUANTILE_LO), math.log(_QUANTILE_HI)
+    log_x, _ = _bisect(lambda u: f_cdf(math.exp(u), params) < prob, lo, hi, math.ulp(1.0))
+    x = math.exp(log_x)
+    if abs(f_cdf(x, params) - prob) > _QUANTILE_CDF_TOL:
+        raise ConvergenceError(f"quantile search ended off the root {context}")
+    return x
 
 
 class RandomStream:

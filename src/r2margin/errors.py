@@ -21,10 +21,6 @@ class DimensionMismatchError(R2MarginError, ValueError):
     """Array arguments have incompatible shapes."""
 
 
-class DegenerateInputError(R2MarginError, ValueError):
-    """Inputs place the computation in a degenerate regime."""
-
-
 class ConvergenceError(R2MarginError, RuntimeError):
     """An iterative routine exhausted its iteration budget."""
 

@@ -38,11 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FParams, f_cdf
+from .distributions import FParams, _bisect, f_cdf
 from .errors import DomainError
 
 __all__ = [
-    "DEFAULT_TOL",
     "ConfidenceBound",
     "NonInfResult",
     "TestInput",
@@ -50,11 +49,11 @@ __all__ = [
     "upper_ci_p2",
 ]
 
-DEFAULT_TOL = 1e-12
-
 # Ceiling applied to a candidate P2 before the degrees-of-freedom map is
 # evaluated, and the upper end of the bound's search bracket.
 _PSQ_CEILING = 1.0 - 1e-12
+# Bracket width at which the bound's root search stops.
+_BOUND_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,13 +147,7 @@ def _tail_at(input: TestInput, z: float) -> tuple[float, float, float]:
     return f_cdf(f_stat, FParams(v, resid_df)), f_stat, v
 
 
-def upper_ci_p2(
-    input: TestInput,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    *,
-    halve_alpha: bool = True,
-) -> ConfidenceBound:
+def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> ConfidenceBound:
     """Upper limit of the one-sided (1 - alpha) confidence interval for P2.
 
     The bound is the root of p(z) = alpha/2 (or alpha when
@@ -163,31 +156,21 @@ def upper_ci_p2(
     root is found by bisection, one F CDF per step; p is evaluated only at
     midpoints, never at the lower end where F is infinite (at r2 = 0, p is 0
     throughout and the search closes on that end).  The search stops once
-    the bracket is narrower than ``tol`` or its midpoint no longer falls
+    the bracket is no wider than 1e-12 or its midpoint no longer falls
     strictly inside it.  The reported bound is clamped into [0, 1); the root
     itself is kept in ``upper_raw``.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    tol = float(tol)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol!r}")
 
     prob = 0.5 * alpha if halve_alpha else alpha
-    lo, hi = -input.k / input.residual_df, _PSQ_CEILING
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        iterations += 1
-        if _tail_at(input, mid)[0] > prob:
-            lo = mid
-        else:
-            hi = mid
-
-    upper_raw = 0.5 * (lo + hi)
+    upper_raw, iterations = _bisect(
+        lambda z: _tail_at(input, z)[0] > prob,
+        -input.k / input.residual_df,
+        _PSQ_CEILING,
+        _BOUND_WIDTH,
+    )
     upper = min(max(upper_raw, 0.0), _PSQ_CEILING)
     return ConfidenceBound(
         upper=upper,

@@ -18,6 +18,8 @@ __all__ = ["Dataset", "OlsFit", "fit_ols", "r_squared"]
 
 # Relative diagonal tolerance for declaring the design matrix rank deficient.
 _RANK_TOL = 1e-10
+# Largest R2 that ``r_squared`` returns: the top of ``TestInput``'s range.
+_R2_MAX = 1.0 - 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,5 +127,9 @@ def fit_ols(data: Dataset) -> OlsFit:
 
 
 def r_squared(data: Dataset) -> float:
-    """R2 of the intercept-included least-squares fit of ``data``."""
-    return fit_ols(data).r2
+    """R2 of the intercept-included least-squares fit of ``data``, clamped
+    into ``TestInput``'s range [0, 1 - 1e-12]: a perfect fit rounds to 1.0,
+    which is nudged to the largest admissible value (p-value ~ 1).
+    ``fit_ols(data).r2`` keeps the unclamped value.
+    """
+    return min(max(fit_ols(data).r2, 0.0), _R2_MAX)

@@ -78,6 +78,14 @@ class TestCiCommand:
         )
         assert code == 3
 
+    def test_non_positive_precision_exits_2(self, capsys):
+        code, _, text = run_cli(
+            capsys, "ci", "--r2", "0.085", "--n", "1250", "--k", "6", "--alpha", "0.10",
+            "--precision", "-1",
+        )
+        assert code == 2
+        assert "--precision" in text
+
 
 class TestTestCommand:
     def test_golden_output(self, capsys):
@@ -257,6 +265,23 @@ class TestSimulateCommand:
             {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1],
                             "sigma2": 1.0, "sigma_offdiag": 0.0}],
              "deltas": [0.05]},  # beta length mismatch
+            *[
+                {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                                "sigma2": 1.0, "sigma_offdiag": 0.0, key: bad}],
+                 "deltas": [0.05]}
+                for key in ("sigma2", "sigma_offdiag", "beta0")
+                for bad in ("abc", None)
+            ],
+            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                            "sigma2": 10**400, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, "abc"],
+                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, None],
+                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": ["abc"]},
+            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [None]},
         ],
     )
     def test_schema_violations_exit_2(self, capsys, tmp_path, config):

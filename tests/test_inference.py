@@ -111,10 +111,6 @@ class TestUpperCiP2:
         with pytest.raises(DomainError):
             upper_ci_p2(TestInput(r2=0.1, n=100, k=2), alpha)
 
-    def test_rejects_non_positive_tolerance(self):
-        with pytest.raises(DomainError):
-            upper_ci_p2(TestInput(r2=0.1, n=100, k=2), 0.05, tol=0.0)
-
     @pytest.mark.parametrize(
         "r2,n,k",
         [

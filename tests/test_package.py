@@ -1,8 +1,15 @@
-"""The public namespace: every name a module exports in ``__all__`` exists."""
+"""The public namespace: every name a module exports in ``__all__`` exists,
+and every exported error class is raised somewhere in the package."""
 
 import importlib
+import inspect
+import pathlib
+import re
 
 import pytest
+
+import r2margin
+from r2margin import errors
 
 MODULES = [
     "r2margin",
@@ -13,9 +20,25 @@ MODULES = [
     "r2margin.regression",
 ]
 
+ERROR_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.R2MarginError) and cls is not errors.R2MarginError
+]
+
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_is_raised(error):
+    # A class nothing raises only pads the handlers that catch it.
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in pathlib.Path(r2margin.__file__).parent.glob("*.py")
+    )
+    assert re.search(rf"\braise {error.__name__}\b", source)
