@@ -77,8 +77,9 @@ class FParams:
             object.__setattr__(self, name, value)
 
 
-def _beta_cont_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, by modified Lentz."""
+def _beta_cont_fraction(a: float, b: float, x: float) -> tuple[float, int]:
+    """Continued fraction for the incomplete beta, by modified Lentz, and
+    the number of terms it took."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -112,7 +113,7 @@ def _beta_cont_fraction(a: float, b: float, x: float) -> float:
         step = d * c
         h *= step
         if abs(step - 1.0) < _BETA_EPS:
-            return h
+            return h, m
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within "
         f"{_BETA_MAX_ITER} terms (a={a!r}, b={b!r}, x={x!r})"
@@ -157,8 +158,19 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     # The fraction converges fastest below the pivot; above it, evaluate the
     # mirrored fraction and use I_x(a, b) = 1 - I_{1-x}(b, a).
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_fraction(a, b, x) / a
-    return 1.0 - front * _beta_cont_fraction(b, a, 1.0 - x) / b
+        return front * _beta_cont_fraction(a, b, x)[0] / a
+    return 1.0 - front * _beta_cont_fraction(b, a, 1.0 - x)[0] / b
+
+
+def _switch_terms(a: float, b: float) -> int:
+    """Terms ``reg_inc_beta(a, b, x)``'s continued fraction takes just either
+    side of its series switch x = (a+1)/(a+b+2), where it takes about the
+    most; the larger of the two counts.  Raises ConvergenceError past the
+    cap of 300."""
+    switch = (a + 1.0) / (a + b + 2.0)
+    _, below = _beta_cont_fraction(a, b, switch * (1.0 - 1e-9))
+    _, above = _beta_cont_fraction(b, a, 1.0 - switch * (1.0 + 1e-9))
+    return max(below, above)
 
 
 def f_cdf(x: float, params: FParams) -> float:

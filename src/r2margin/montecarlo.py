@@ -3,10 +3,25 @@
 A ``Scenario`` is one data-generating configuration: N covariate rows drawn
 from a multivariate normal with covariance ``sigma_matrix``, coefficient
 vector ``beta``, and independent N(0, sigma2) noise.  For every replicate
-the harness draws a fresh dataset, computes its R2 once, evaluates the
-non-inferiority p-value at every requested margin, and counts p < alpha.
-Type-1 error is the rejection rate when the margin sits at the scenario's
-true variance share; power is the rate beyond it.
+the harness draws a fresh dataset, computes its R2 once, and counts, at
+every requested margin, whether the non-inferiority p-value falls below
+alpha.  Type-1 error is the rejection rate when the margin sits at the
+scenario's true variance share; power is the rate beyond it.
+
+For fixed (N, K, delta) the p-value rises with R2, so the test rejects
+exactly when R2 lies below a critical value.  That root is bisected once per
+(N, K, delta, alpha) on the exact p-value and kept in a bounded cache, which
+fills lazily and is shared by scenarios that differ only in their noise and
+by repeat runs.  A replicate then takes R2 from centered cross-products and
+compares it with each margin's root; only when the comparison could disagree
+with the p-value does it take the exact path (QR fit, one p-value per
+margin, skip on failure), so counts and skips equal those of evaluating
+every p-value.  The exact path is taken when R2 lies within a guard band of
+2e-9 around any root, when the cross-product R2 cannot be trusted (see
+``regression._gram_r_squared``), and for every replicate of a scenario
+with a margin whose p-value may fail because the incomplete beta's
+continued fraction nears its term cap (the pivot gate, ``_pivot_fails``),
+since such failures must count as skips.
 
 Replicate ``j`` of scenario ``s`` draws from a ``RandomStream`` keyed by
 (master_seed, s.id, j), so results are independent of evaluation order and
@@ -20,6 +35,7 @@ explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RandomStream
+from .distributions import _BETA_MAX_ITER, RandomStream, _bisect, _switch_terms
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -36,8 +52,8 @@ from .errors import (
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
-from .inference import TestInput, noninferiority_pvalue
-from .regression import Dataset, r_squared
+from .inference import TestInput, _v_from_psq, noninferiority_pvalue
+from .regression import _R2_MAX, Dataset, _gram_r_squared, r_squared
 
 __all__ = [
     "GRID_BETAS",
@@ -60,6 +76,13 @@ __all__ = [
 SKIP_FAILURE_FRACTION = 0.001
 
 _CHOLESKY_PIVOT_TOL = 1e-12
+
+# Critical-R2 roots are bisected down to this bracket width; a replicate is
+# decided by comparison only if its R2 lies farther from every root than the
+# width plus _BAND_PAD, which covers the distance between the cross-product
+# R2 and the QR fit's (at most 6.4e-13 where ``_gram_r_squared`` answers).
+_ROOT_WIDTH = 1e-9
+_BAND_PAD = 1e-9
 
 # Standard 30-cell grid.
 GRID_SAMPLE_SIZES = (60, 180, 540, 1000, 8000)
@@ -92,6 +115,11 @@ class Scenario:
             raise DomainError(f"k must be >= 1, got {self.k}")
         if self.n < self.k + 2:
             raise DomainError(f"need n >= k + 2, got n={self.n}, k={self.k}")
+        if self.n * (self.k + 1) * 8 > np.iinfo(np.intp).max:
+            raise DomainError(
+                f"scenario {self.id!r}: an n={self.n} by k+1={self.k + 1} float64 "
+                "design is beyond the addressable memory"
+            )
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (self.k,):
             raise DimensionMismatchError(
@@ -189,27 +217,102 @@ def cholesky_factor(sigma_matrix) -> np.ndarray:
     return lower
 
 
+def _draw(scenario: Scenario, lower: np.ndarray, stream: RandomStream):
+    """(x, y) of one dataset, given the covariance's Cholesky factor."""
+    z = stream.standard_normal((scenario.n, scenario.k))
+    x = z @ lower.T
+    noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
+    y = scenario.beta0 + x @ scenario.beta + noise
+    return x, y
+
+
 def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     """Draw one dataset: MVN covariate rows, then the linear-model outcome.
 
     Covariate rows are L z with z standard normal and L the Cholesky factor
     of the scenario covariance; the noise is drawn independently of X.
     """
-    lower = cholesky_factor(scenario.sigma_matrix)
-    z = stream.standard_normal((scenario.n, scenario.k))
-    x = z @ lower.T
-    noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
-    y = scenario.beta0 + x @ scenario.beta + noise
+    x, y = _draw(scenario, cholesky_factor(scenario.sigma_matrix), stream)
     return Dataset(y=y, x=x)
 
 
-def _replicate_counts(scenario, deltas, start, stop, alpha, master_seed):
-    """Rejection counts over replicates [start, stop); one unit of work."""
-    counts = [0] * len(deltas)
+def _pivot_fails(n: int, k: int, delta: float) -> bool:
+    """Whether the p-value at margin ``delta`` may raise ConvergenceError for
+    some R2: the pivot gate.
+
+    The p-value's F CDF is ``reg_inc_beta(v(delta)/2, (N-K-1)/2, .)``, whose
+    continued fraction takes the most terms next to its series switch, and
+    at large N can run out of its 300 there (N = 1e6, K = 2, delta = 0.3
+    raises for R2 near 0.30003) although the critical-R2 search never
+    evaluates there.  Just either side of the switch the count is within
+    1.2 times the most any nearby x takes (measured over N = 1e4 to 1e7,
+    K = 1 to 10, delta = 0.01 to 0.8), so the gate trips above two thirds
+    of the cap.  It can go once ``reg_inc_beta`` no longer fails at large N
+    (ROADMAP item 5).
+    """
+    try:
+        terms = _switch_terms(0.5 * _v_from_psq(delta, n, k), 0.5 * (n - k - 1))
+    except ConvergenceError:
+        return True
+    return terms > _BETA_MAX_ITER * 2 // 3
+
+
+@functools.lru_cache(maxsize=4096)
+def _critical_r2(n: int, k: int, delta: float, alpha: float) -> tuple[float, float]:
+    """(root, band): the test rejects at ``delta`` iff R2 < root.
+
+    The p-value rises with R2, so the root is bisected over [0, 1 - 1e-12]
+    on the exact predicate p < alpha to a bracket width of 1e-9.  An R2
+    below root - band certainly rejects and one above root + band certainly
+    does not.  The band is infinite, so that every replicate takes the exact
+    path, when the pivot gate (``_pivot_fails``) trips or the search raises
+    ConvergenceError.
+    """
+    if _pivot_fails(n, k, delta):
+        return 0.0, math.inf
+    try:
+        root, _ = _bisect(
+            lambda r2: noninferiority_pvalue(TestInput(r2, n, k), delta).p_value < alpha,
+            0.0,
+            _R2_MAX,
+            _ROOT_WIDTH,
+        )
+    except ConvergenceError:
+        return 0.0, math.inf
+    return root, _ROOT_WIDTH + _BAND_PAD
+
+
+def _decision_cuts(scenario: Scenario, deltas, alpha: float):
+    """(reject below, keep above) arrays over ``deltas``, or None when some
+    margin's band is infinite and every replicate takes the exact path."""
+    bounds = [_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas]
+    if any(band == math.inf for _, band in bounds):
+        return None
+    roots, bands = np.array(bounds).T
+    return roots - bands, roots + bands
+
+
+def _replicate_counts(scenario, deltas, start, stop, alpha, master_seed, lower, cuts):
+    """Rejection counts over replicates [start, stop); one unit of work.
+
+    ``lower`` is the covariance's Cholesky factor and ``cuts`` comes from
+    ``_decision_cuts``.  A replicate whose R2 clears every margin's band is
+    decided by comparison; any other takes the exact path: QR fit, one
+    p-value per margin, and a skip if inference fails.
+    """
+    counts = np.zeros(len(deltas), dtype=np.int64)
     skipped = 0
     for j in range(start, stop):
         stream = RandomStream(master_seed, scenario.id, j)
-        data = generate_dataset(scenario, stream)
+        x, y = _draw(scenario, lower, stream)
+        if cuts is not None:
+            r2 = _gram_r_squared(x, y)
+            if r2 is not None:
+                rejects, keeps = r2 < cuts[0], r2 > cuts[1]
+                if (rejects | keeps).all():
+                    counts += rejects
+                    continue
+        data = Dataset(y=y, x=x)
         try:
             observed = TestInput(r2=r_squared(data), n=scenario.n, k=scenario.k)
             p_values = [noninferiority_pvalue(observed, d).p_value for d in deltas]
@@ -219,7 +322,7 @@ def _replicate_counts(scenario, deltas, start, stop, alpha, master_seed):
         for i, p in enumerate(p_values):
             if p < alpha:
                 counts[i] += 1
-    return counts, skipped
+    return counts.tolist(), skipped
 
 
 def _resolve_workers(workers) -> int:
@@ -250,10 +353,19 @@ def run_scenario(
 ) -> list[RejectionRecord]:
     """Estimate rejection rates for one scenario across a margin grid.
 
-    Each replicate's dataset is generated once and its p-value evaluated at
-    every margin in ``deltas``, so the per-margin counts share datasets.
-    Output is fully determined by (scenario, deltas, n_sims, alpha,
-    master_seed), independent of worker count and evaluation order.
+    Each replicate's dataset is generated once and tested at every margin
+    in ``deltas``, so the per-margin counts share datasets.  Output is fully
+    determined by (scenario, deltas, n_sims, alpha, master_seed),
+    independent of worker count and evaluation order.
+
+    The test rejects at a margin exactly when R2 < r2_crit(N, K, delta,
+    alpha); each root is bisected once on the exact p-value and cached.  A
+    replicate is decided by comparing its cross-product R2 with every root,
+    and takes the exact path (QR R2, one p-value per margin) when its R2
+    lies within 2e-9 of a root, when the cross-product R2 is not trusted
+    (near-collinear covariates, near-constant outcome, R2 > 1 - 1e-9), or
+    when the pivot gate has found a margin whose p-value may fail; results
+    equal those of evaluating every p-value.
 
     Replicates whose inference fails are counted as skipped; if more than
     SKIP_FAILURE_FRACTION of them skip, the run raises ExcessiveSkipsError.
@@ -274,9 +386,13 @@ def run_scenario(
         raise DomainError(f"master_seed must be an integer, got {master_seed!r}")
     master_seed = int(master_seed)
     workers = _resolve_workers(workers)
+    lower = cholesky_factor(scenario.sigma_matrix)
+    cuts = _decision_cuts(scenario, deltas, alpha)
 
     if workers == 1:
-        counts, skipped = _replicate_counts(scenario, deltas, 0, n_sims, alpha, master_seed)
+        counts, skipped = _replicate_counts(
+            scenario, deltas, 0, n_sims, alpha, master_seed, lower, cuts
+        )
     else:
         chunk = max(1, math.ceil(n_sims / (workers * 4)))
         spans = [(lo, min(lo + chunk, n_sims)) for lo in range(0, n_sims, chunk)]
@@ -284,7 +400,9 @@ def run_scenario(
         skipped = 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_replicate_counts, scenario, deltas, lo, hi, alpha, master_seed)
+                pool.submit(
+                    _replicate_counts, scenario, deltas, lo, hi, alpha, master_seed, lower, cuts
+                )
                 for lo, hi in spans
             ]
             for future in futures:

@@ -8,6 +8,7 @@ the centered total sum of squares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,12 @@ __all__ = ["Dataset", "OlsFit", "fit_ols", "r_squared"]
 _RANK_TOL = 1e-10
 # Largest R2 that ``r_squared`` returns: the top of ``TestInput``'s range.
 _R2_MAX = 1.0 - 1e-12
+# Where ``_gram_r_squared`` hands over to the QR fit: pivot spread, least
+# squared pivot over its column's centered sum of squares (1 minus the
+# column's squared multiple correlation with the columns before it), top R2.
+_GRAM_PIVOT_TOL = 1e-6
+_GRAM_TOLERANCE_MIN = 1e-4
+_GRAM_R2_MAX = 1.0 - 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +131,57 @@ def fit_ols(data: Dataset) -> OlsFit:
         r2=1.0 - sse / sst,
         residual_variance_hat=residual_variance,
     )
+
+
+def _gram_r_squared(x: np.ndarray, y: np.ndarray) -> float | None:
+    """R2 of the intercept-included fit from centered cross-products, or
+    None where only ``fit_ols`` can be trusted to give it.
+
+    The Cholesky factor of [Xc yc]'[Xc yc] holds the factor L of Xc'Xc in
+    its leading block and w = L^-1 Xc'yc in its last row, so R2 = |w|^2 /
+    SST with no Q factor formed.  ``x`` and ``y`` are shaped as in
+    ``Dataset``.  None, which leaves the decision to the QR fit, when:
+
+    - the Cholesky factorization fails;
+    - the pivots, with sqrt(N) for the intercept, spread more than 1e6-fold,
+      10^4 inside the QR rank test, so rounding cannot flip that test;
+    - a covariate's squared multiple correlation with the ones before it
+      reaches 1 - 1e-4, where the two routes' rounding drifts apart;
+    - the outcome is nearly constant: SST at or below N (1e-4 max|y|)^2,
+      where centering loses digits, or near ``fit_ols``'s own cut-off;
+    - R2 exceeds 1 - 1e-9;
+    - any of these is NaN, as non-finite input makes them.
+
+    Elsewhere the value agrees with ``fit_ols(...).r2`` to 1e-12 (measured
+    at most 6.4e-13 next to these limits, about 1e-15 well inside them).
+    """
+    n, k = x.shape
+    centered = np.empty((k + 1, n))
+    centered[:k] = x.T
+    centered[k] = y
+    centered -= centered.mean(axis=1, keepdims=True)
+    gram = centered @ centered.T
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    # k is small: plain floats are cheaper than numpy calls here.  Every test
+    # is written so that a NaN fails it.
+    pivots = lower.diagonal().tolist()[:k]
+    sums = gram.diagonal().tolist()
+    spread = pivots + [math.sqrt(n)]
+    top = max(spread)
+    if not all(p > _GRAM_PIVOT_TOL * top for p in spread):
+        return None
+    if not all(p * p > _GRAM_TOLERANCE_MIN * s for p, s in zip(pivots, sums)):
+        return None
+    sst = sums[k]
+    y_max = max(float(y.max()), -float(y.min()))
+    if not sst > n * max(1e-26, (1e-4 * y_max) ** 2):
+        return None
+    explained = lower[k, :k]
+    r2 = float(explained @ explained) / sst
+    return r2 if r2 <= _GRAM_R2_MAX else None
 
 
 def r_squared(data: Dataset) -> float:

@@ -6,7 +6,9 @@ beta; the least-squares oracle solves the normal equations with a hand-rolled
 Gauss-Jordan inversion instead of a QR factorization; the p-value oracle runs
 the original fixed-point construction with an external CDF instead of the
 closed form; the confidence-bound oracle root-solves the defining tail
-equation with an external CDF over its own bracket.
+equation with an external CDF over its own bracket; the Monte Carlo oracle
+evaluates every replicate's p-values instead of comparing R2 with cached
+critical values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,12 @@ import math
 
 import numpy as np
 from scipy import integrate, stats
+
+from r2margin.distributions import RandomStream
+from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
+from r2margin.inference import TestInput, noninferiority_pvalue
+from r2margin.montecarlo import generate_dataset
+from r2margin.regression import r_squared
 
 
 def f_density(x: float, d1: float, d2: float) -> float:
@@ -142,3 +150,27 @@ def pvalue_fixed_point(r2: float, n: int, k: int, delta: float) -> tuple[float, 
         v = (resid * clamped + k) ** 2 / (n - 1 - resid * (1.0 - clamped) ** 2)
         psq = (resid * r2 - (1.0 - r2) * k * f_stat) / (resid * (r2 + (1.0 - r2) * f_stat))
     return float(stats.f.cdf(f_stat, v, resid)), psq
+
+
+def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed):
+    """Rejection counts and skips of ``run_scenario`` by brute force.
+
+    Every replicate draws its dataset, fits it by QR and evaluates the
+    p-value at every margin; a replicate whose inference fails is skipped.
+    Returns (counts per margin, skipped).
+    """
+    counts = [0] * len(deltas)
+    skipped = 0
+    for j in range(n_sims):
+        stream = RandomStream(master_seed, scenario.id, j)
+        data = generate_dataset(scenario, stream)
+        try:
+            observed = TestInput(r2=r_squared(data), n=scenario.n, k=scenario.k)
+            p_values = [noninferiority_pvalue(observed, d).p_value for d in deltas]
+        except (ConvergenceError, RankDeficiencyError, DomainError):
+            skipped += 1
+            continue
+        for i, p in enumerate(p_values):
+            if p < alpha:
+                counts[i] += 1
+    return counts, skipped

@@ -282,6 +282,12 @@ class TestSimulateCommand:
                             "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": ["abc"]},
             {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
                             "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [None]},
+            # designs too large to address: rejected before anything is drawn
+            *[
+                {"scenarios": [{"id": "a", "n": n, "k": 2, "beta": [0.1, 0.2],
+                                "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+                for n in (10**30, 2**62)
+            ],
         ],
     )
     def test_schema_violations_exit_2(self, capsys, tmp_path, config):

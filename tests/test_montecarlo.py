@@ -13,6 +13,7 @@ from r2margin.errors import (
     DomainError,
     ExcessiveSkipsError,
     NotPositiveDefiniteError,
+    RankDeficiencyError,
 )
 from r2margin.montecarlo import (
     Scenario,
@@ -24,7 +25,10 @@ from r2margin.montecarlo import (
     run_scenario,
     true_p2,
 )
-from r2margin.regression import fit_ols
+from r2margin.inference import TestInput, noninferiority_pvalue
+from r2margin.regression import Dataset, _gram_r_squared, fit_ols, r_squared
+
+from oracles import replicate_counts_exact
 
 
 def _small_scenario(n=120, k=2, sigma2=1.0):
@@ -167,6 +171,9 @@ class TestRunScenario:
             raise ConvergenceError("forced failure")
 
         monkeypatch.setattr(mc, "noninferiority_pvalue", explode)
+        # Cached critical values were found with the working p-value; search
+        # afresh so that the forced failure reaches the run.
+        monkeypatch.setattr(mc, "_critical_r2", mc._critical_r2.__wrapped__)
         with pytest.raises(ExcessiveSkipsError):
             run_scenario(_small_scenario(), [0.05], 40, 0.05, 1)
 
@@ -186,6 +193,114 @@ class TestRunScenario:
         records = run_scenario(_small_scenario(), [0.05], 30, 0.05, 1)
         serial = run_scenario(_small_scenario(), [0.05], 30, 0.05, 1, workers=1)
         assert records[0].rejections == serial[0].rejections
+
+
+def _counts(records):
+    """(counts per margin, skipped), as ``replicate_counts_exact`` returns."""
+    return [r.rejections for r in records], records[0].skipped
+
+
+@pytest.fixture(scope="module")
+def paper_grid_exact():
+    """Brute-force counts for every paper-grid scenario, 40 sims, seed 3."""
+    deltas = default_delta_grid()
+    return {
+        s.id: replicate_counts_exact(s, deltas, 40, 0.05, 3) for s in paper_grid()
+    }
+
+
+class TestCriticalR2Decisions:
+    def test_paper_grid_counts_equal_exact_evaluation(self, paper_grid_exact):
+        for scenario in paper_grid():
+            records = run_scenario(scenario, default_delta_grid(), 40, 0.05, 3)
+            assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
+
+    def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
+        cached = mc._critical_r2
+        monkeypatch.setattr(mc, "_critical_r2", lambda *key: (cached(*key)[0], 1.0))
+        fits = []
+
+        def counted_r_squared(data):
+            fits.append(data)
+            return r_squared(data)
+
+        monkeypatch.setattr(mc, "r_squared", counted_r_squared)
+        for scenario in paper_grid():
+            records = run_scenario(scenario, default_delta_grid(), 40, 0.05, 3)
+            assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
+        assert len(fits) == 30 * 40
+
+    def test_single_covariate_counts_equal_exact_evaluation(self):
+        scenario = Scenario(
+            id="k1_n60", n=60, k=1, beta=np.array([0.3]), sigma2=1.0,
+            sigma_matrix=np.eye(1),
+        )
+        deltas = default_delta_grid()
+        records = run_scenario(scenario, deltas, 300, 0.05, 3)
+        assert _counts(records) == replicate_counts_exact(scenario, deltas, 300, 0.05, 3)
+
+    def test_noise_variants_share_cached_roots(self):
+        deltas = [0.0123, 0.0456]
+        first, second = [s for s in paper_grid() if s.n == 180 and s.k == 4][:2]
+        run_scenario(first, deltas, 2, 0.05, 1)
+        misses = mc._critical_r2.cache_info().misses
+        run_scenario(second, deltas, 2, 0.05, 1)
+        assert mc._critical_r2.cache_info().misses == misses
+
+    @pytest.mark.parametrize(
+        "n,k,delta,failing_r2",
+        [(10**6, 2, 0.3, 0.30003), (10**6, 4, 0.1974, 0.19740973776614226)],
+    )
+    def test_pivot_gate_trips_where_the_pvalue_fails(self, n, k, delta, failing_r2):
+        with pytest.raises(ConvergenceError):
+            noninferiority_pvalue(TestInput(failing_r2, n, k), delta)
+        assert mc._pivot_fails(n, k, delta)
+        assert mc._critical_r2(n, k, delta, 0.05) == (0.0, math.inf)
+
+    def test_pivot_gate_sends_the_whole_scenario_to_the_exact_path(self):
+        scenario = Scenario(
+            id="large", n=10**6, k=2, beta=np.array([0.46, 0.46]), sigma2=1.0,
+            sigma_matrix=np.eye(2),
+        )
+        assert mc._decision_cuts(scenario, [0.2, 0.3], 0.05) is None
+
+    def test_pivot_gate_never_trips_on_the_paper_grid(self):
+        for scenario in paper_grid():
+            for delta in default_delta_grid():
+                assert not mc._pivot_fails(scenario.n, scenario.k, delta)
+                assert mc._critical_r2(scenario.n, scenario.k, delta, 0.05)[1] < 1e-8
+
+    def _patched_counts(self, monkeypatch, draw):
+        scenario = _small_scenario(n=60)
+        monkeypatch.setattr(mc, "_draw", draw)
+        deltas = default_delta_grid()
+        lower = cholesky_factor(scenario.sigma_matrix)
+        cuts = mc._decision_cuts(scenario, deltas, 0.05)
+        assert cuts is not None
+        return mc._replicate_counts(scenario, deltas, 0, 5, 0.05, 1, lower, cuts)
+
+    def test_collinear_replicate_is_skipped_as_rank_deficient(self, monkeypatch):
+        def collinear(scenario, lower, stream):
+            x = stream.standard_normal((scenario.n, 2))
+            x[:, 1] = 2.0 * x[:, 0]
+            return x, x[:, 0] + stream.standard_normal(scenario.n)
+
+        x, y = collinear(_small_scenario(n=60), None, RandomStream(0))
+        assert _gram_r_squared(x, y) is None
+        with pytest.raises(RankDeficiencyError):
+            fit_ols(Dataset(y=y, x=x))
+        counts, skipped = self._patched_counts(monkeypatch, collinear)
+        assert counts == [0] * 19 and skipped == 5
+
+    def test_constant_outcome_rejects_at_every_margin(self, monkeypatch):
+        def constant(scenario, lower, stream):
+            return stream.standard_normal((scenario.n, 2)), np.full(scenario.n, 2.5)
+
+        x, y = constant(_small_scenario(n=60), None, RandomStream(0))
+        assert _gram_r_squared(x, y) is None
+        assert fit_ols(Dataset(y=y, x=x)).constant_outcome
+        counts, skipped = self._patched_counts(monkeypatch, constant)
+        assert counts == [5] * 19 and skipped == 0
 
 
 class TestGridConstruction:
@@ -240,5 +355,13 @@ class TestGridConstruction:
                 k=2,
                 beta=np.array([0.1, 0.2]),
                 sigma2=-1.0,
+                sigma_matrix=np.eye(2),
+            )
+
+    @pytest.mark.parametrize("n", [10**30, 2**62])
+    def test_unaddressable_design_is_rejected(self, n):
+        with pytest.raises(DomainError, match="'huge'"):
+            Scenario(
+                id="huge", n=n, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
                 sigma_matrix=np.eye(2),
             )

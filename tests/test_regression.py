@@ -10,7 +10,7 @@ from r2margin.errors import (
     DomainError,
     RankDeficiencyError,
 )
-from r2margin.regression import Dataset, fit_ols, r_squared
+from r2margin.regression import Dataset, _gram_r_squared, fit_ols, r_squared
 
 from oracles import ols_normal_equations
 
@@ -120,3 +120,57 @@ class TestRSquared:
         fitted = fit.intercept + data.x @ fit.coefficients
         correlation = np.corrcoef(data.y, fitted)[0, 1]
         assert fit.r2 == pytest.approx(correlation**2, abs=1e-10)
+
+
+class TestGramRSquared:
+    @pytest.mark.parametrize("n,k", [(30, 1), (60, 3), (1000, 4), (100_000, 2)])
+    def test_agrees_with_qr_fit(self, n, k):
+        rng = np.random.default_rng(n + k)
+        for noise in (0.3, 1.0, 30.0):
+            data = _random_dataset(rng, n=n, k=k, noise=noise)
+            r2 = _gram_r_squared(data.x, data.y)
+            assert r2 is not None
+            assert abs(r2 - fit_ols(data).r2) <= 1e-13
+
+    def test_collinear_covariates_defer_to_qr(self):
+        rng = np.random.default_rng(8)
+        data = _random_dataset(rng, n=50, k=3)
+        x = data.x.copy()
+        x[:, 2] = x[:, 0] - 0.5 * x[:, 1]
+        assert _gram_r_squared(x, data.y) is None
+        with pytest.raises(RankDeficiencyError):
+            fit_ols(Dataset(y=data.y, x=x))
+
+    def test_nearly_collinear_covariates_defer_to_qr(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(200, 2))
+        x[:, 1] = x[:, 0] + 1e-3 * x[:, 1]
+        assert _gram_r_squared(x, x[:, 0] + rng.normal(size=200)) is None
+
+    @pytest.mark.parametrize("level", [0.0, 2.5, 1e12])
+    def test_constant_outcome_defers_to_qr(self, level):
+        x = np.random.default_rng(10).normal(size=(40, 2))
+        assert _gram_r_squared(x, np.full(40, level)) is None
+
+    def test_outcome_offset_far_beyond_its_spread_defers_to_qr(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(100, 2))
+        assert _gram_r_squared(x, 1e8 + x[:, 0] + rng.normal(size=100)) is None
+
+    def test_near_perfect_fit_defers_to_qr(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(100, 2))
+        assert _gram_r_squared(x, 1.0 + x @ [0.5, -2.0] + 1e-6 * rng.normal(size=100)) is None
+
+    def test_non_finite_input_defers_to_qr(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(30, 2))
+        y = rng.normal(size=30)
+        for bad in (np.inf, np.nan):
+            broken = x.copy()
+            broken[4, 1] = bad
+            broken_y = y.copy()
+            broken_y[7] = bad
+            with np.errstate(invalid="ignore"):
+                assert _gram_r_squared(broken, y) is None
+                assert _gram_r_squared(x, broken_y) is None
