@@ -8,9 +8,10 @@ fit       run both on a CSV dataset (first column outcome, rest covariates)
 simulate  rejection-rate study over a scenario grid, written as CSV
 plot      per-K SVG panels of rejection-rate curves from a simulate CSV
 
-Exit codes: 0 success, 2 validation failure, 3 convergence failure,
-4 excessive Monte Carlo skips.  ``R2MARGIN_THREADS`` sets the simulate
-worker count (0 = one per CPU).
+Exit codes: 0 success, 2 validation failure (including an input too large
+for the memory available), 3 convergence failure, 4 excessive Monte Carlo
+skips.  ``R2MARGIN_THREADS`` sets the simulate worker count (0 = one per
+CPU).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -120,20 +122,72 @@ def _cmd_test(args) -> int:
 
 
 def _read_dataset_csv(path: str) -> Dataset:
+    """The dataset of a ``fit`` CSV: column 1 outcome, the rest covariates.
+
+    The numeric body is parsed in one ``np.loadtxt`` call when that is known
+    to give what the per-row parser gives; otherwise (every malformed file,
+    and the rare valid spellings loadtxt refuses) the per-row parser runs,
+    so the accepted grammar, the doubles and the error messages are its own.
+    """
+    table = _read_table_fast(path)
+    if table is None:
+        return _read_dataset_csv_exact(path)
+    return Dataset(y=np.ascontiguousarray(table[:, 0]), x=np.ascontiguousarray(table[:, 1:]))
+
+
+# ASCII separators that loadtxt strips around a number as whitespace but
+# ``float()`` does not; every other character is treated alike by both.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_SCAN_CHARS = 1 << 20
+
+
+def _read_table_fast(path: str) -> np.ndarray | None:
+    """The CSV's numeric body as one float table, or None to decline.
+
+    Declines unless the header is a non-empty row of at least two fields and
+    loadtxt reads the body, without quotes or comments, into at least one
+    row of exactly that many finite values.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+            while chunk := handle.read(_SCAN_CHARS):
+                if any(char in chunk for char in _LOADTXT_ONLY_SPACE):
+                    return None
+            handle.seek(0)
+            header = next((row for row in csv.reader(handle) if row), [])
+            if len(header) < 2:
+                return None
+            with warnings.catch_warnings():
+                # a header-only file: the per-row parser reports it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error):
+        return None
+    if table.shape[0] == 0 or table.shape[1] != len(header):
+        return None
+    if not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _read_dataset_csv_exact(path: str) -> Dataset:
+    """The per-row parser: csv fields, one ``float()`` per cell.  Errors
+    name the physical line of the offending row."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
     if len(rows) < 2:
         raise DomainError("CSV must contain a header row followed by data rows")
-    header = rows[0]
+    _, header = rows[0]
     if len(header) < 2:
         raise DomainError("CSV needs an outcome column plus at least one covariate column")
     width = len(header)
     outcome = []
     covariates = []
-    for line_number, row in enumerate(rows[1:], start=2):
+    for line_number, row in rows[1:]:
         if len(row) != width:
             raise DomainError(f"line {line_number} has {len(row)} fields, expected {width}")
         try:
@@ -223,6 +277,17 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
             raise DomainError(f"scenario {index}: 'k' must be an integer")
         if not isinstance(entry["beta"], list):
             raise DomainError(f"scenario {index}: 'beta' must be a list of numbers")
+        # before the k-by-k covariance is built
+        k = entry["k"]
+        if k * k * 8 > np.iinfo(np.intp).max:
+            raise DomainError(
+                f"scenario {index}: a k={k} by k float64 covariance is beyond the "
+                "addressable memory"
+            )
+        if len(entry["beta"]) != k:
+            raise DomainError(
+                f"scenario {index}: 'beta' has {len(entry['beta'])} entries, expected k={k}"
+            )
         where = f"scenario {index}"
         scenarios.append(
             Scenario(
@@ -398,6 +463,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

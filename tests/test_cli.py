@@ -2,13 +2,17 @@
 
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import r2margin.cli as cli
-from r2margin.errors import ConvergenceError, ExcessiveSkipsError
+import r2margin.montecarlo as montecarlo
+from r2margin.errors import ConvergenceError, ExcessiveSkipsError, R2MarginError
 from r2margin.cli import main
 
 
@@ -132,6 +136,22 @@ class TestFitCommand:
         code, _, _ = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
         assert code == 2
 
+    def test_error_names_physical_line(self, capsys, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("y,x\n1,2\n\n\n\n3,4\noops,5\n", encoding="utf-8")
+        code, _, text = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
+        assert code == 2
+        assert "line 7 contains a non-numeric cell" in text
+
+    def test_header_only_csv_prints_one_error_and_no_warning(self, capsys, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("y,x1\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, text = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
+        assert code == 2
+        assert text == "error: CSV must contain a header row followed by data rows\n"
+
     def test_collinear_column_reported(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
         base = rng.normal(size=(30, 1))
@@ -198,6 +218,138 @@ class TestFitCommand:
             capsys, "fit", "--data", str(path), "--delta", "0.05", "--precision", "17"
         )
         assert first["p_value"] == second["p_value"]
+
+
+def parse_outcome(read, path):
+    """What a CSV reader makes of ``path``: the exact bytes of y and x, or
+    the error it raises."""
+    try:
+        data = read(str(path))
+    except R2MarginError as exc:
+        return type(exc).__name__, str(exc)
+    return data.y.tobytes(), data.x.tobytes(), data.x.shape
+
+
+_CSV_CHARS = list("0123456789.eE+-_,\"# \t\r\n\x0c\x1c") + ["inf", "nan"]
+_ODD_CELLS = st.one_of(
+    st.lists(st.sampled_from(_CSV_CHARS), max_size=5).map("".join),
+    st.sampled_from(["1_0", '"2"', "1e400", "nan", "#7", "-0", " 3 ", "\x1c4", "5\x1f", "\uff16"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A short text over the CSV alphabet, or (mostly) a numeric table with
+    a header, mixed line endings and up to two odd cells."""
+    if draw(st.integers(0, 4)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(_CSV_CHARS), max_size=40)))
+    width = draw(st.integers(2, 3))
+    names = ["y"] + [f"x{j}" for j in range(1, width)]
+    header = draw(st.sampled_from([
+        ",".join(names),
+        ",".join(f'"{name}"' for name in names),
+        "\ufeff" + ",".join(names),
+        "\n\n" + ",".join(names),
+        ",".join(names[:-1]),
+        ",".join(names + ["z"]),
+    ]))
+    rows = draw(st.integers(0, 6))
+    cells = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        min_size=rows * width,
+        max_size=rows * width,
+    ))
+    for _ in range(draw(st.integers(0, 2)) if cells else 0):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_ODD_CELLS)
+    text = header
+    for row in range(rows):
+        text += draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n"]))
+        text += ",".join(cells[row * width:(row + 1) * width])
+    return text + draw(st.sampled_from(["", "\n", "\r\n", "\n \n", "\n\t"]))
+
+
+class TestCsvParsePaths:
+    """``fit`` reads a CSV through loadtxt when it can and through the
+    per-row parser otherwise; both must give identical results."""
+
+    @pytest.mark.parametrize(
+        "text, fast, expected",
+        [
+            ("\ufeffy,x\n1,2\n2,3\n4,4\n", True, None),
+            ('"y","x"\n1,2\n2,3\n4,4\n', True, None),
+            ("y,x\r\n1,2\r\n2,3\r\n4,4\r\n", True, None),
+            ("y,x\r1,2\r2,3\r4,4\r", True, None),
+            ("\n\ny,x\n1,2\n\n2,3\n4,4\n\n", True, None),
+            (" y , x \n 1 ,\t2\x0c\n2,3\n4,4\n", True, None),
+            ("y,x\n1,2\n \n2,3\n4,4\n", False, "line 3 has 1 fields, expected 2"),
+            ("y,x\n1,2,\n2,3\n4,4\n", False, "line 2 has 3 fields, expected 2"),
+            ('y,x\n"1.5",2\n2,3\n4,4\n', False, None),
+            ("y,x\n1_000,2\n2,3\n4,4\n", False, None),
+            ("y,x\n\uff11,2\n2,3\n4,4\n", False, None),
+            ("y,x\n1,2\n#2,3\n4,4\n", False, "line 3 contains a non-numeric cell"),
+            ("y,x\n1,2\ninf,3\n4,4\n", False, "line 3 contains a non-finite value"),
+            ("y,x\n1,2\n2\n4,4\n", False, "line 3 has 1 fields, expected 2"),
+            ("y,x\n1,2\x1c\n2,3\n4,4\n", False, "line 2 contains a non-numeric cell"),
+            ("y,x\n", False, "CSV must contain a header row followed by data rows"),
+            ("y\n1\n2\n3\n", False,
+             "CSV needs an outcome column plus at least one covariate column"),
+            ("y,x\n1,2\n2,3\n", True, "need n >= k + 2 observations, got n=2, k=1"),
+        ],
+        ids=[
+            "bom-header", "quoted-header", "crlf", "lone-cr", "blank-lines",
+            "padded-cells", "whitespace-row", "trailing-comma", "quoted-number",
+            "underscore-number", "full-width-digit", "hash-row", "inf-cell",
+            "short-row", "unit-separator", "header-only", "one-column", "too-few-rows",
+        ],
+    )
+    def test_table_of_spellings(self, tmp_path, text, fast, expected):
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = parse_outcome(cli._read_dataset_csv, path)
+        assert outcome == parse_outcome(cli._read_dataset_csv_exact, path)
+        assert (cli._read_table_fast(str(path)) is not None) == fast
+        if expected is None:
+            assert outcome[2] == (3, 1)
+        else:
+            assert outcome[1] == expected
+
+    def test_loadtxt_doubles_equal_float_of_each_spelling(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = np.concatenate([
+            rng.standard_normal(400) * 10.0 ** rng.integers(-30, 30, 400),
+            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.1],
+        ]).tolist()
+        spellings = [
+            lambda v: format(v, ".17g"),
+            lambda v: format(v, ".6f"),
+            repr,
+            lambda v: format(v, ".25e"),
+            lambda v: format(v, ".30f"),
+        ]
+        lines = ["y,x1,x2,x3,x4,x5"]
+        for row in range(len(values)):
+            lines.append(",".join(
+                spell(values[(row + j) % len(values)]) for j, spell in enumerate(spellings)
+            ) + ",1")
+        path = tmp_path / "spellings.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli._read_table_fast(str(path)) is not None
+        outcome = parse_outcome(cli._read_dataset_csv, path)
+        assert outcome == parse_outcome(cli._read_dataset_csv_exact, path)
+        assert outcome[2] == (len(values), 5)
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=csv_texts())
+    def test_fast_path_agrees_with_exact_path(self, tmp_path, text):
+        path = tmp_path / "generated.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_outcome(cli._read_dataset_csv, path) == parse_outcome(
+            cli._read_dataset_csv_exact, path
+        )
 
 
 class TestSimulateCommand:
@@ -288,6 +440,12 @@ class TestSimulateCommand:
                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
                 for n in (10**30, 2**62)
             ],
+            # covariances too large to address: rejected before they are built
+            *[
+                {"scenarios": [{"id": "a", "n": 50, "k": k, "beta": [0.1],
+                                "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+                for k in (10**10, 2**31)
+            ],
         ],
     )
     def test_schema_violations_exit_2(self, capsys, tmp_path, config):
@@ -298,6 +456,44 @@ class TestSimulateCommand:
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "k, beta, message",
+        [
+            (3, [0.1, 0.2], "scenario 0: 'beta' has 2 entries, expected k=3"),
+            (10**10, [0.1], "scenario 0: a k=10000000000 by k float64 covariance is beyond"),
+        ],
+        ids=["short-beta", "unaddressable-k"],
+    )
+    def test_k_checked_before_covariance_is_built(
+        self, capsys, tmp_path, monkeypatch, k, beta, message
+    ):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("covariance built before k was checked")
+
+        monkeypatch.setattr(cli, "exchangeable_covariance", unexpected)
+        config = {"scenarios": [{"id": "a", "n": 50, "k": k, "beta": beta,
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+        config_path = tmp_path / "bad-k.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "3",
+            "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert message in text
+
+    def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch):
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.42 PiB for an array")
+
+        monkeypatch.setattr(montecarlo, "_draw", unallocatable)
+        code, _, text = run_cli(
+            capsys, "simulate", "--paper-grid", "--sims", "2", "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert text == "error: out of memory: Unable to allocate 1.42 PiB for an array\n"
 
     def test_excessive_skips_exit_4(self, capsys, tmp_path, monkeypatch):
         def all_skip(*args, **kwargs):
