@@ -177,8 +177,10 @@ def _read_dataset_csv_exact(path: str) -> Dataset:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             rows = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
+    except csv.Error as exc:  # e.g. a quoted cell beyond csv's field size limit
+        raise DomainError(f"line {reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise DomainError("CSV must contain a header row followed by data rows")
     _, header = rows[0]
@@ -242,7 +244,7 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
     try:
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DomainError(f"config is not valid JSON: {exc}") from None
@@ -361,7 +363,7 @@ def _read_results_csv(path: str) -> list[dict]:
     try:
         with open(path, encoding="utf-8") as handle:
             content = [line for line in handle if not line.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
     reader = csv.DictReader(io.StringIO("".join(content)))
     if reader.fieldnames is None:

@@ -37,10 +37,13 @@ __all__ = [
     "reg_inc_beta",
 ]
 
-# Continued-fraction controls.  The expansion converges in well under 100
-# terms for degrees of freedom up to several thousand; the cap turns a
-# pathological call into a diagnosable error instead of a hang.
-_BETA_MAX_ITER = 300
+# Continued-fraction controls.  The fraction takes the most terms just
+# either side of its series switch; there the p-value's I_x(v/2, (N-K-1)/2)
+# needs at most 88 terms at N = 1e4, 444 at 1e6, 887 at 1e7 and 4019 at
+# 1e9 (K = 1-10, margins 0.01-0.95), and random shapes up to 1e9 under
+# 4700.  The cap is hang protection only: reaching it (about 0.1 s of Python
+# on a 2-CPU Xeon) raises ConvergenceError.
+_BETA_MAX_ITER = 100_000
 _BETA_EPS = 1e-14
 _LENTZ_TINY = 1e-300
 
@@ -77,9 +80,8 @@ class FParams:
             object.__setattr__(self, name, value)
 
 
-def _beta_cont_fraction(a: float, b: float, x: float) -> tuple[float, int]:
-    """Continued fraction for the incomplete beta, by modified Lentz, and
-    the number of terms it took."""
+def _beta_cont_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta, by modified Lentz."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -113,7 +115,7 @@ def _beta_cont_fraction(a: float, b: float, x: float) -> tuple[float, int]:
         step = d * c
         h *= step
         if abs(step - 1.0) < _BETA_EPS:
-            return h, m
+            return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within "
         f"{_BETA_MAX_ITER} terms (a={a!r}, b={b!r}, x={x!r})"
@@ -158,19 +160,8 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     # The fraction converges fastest below the pivot; above it, evaluate the
     # mirrored fraction and use I_x(a, b) = 1 - I_{1-x}(b, a).
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_fraction(a, b, x)[0] / a
-    return 1.0 - front * _beta_cont_fraction(b, a, 1.0 - x)[0] / b
-
-
-def _switch_terms(a: float, b: float) -> int:
-    """Terms ``reg_inc_beta(a, b, x)``'s continued fraction takes just either
-    side of its series switch x = (a+1)/(a+b+2), where it takes about the
-    most; the larger of the two counts.  Raises ConvergenceError past the
-    cap of 300."""
-    switch = (a + 1.0) / (a + b + 2.0)
-    _, below = _beta_cont_fraction(a, b, switch * (1.0 - 1e-9))
-    _, above = _beta_cont_fraction(b, a, 1.0 - switch * (1.0 + 1e-9))
-    return max(below, above)
+        return front * _beta_cont_fraction(a, b, x) / a
+    return 1.0 - front * _beta_cont_fraction(b, a, 1.0 - x) / b
 
 
 def f_cdf(x: float, params: FParams) -> float:

@@ -17,11 +17,8 @@ compares it with each margin's root; only when the comparison could disagree
 with the p-value does it take the exact path (QR fit, one p-value per
 margin, skip on failure), so counts and skips equal those of evaluating
 every p-value.  The exact path is taken when R2 lies within a guard band of
-2e-9 around any root, when the cross-product R2 cannot be trusted (see
-``regression._gram_r_squared``), and for every replicate of a scenario
-with a margin whose p-value may fail because the incomplete beta's
-continued fraction nears its term cap (the pivot gate, ``_pivot_fails``),
-since such failures must count as skips.
+2e-9 around any root and when the cross-product R2 cannot be trusted (see
+``regression._gram_r_squared``).
 
 Replicate ``j`` of scenario ``s`` draws from a ``RandomStream`` keyed by
 (master_seed, s.id, j), so results are independent of evaluation order and
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _BETA_MAX_ITER, RandomStream, _bisect, _switch_terms
+from .distributions import RandomStream, _bisect
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -52,7 +49,7 @@ from .errors import (
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
-from .inference import TestInput, _v_from_psq, noninferiority_pvalue
+from .inference import TestInput, noninferiority_pvalue
 from .regression import _R2_MAX, Dataset, _gram_r_squared, r_squared
 
 __all__ = [
@@ -236,60 +233,30 @@ def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     return Dataset(y=y, x=x)
 
 
-def _pivot_fails(n: int, k: int, delta: float) -> bool:
-    """Whether the p-value at margin ``delta`` may raise ConvergenceError for
-    some R2: the pivot gate.
-
-    The p-value's F CDF is ``reg_inc_beta(v(delta)/2, (N-K-1)/2, .)``, whose
-    continued fraction takes the most terms next to its series switch, and
-    at large N can run out of its 300 there (N = 1e6, K = 2, delta = 0.3
-    raises for R2 near 0.30003) although the critical-R2 search never
-    evaluates there.  Just either side of the switch the count is within
-    1.2 times the most any nearby x takes (measured over N = 1e4 to 1e7,
-    K = 1 to 10, delta = 0.01 to 0.8), so the gate trips above two thirds
-    of the cap.  It can go once ``reg_inc_beta`` no longer fails at large N
-    (ROADMAP item 5).
-    """
-    try:
-        terms = _switch_terms(0.5 * _v_from_psq(delta, n, k), 0.5 * (n - k - 1))
-    except ConvergenceError:
-        return True
-    return terms > _BETA_MAX_ITER * 2 // 3
-
-
 @functools.lru_cache(maxsize=4096)
-def _critical_r2(n: int, k: int, delta: float, alpha: float) -> tuple[float, float]:
-    """(root, band): the test rejects at ``delta`` iff R2 < root.
+def _critical_r2(n: int, k: int, delta: float, alpha: float) -> float:
+    """The root: the test rejects at ``delta`` iff R2 < root.
 
     The p-value rises with R2, so the root is bisected over [0, 1 - 1e-12]
     on the exact predicate p < alpha to a bracket width of 1e-9.  An R2
-    below root - band certainly rejects and one above root + band certainly
-    does not.  The band is infinite, so that every replicate takes the exact
-    path, when the pivot gate (``_pivot_fails``) trips or the search raises
-    ConvergenceError.
+    farther than ``_ROOT_WIDTH + _BAND_PAD`` below the root certainly
+    rejects and one that far above it certainly does not.  A p-value that
+    raises during the search propagates.
     """
-    if _pivot_fails(n, k, delta):
-        return 0.0, math.inf
-    try:
-        root, _ = _bisect(
-            lambda r2: noninferiority_pvalue(TestInput(r2, n, k), delta).p_value < alpha,
-            0.0,
-            _R2_MAX,
-            _ROOT_WIDTH,
-        )
-    except ConvergenceError:
-        return 0.0, math.inf
-    return root, _ROOT_WIDTH + _BAND_PAD
+    root, _ = _bisect(
+        lambda r2: noninferiority_pvalue(TestInput(r2, n, k), delta).p_value < alpha,
+        0.0,
+        _R2_MAX,
+        _ROOT_WIDTH,
+    )
+    return root
 
 
 def _decision_cuts(scenario: Scenario, deltas, alpha: float):
-    """(reject below, keep above) arrays over ``deltas``, or None when some
-    margin's band is infinite and every replicate takes the exact path."""
-    bounds = [_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas]
-    if any(band == math.inf for _, band in bounds):
-        return None
-    roots, bands = np.array(bounds).T
-    return roots - bands, roots + bands
+    """(reject below, keep above) arrays over ``deltas``."""
+    roots = np.array([_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas])
+    band = _ROOT_WIDTH + _BAND_PAD
+    return roots - band, roots + band
 
 
 def _replicate_counts(scenario, deltas, start, stop, alpha, master_seed, lower, cuts):
@@ -305,13 +272,12 @@ def _replicate_counts(scenario, deltas, start, stop, alpha, master_seed, lower, 
     for j in range(start, stop):
         stream = RandomStream(master_seed, scenario.id, j)
         x, y = _draw(scenario, lower, stream)
-        if cuts is not None:
-            r2 = _gram_r_squared(x, y)
-            if r2 is not None:
-                rejects, keeps = r2 < cuts[0], r2 > cuts[1]
-                if (rejects | keeps).all():
-                    counts += rejects
-                    continue
+        r2 = _gram_r_squared(x, y)
+        if r2 is not None:
+            rejects, keeps = r2 < cuts[0], r2 > cuts[1]
+            if (rejects | keeps).all():
+                counts += rejects
+                continue
         data = Dataset(y=y, x=x)
         try:
             observed = TestInput(r2=r_squared(data), n=scenario.n, k=scenario.k)
@@ -362,10 +328,9 @@ def run_scenario(
     alpha); each root is bisected once on the exact p-value and cached.  A
     replicate is decided by comparing its cross-product R2 with every root,
     and takes the exact path (QR R2, one p-value per margin) when its R2
-    lies within 2e-9 of a root, when the cross-product R2 is not trusted
-    (near-collinear covariates, near-constant outcome, R2 > 1 - 1e-9), or
-    when the pivot gate has found a margin whose p-value may fail; results
-    equal those of evaluating every p-value.
+    lies within 2e-9 of a root or when the cross-product R2 is not trusted
+    (near-collinear covariates, near-constant outcome, R2 > 1 - 1e-9);
+    results equal those of evaluating every p-value.
 
     Replicates whose inference fails are counted as skipped; if more than
     SKIP_FAILURE_FRACTION of them skip, the run raises ExcessiveSkipsError.

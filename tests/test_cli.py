@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import r2margin.cli as cli
 import r2margin.montecarlo as montecarlo
@@ -112,6 +113,16 @@ class TestTestCommand:
         )
         assert code == 2
 
+    def test_large_n_pvalue_matches_scipy(self, capsys):
+        # R2 next to the incomplete beta's series switch at N = 1e6.
+        code, report, _ = run_cli(
+            capsys, "test", "--r2", "0.30003", "--n", "1000000", "--k", "2", "--delta", "0.3",
+            "--precision", "17",
+        )
+        assert code == 0
+        expected = stats.f.cdf(float(report["f_stat"]), float(report["v_final"]), 1000000 - 3)
+        assert abs(float(report["p_value"]) - expected) <= 1e-9
+
 
 class TestFitCommand:
     def test_perfect_fit_cannot_conclude_negligibility(self, capsys, tmp_path):
@@ -142,6 +153,13 @@ class TestFitCommand:
         code, _, text = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
         assert code == 2
         assert "line 7 contains a non-numeric cell" in text
+
+    def test_over_long_quoted_cell_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text('y,x\n1,2\n"0.' + "1" * 140_000 + '",3\n4,5\n6,7\n', encoding="utf-8")
+        code, _, text = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
+        assert code == 2
+        assert text == "error: line 3: field larger than field limit (131072)\n"
 
     def test_header_only_csv_prints_one_error_and_no_warning(self, capsys, tmp_path):
         path = tmp_path / "header.csv"
@@ -505,6 +523,24 @@ class TestSimulateCommand:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 4
+
+
+@pytest.mark.parametrize(
+    "subcommand,flag,extra",
+    [
+        ("fit", "--data", ["--delta", "0.1"]),
+        ("simulate", "--config", ["--sims", "1", "--seed", "1", "--out", "{tmp}/x.csv"]),
+        ("plot", "--results", ["--out", "{tmp}/x.svg"]),
+    ],
+    ids=["fit", "simulate", "plot"],
+)
+def test_non_utf8_input_exits_2(capsys, tmp_path, subcommand, flag, extra):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("y,gr\u00f6\u00dfe\n1,2\n3,4\n5,7\n".encode("latin-1"))
+    extra = [arg.format(tmp=tmp_path) for arg in extra]
+    code, _, text = run_cli(capsys, subcommand, flag, str(path), *extra)
+    assert code == 2
+    assert text.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode")
 
 
 @pytest.fixture(scope="module")

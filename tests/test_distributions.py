@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from r2margin.distributions import (
     FParams,
@@ -18,6 +19,7 @@ from r2margin.distributions import (
     reg_inc_beta,
 )
 from r2margin.errors import ConvergenceError, DomainError
+from r2margin.inference import _v_from_psq
 
 from oracles import f_cdf_quadrature
 
@@ -57,6 +59,23 @@ class TestRegIncBeta:
             xs = np.sort(rng.uniform(0.0, 1.0, size=20))
             values = [reg_inc_beta(a, b, float(x)) for x in xs]
             assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+
+    def test_large_n_scan_next_to_the_series_switch(self):
+        # The p-value's I_x(v(delta)/2, (N-K-1)/2) where its continued
+        # fraction takes the most terms: it must converge within the cap up
+        # to N = 1e9.  Against betainc the prefactor's lgamma cancellation
+        # grows with N, so 1e-9 is asserted up to N = 1e6.
+        for n in (10**4, 10**5, 10**6, 10**7, 10**8, 10**9):
+            for k in (1, 2, 4, 10):
+                for delta in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 0.95):
+                    a, b = 0.5 * _v_from_psq(delta, n, k), 0.5 * (n - k - 1)
+                    switch = (a + 1.0) / (a + b + 2.0)
+                    for factor in (1 - 1e-9, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3):
+                        x = switch * factor
+                        value = reg_inc_beta(a, b, x)
+                        assert 0.0 <= value <= 1.0
+                        if n <= 10**6:
+                            assert abs(value - betainc(a, b, x)) <= 1e-9, (n, k, delta, x)
 
     @pytest.mark.parametrize(
         "a,b,x",

@@ -1,9 +1,8 @@
 """Tests for the simulation harness: generation, seeding, and rejection rates."""
 
-import math
-
 import numpy as np
 import pytest
+from scipy import stats
 
 import r2margin.montecarlo as mc
 from r2margin.distributions import RandomStream
@@ -170,12 +169,14 @@ class TestRunScenario:
         def explode(*args, **kwargs):
             raise ConvergenceError("forced failure")
 
+        scenario = _small_scenario()
+        # The root is found with the working p-value and cached; then every
+        # replicate takes the exact path, where the forced failure is a skip.
+        mc._critical_r2(scenario.n, scenario.k, 0.05, 0.05)
+        monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: None)
         monkeypatch.setattr(mc, "noninferiority_pvalue", explode)
-        # Cached critical values were found with the working p-value; search
-        # afresh so that the forced failure reaches the run.
-        monkeypatch.setattr(mc, "_critical_r2", mc._critical_r2.__wrapped__)
         with pytest.raises(ExcessiveSkipsError):
-            run_scenario(_small_scenario(), [0.05], 40, 0.05, 1)
+            run_scenario(scenario, [0.05], 40, 0.05, 1)
 
     @pytest.mark.parametrize(
         "deltas,n_sims,alpha",
@@ -216,8 +217,7 @@ class TestCriticalR2Decisions:
             assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
 
     def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
-        cached = mc._critical_r2
-        monkeypatch.setattr(mc, "_critical_r2", lambda *key: (cached(*key)[0], 1.0))
+        monkeypatch.setattr(mc, "_BAND_PAD", 1.0)
         fits = []
 
         def counted_r_squared(data):
@@ -248,27 +248,39 @@ class TestCriticalR2Decisions:
         assert mc._critical_r2.cache_info().misses == misses
 
     @pytest.mark.parametrize(
-        "n,k,delta,failing_r2",
+        "n,k,delta,r2",
         [(10**6, 2, 0.3, 0.30003), (10**6, 4, 0.1974, 0.19740973776614226)],
+        ids=["k2", "k4"],
     )
-    def test_pivot_gate_trips_where_the_pvalue_fails(self, n, k, delta, failing_r2):
-        with pytest.raises(ConvergenceError):
-            noninferiority_pvalue(TestInput(failing_r2, n, k), delta)
-        assert mc._pivot_fails(n, k, delta)
-        assert mc._critical_r2(n, k, delta, 0.05) == (0.0, math.inf)
+    def test_large_n_pvalue_and_root(self, n, k, delta, r2):
+        # These R2 put the F CDF's incomplete beta next to its series switch,
+        # where its continued fraction takes the most terms.
+        observed = TestInput(r2, n, k)
+        result = noninferiority_pvalue(observed, delta)
+        expected = stats.f.cdf(result.f_stat, result.v_final, observed.residual_df)
+        assert abs(result.p_value - expected) <= 1e-9
+        assert 0.0 < mc._critical_r2(n, k, delta, 0.05) < 1.0
 
-    def test_pivot_gate_sends_the_whole_scenario_to_the_exact_path(self):
+    # With beta = 0.463 (P2 = 0.30008) replicates 6 and 8 put the p-value at
+    # margin 0.3 next to its incomplete beta's series switch, where the
+    # continued fraction takes the most terms.
+    @pytest.mark.parametrize(
+        "coefficient,n_sims", [(0.46, 30), (0.463, 10)], ids=["0.46", "0.463"]
+    )
+    def test_large_n_counts_equal_exact_evaluation(self, coefficient, n_sims):
         scenario = Scenario(
-            id="large", n=10**6, k=2, beta=np.array([0.46, 0.46]), sigma2=1.0,
+            id="large", n=10**6, k=2, beta=np.array([coefficient] * 2), sigma2=1.0,
             sigma_matrix=np.eye(2),
         )
-        assert mc._decision_cuts(scenario, [0.2, 0.3], 0.05) is None
+        deltas = [0.2, 0.3, 0.31]
+        records = run_scenario(scenario, deltas, n_sims, 0.05, 1)
+        assert records[0].skipped == 0
+        assert _counts(records) == replicate_counts_exact(scenario, deltas, n_sims, 0.05, 1)
 
     def test_pivot_gate_never_trips_on_the_paper_grid(self):
         for scenario in paper_grid():
             for delta in default_delta_grid():
-                assert not mc._pivot_fails(scenario.n, scenario.k, delta)
-                assert mc._critical_r2(scenario.n, scenario.k, delta, 0.05)[1] < 1e-8
+                assert 0.0 < mc._critical_r2(scenario.n, scenario.k, delta, 0.05) < 1.0
 
     def _patched_counts(self, monkeypatch, draw):
         scenario = _small_scenario(n=60)
@@ -276,7 +288,6 @@ class TestCriticalR2Decisions:
         deltas = default_delta_grid()
         lower = cholesky_factor(scenario.sigma_matrix)
         cuts = mc._decision_cuts(scenario, deltas, 0.05)
-        assert cuts is not None
         return mc._replicate_counts(scenario, deltas, 0, 5, 0.05, 1, lower, cuts)
 
     def test_collinear_replicate_is_skipped_as_rank_deficient(self, monkeypatch):
