@@ -6,9 +6,10 @@ Library layout:
   freedom, built on a continued-fraction incomplete beta; keyed random
   streams for reproducible simulation.
 - ``inference``: the non-inferiority p-value for the population variance
-  share P2, a closed-form lower tail of a scaled central F approximation,
-  and the one-sided upper confidence bound that solves p = alpha/2 for it
-  by bisection.
+  share P2, a closed-form lower tail of a scaled central F approximation;
+  the test's critical R2 in closed form, from one F quantile; and the
+  one-sided upper confidence bound that solves p = alpha/2 for it by
+  bisection.
 - ``regression``: intercept-included ordinary least squares and R2.
 - ``montecarlo``: the rejection-rate simulation harness and the built-in
   30-scenario study grid.
@@ -35,6 +36,7 @@ from .inference import (
     ConfidenceBound,
     NonInfResult,
     TestInput,
+    critical_r2,
     noninferiority_pvalue,
     upper_ci_p2,
 )
@@ -71,6 +73,7 @@ __all__ = [
     "Scenario",
     "TestInput",
     "cholesky_factor",
+    "critical_r2",
     "default_delta_grid",
     "exchangeable_covariance",
     "f_cdf",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -65,6 +64,9 @@ RESULT_COLUMNS = (
     "master_seed",
 )
 
+# The largest precision ``format`` accepts (C int); beyond it it raises.
+_MAX_PRECISION = 2**31 - 1
+
 _VALIDATION_ERRORS = (
     DomainError,
     DimensionMismatchError,
@@ -75,6 +77,14 @@ _VALIDATION_ERRORS = (
 
 def _fmt(value: float, precision: int) -> str:
     return format(float(value), f".{precision}g")
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc}") from None
 
 
 def _print_report(meta: str, lines: list[tuple[str, str]]) -> None:
@@ -331,47 +341,56 @@ def _cmd_simulate(args) -> int:
     # The metadata comment carries the semantic flag set only: neither the
     # output path nor the worker count may influence the bytes written.
     meta = f"# r2margin simulate {source} --sims {args.sims} --alpha {args.alpha!r} --seed {args.seed}"
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(meta + "\n")
-        handle.write(",".join(RESULT_COLUMNS) + "\n")
-        for record in records:
-            scenario = by_id[record.scenario_id]
-            handle.write(
-                ",".join(
-                    [
-                        record.scenario_id,
-                        str(scenario.n),
-                        str(scenario.k),
-                        str(scenario.sigma2),
-                        str(record.true_p2),
-                        str(record.delta),
-                        str(record.alpha),
-                        str(record.n_sims),
-                        str(record.rejections),
-                        str(record.rejection_rate),
-                        str(record.skipped),
-                        str(record.master_seed),
-                    ]
-                )
-                + "\n"
+    lines = [meta, ",".join(RESULT_COLUMNS)]
+    for record in records:
+        scenario = by_id[record.scenario_id]
+        lines.append(
+            ",".join(
+                [
+                    record.scenario_id,
+                    str(scenario.n),
+                    str(scenario.k),
+                    str(scenario.sigma2),
+                    str(record.true_p2),
+                    str(record.delta),
+                    str(record.alpha),
+                    str(record.n_sims),
+                    str(record.rejections),
+                    str(record.rejection_rate),
+                    str(record.skipped),
+                    str(record.master_seed),
+                ]
             )
+        )
+    _write_output(args.out, "".join(line + "\n" for line in lines))
     print(f"wrote {len(records)} rows ({len(scenarios)} scenarios) to {args.out}")
     return EXIT_OK
 
 
 def _read_results_csv(path: str) -> list[dict]:
+    """The rows of a ``simulate`` CSV, ``#`` lines dropped.  A csv error
+    names the physical line, dropped lines included."""
     try:
         with open(path, encoding="utf-8") as handle:
-            content = [line for line in handle if not line.startswith("#")]
+            kept = [
+                (number, line)
+                for number, line in enumerate(handle, 1)
+                if not line.startswith("#")
+            ]
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
-    reader = csv.DictReader(io.StringIO("".join(content)))
-    if reader.fieldnames is None:
+    reader = csv.DictReader(line for _, line in kept)
+    try:
+        fieldnames = reader.fieldnames
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a quoted cell beyond csv's field size limit
+        # the underlying reader's count: DictReader's own lags on an error
+        raise DomainError(f"line {kept[reader.reader.line_num - 1][0]}: {exc}") from None
+    if fieldnames is None:
         raise DomainError("results CSV is empty")
-    missing = set(REQUIRED_COLUMNS) - set(reader.fieldnames)
+    missing = set(REQUIRED_COLUMNS) - set(fieldnames)
     if missing:
         raise DomainError(f"results CSV is missing columns: {sorted(missing)}")
-    rows = list(reader)
     if not rows:
         raise DomainError("results CSV has no data rows")
     return rows
@@ -380,8 +399,7 @@ def _read_results_csv(path: str) -> list[dict]:
 def _cmd_plot(args) -> int:
     rows = _read_results_csv(args.results)
     svg = render_rejection_figure(rows, restricted_axis=args.restricted_axis)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(svg)
+    _write_output(args.out, svg)
     print(f"wrote figure with {len(rows)} source rows to {args.out}")
     return EXIT_OK
 
@@ -460,8 +478,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "precision", 1) < 1:
-            raise DomainError(f"--precision must be >= 1, got {args.precision}")
+        if not 1 <= getattr(args, "precision", 1) <= _MAX_PRECISION:
+            raise DomainError(
+                f"--precision must lie in [1, {_MAX_PRECISION}], got {args.precision}"
+            )
         return args.handler(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

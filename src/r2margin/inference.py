@@ -11,7 +11,7 @@ degrees of freedom are closed forms,
     v(z) = ((n-k-1) z + k)^2 / (n - 1 - (n-k-1) (1 - z)^2)
 
 and, for r2 > 0, the lower tail p(z) = F_cdf(F(z); v(z), n-k-1) decreases
-from 1 to 0 as z runs from -k/(n-k-1) to 1.  Two entry points build on it:
+from 1 to 0 as z runs from -k/(n-k-1) to 1.  Three entry points build on it:
 
 ``noninferiority_pvalue``
     p-value for H0: P2 >= delta against H1: P2 < delta: p(delta) itself.
@@ -22,6 +22,13 @@ from 1 to 0 as z runs from -k/(n-k-1) to 1.  Two entry points build on it:
     Upper limit of a one-sided confidence interval for P2: the root of
     p(z) = alpha/2, found by bisection.  The test inverts this interval, so
     the p-value at the bound recovers the bound's tail probability.
+
+``critical_r2``
+    The test's rejection region on the R2 scale.  For fixed (n, k, delta)
+    neither v(delta) nor n-k-1 depends on r2, and F rises with r2, so the
+    test rejects at level alpha exactly when r2 < c / (1 + c), where
+    c = F_alpha (delta (n-k-1) + k) / ((n-k-1) (1 - delta)) and F_alpha is
+    the alpha quantile of F(v(delta), n-k-1).
 
 Quantile convention: by default the confidence bound solves for the tail
 probability ``alpha/2``, which makes the one-sided bound coincide with the
@@ -38,13 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FParams, _bisect, f_cdf
+from .distributions import FParams, _bisect, f_cdf, f_quantile
 from .errors import DomainError
 
 __all__ = [
     "ConfidenceBound",
     "NonInfResult",
     "TestInput",
+    "critical_r2",
     "noninferiority_pvalue",
     "upper_ci_p2",
 ]
@@ -54,6 +62,27 @@ __all__ = [
 _PSQ_CEILING = 1.0 - 1e-12
 # Bracket width at which the bound's root search stops.
 _BOUND_WIDTH = 1e-12
+
+
+def _check_sizes(n, k) -> tuple[int, int]:
+    """(n, k) as ints; integers with k >= 1 and n >= k + 2, or DomainError."""
+    for name, value in (("n", n), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    n, k = int(n), int(k)
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if n < k + 2:
+        raise DomainError(f"n must be >= k + 2 so that n - k - 1 >= 1, got n={n}, k={k}")
+    return n, k
+
+
+def _check_open_unit(name: str, value: float) -> float:
+    """``value`` as a float strictly inside (0, 1), or DomainError."""
+    value = float(value)
+    if not math.isfinite(value) or not 0.0 < value < 1.0:
+        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -79,21 +108,13 @@ class TestInput:
     __test__ = False
 
     def __post_init__(self):
-        for name in ("n", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        n, k = _check_sizes(self.n, self.k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         r2 = float(self.r2)
         if not math.isfinite(r2) or not 0.0 <= r2 < 1.0:
             raise DomainError(f"r2 must lie in [0, 1), got {self.r2!r}")
         object.__setattr__(self, "r2", r2)
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.n < self.k + 2:
-            raise DomainError(
-                f"n must be >= k + 2 so that n - k - 1 >= 1, got n={self.n}, k={self.k}"
-            )
 
     @property
     def residual_df(self) -> int:
@@ -160,10 +181,7 @@ def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> 
     strictly inside it.  The reported bound is clamped into [0, 1); the root
     itself is kept in ``upper_raw``.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-
+    alpha = _check_open_unit("alpha", alpha)
     prob = 0.5 * alpha if halve_alpha else alpha
     upper_raw, iterations = _bisect(
         lambda z: _tail_at(input, z)[0] > prob,
@@ -199,12 +217,31 @@ def noninferiority_pvalue(input: TestInput, delta: float) -> NonInfResult:
     exactly zero is maximal evidence that the population share is below any
     positive margin).
     """
-    delta = float(delta)
-    if not math.isfinite(delta) or not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie strictly inside (0, 1), got {delta!r}")
-
+    delta = _check_open_unit("delta", delta)
     if input.r2 == 0.0:
         return NonInfResult(p_value=0.0, f_stat=0.0, v_final=float(input.k), delta=delta)
 
     p_value, f_stat, v = _tail_at(input, delta)
     return NonInfResult(p_value=p_value, f_stat=f_stat, v_final=v, delta=delta)
+
+
+def critical_r2(n: int, k: int, delta: float, alpha: float) -> float:
+    """Critical R2 of the level-``alpha`` test of H0: P2 >= delta.
+
+    The test rejects exactly when the observed r2 lies below the returned
+    value.  F(delta) rises with r2 while its degrees of freedom
+    (v(delta), n-k-1) do not depend on it, so p < alpha exactly when
+    F < F_alpha, the alpha quantile of F(v(delta), n-k-1); solving
+    F = F_alpha for r2 gives c / (1 + c) with
+
+        c = F_alpha (delta (n-k-1) + k) / ((n-k-1) (1 - delta)).
+
+    F_alpha comes from ``f_quantile``, whose ConvergenceError propagates.
+    """
+    n, k = _check_sizes(n, k)
+    delta = _check_open_unit("delta", delta)
+    alpha = _check_open_unit("alpha", alpha)
+    resid_df = n - k - 1
+    f_alpha = f_quantile(alpha, FParams(_v_from_psq(delta, n, k), resid_df))
+    c = f_alpha * (delta * resid_df + k) / (resid_df * (1.0 - delta))
+    return c / (1.0 + c)

@@ -8,17 +8,17 @@ every requested margin, whether the non-inferiority p-value falls below
 alpha.  Type-1 error is the rejection rate when the margin sits at the
 scenario's true variance share; power is the rate beyond it.
 
-For fixed (N, K, delta) the p-value rises with R2, so the test rejects
-exactly when R2 lies below a critical value.  That root is bisected once per
-(N, K, delta, alpha) on the exact p-value and kept in a bounded cache, which
-fills lazily and is shared by scenarios that differ only in their noise and
-by repeat runs.  A replicate then takes R2 from centered cross-products and
-compares it with each margin's root; only when the comparison could disagree
-with the p-value does it take the exact path (QR fit, one p-value per
-margin, skip on failure), so counts and skips equal those of evaluating
-every p-value.  The exact path is taken when R2 lies within a guard band of
-2e-9 around any root and when the cross-product R2 cannot be trusted (see
-``regression._gram_r_squared``).
+For fixed (N, K, delta) the test rejects exactly when R2 lies below the
+closed-form critical value ``inference.critical_r2``.  It is computed once
+per (N, K, delta, alpha) and kept in a bounded cache, which fills lazily and
+is shared by scenarios that differ only in their noise and by repeat runs.
+A replicate then takes R2 from centered cross-products and compares it with
+each margin's critical value; only when the comparison could disagree with
+the p-value does it take the exact path (QR fit, one p-value per margin,
+skip on failure), so counts and skips equal those of evaluating every
+p-value.  The exact path is taken when R2 lies within a guard band of 1e-9
+around any critical value and when the cross-product R2 cannot be trusted
+(see ``regression._gram_r_squared``).
 
 Replicate ``j`` of scenario ``s`` draws from a ``RandomStream`` keyed by
 (master_seed, s.id, j), so results are independent of evaluation order and
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RandomStream, _bisect
+from .distributions import RandomStream
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -49,8 +49,8 @@ from .errors import (
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
-from .inference import TestInput, noninferiority_pvalue
-from .regression import _R2_MAX, Dataset, _gram_r_squared, r_squared
+from .inference import TestInput, critical_r2, noninferiority_pvalue
+from .regression import Dataset, _gram_r_squared, r_squared
 
 __all__ = [
     "GRID_BETAS",
@@ -74,12 +74,12 @@ SKIP_FAILURE_FRACTION = 0.001
 
 _CHOLESKY_PIVOT_TOL = 1e-12
 
-# Critical-R2 roots are bisected down to this bracket width; a replicate is
-# decided by comparison only if its R2 lies farther from every root than the
-# width plus _BAND_PAD, which covers the distance between the cross-product
-# R2 and the QR fit's (at most 6.4e-13 where ``_gram_r_squared`` answers).
-_ROOT_WIDTH = 1e-9
-_BAND_PAD = 1e-9
+# A replicate is decided by comparison only if its R2 lies farther than this
+# from every critical value.  The band covers the critical value's error
+# against the p-value's own crossing (under 1e-12) plus the distance between
+# the cross-product R2 and the QR fit's (at most 6.4e-13 where
+# ``_gram_r_squared`` answers).
+_BAND = 1e-9
 
 # Standard 30-cell grid.
 GRID_SAMPLE_SIZES = (60, 180, 540, 1000, 8000)
@@ -233,30 +233,16 @@ def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     return Dataset(y=y, x=x)
 
 
-@functools.lru_cache(maxsize=4096)
-def _critical_r2(n: int, k: int, delta: float, alpha: float) -> float:
-    """The root: the test rejects at ``delta`` iff R2 < root.
-
-    The p-value rises with R2, so the root is bisected over [0, 1 - 1e-12]
-    on the exact predicate p < alpha to a bracket width of 1e-9.  An R2
-    farther than ``_ROOT_WIDTH + _BAND_PAD`` below the root certainly
-    rejects and one that far above it certainly does not.  A p-value that
-    raises during the search propagates.
-    """
-    root, _ = _bisect(
-        lambda r2: noninferiority_pvalue(TestInput(r2, n, k), delta).p_value < alpha,
-        0.0,
-        _R2_MAX,
-        _ROOT_WIDTH,
-    )
-    return root
+# The closed-form critical value, cached per (n, k, delta, alpha): an R2
+# farther than _BAND below it certainly rejects and one that far above it
+# certainly does not.  A quantile that fails propagates.
+_critical_r2 = functools.lru_cache(maxsize=4096)(critical_r2)
 
 
 def _decision_cuts(scenario: Scenario, deltas, alpha: float):
     """(reject below, keep above) arrays over ``deltas``."""
     roots = np.array([_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas])
-    band = _ROOT_WIDTH + _BAND_PAD
-    return roots - band, roots + band
+    return roots - _BAND, roots + _BAND
 
 
 def _replicate_counts(scenario, deltas, start, stop, alpha, master_seed, lower, cuts):
@@ -325,12 +311,12 @@ def run_scenario(
     independent of worker count and evaluation order.
 
     The test rejects at a margin exactly when R2 < r2_crit(N, K, delta,
-    alpha); each root is bisected once on the exact p-value and cached.  A
-    replicate is decided by comparing its cross-product R2 with every root,
-    and takes the exact path (QR R2, one p-value per margin) when its R2
-    lies within 2e-9 of a root or when the cross-product R2 is not trusted
-    (near-collinear covariates, near-constant outcome, R2 > 1 - 1e-9);
-    results equal those of evaluating every p-value.
+    alpha); each critical value is computed once in closed form and cached.
+    A replicate is decided by comparing its cross-product R2 with every
+    critical value, and takes the exact path (QR R2, one p-value per margin)
+    when its R2 lies within 1e-9 of one or when the cross-product R2 is not
+    trusted (near-collinear covariates, near-constant outcome,
+    R2 > 1 - 1e-9); results equal those of evaluating every p-value.
 
     Replicates whose inference fails are counted as skipped; if more than
     SKIP_FAILURE_FRACTION of them skip, the run raises ExcessiveSkipsError.

@@ -6,7 +6,8 @@ beta; the least-squares oracle solves the normal equations with a hand-rolled
 Gauss-Jordan inversion instead of a QR factorization; the p-value oracle runs
 the original fixed-point construction with an external CDF instead of the
 closed form; the confidence-bound oracle root-solves the defining tail
-equation with an external CDF over its own bracket; the Monte Carlo oracle
+equation with an external CDF over its own bracket; the critical-R2 oracle
+takes its F quantile from scipy; the Monte Carlo oracle
 evaluates every replicate's p-values instead of comparing R2 with cached
 critical values.
 """
@@ -128,6 +129,19 @@ def ci_upper_bisection(r2: float, n: int, k: int, alpha: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def critical_r2_scipy(n: int, k: int, delta: float, alpha: float) -> float:
+    """Critical R2 of the level-alpha test at margin delta, on scipy's quantile.
+
+    Solves F(delta) = F_alpha(v(delta), n-k-1) for r2: c / (1 + c) with
+    c = F_alpha (delta (n-k-1) + k) / ((n-k-1) (1 - delta)).
+    """
+    resid = n - k - 1
+    psq = min(delta, 1.0 - 1e-12)
+    v = (resid * psq + k) ** 2 / (n - 1 - resid * (1.0 - psq) ** 2)
+    c = float(stats.f.ppf(alpha, v, resid)) * (delta * resid + k) / (resid * (1.0 - delta))
+    return c / (1.0 + c)
 
 
 def pvalue_fixed_point(r2: float, n: int, k: int, delta: float) -> tuple[float, float]:

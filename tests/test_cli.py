@@ -107,6 +107,15 @@ class TestTestCommand:
         assert code == 0
         assert float(report["p_value"]) == 0.0
 
+    @pytest.mark.parametrize("precision", [str(2**31), "3000000000"])
+    def test_precision_beyond_format_limit_exits_2(self, capsys, precision):
+        code, _, text = run_cli(
+            capsys, "test", "--r2", "0.075", "--n", "1250", "--k", "6", "--delta", "0.10",
+            "--precision", precision,
+        )
+        assert code == 2
+        assert text == f"error: --precision must lie in [1, 2147483647], got {precision}\n"
+
     def test_margin_outside_unit_interval_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "test", "--r2", "0.1", "--n", "100", "--k", "2", "--delta", "1.2"
@@ -513,6 +522,20 @@ class TestSimulateCommand:
         assert code == 2
         assert text == "error: out of memory: Unable to allocate 1.42 PiB for an array\n"
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        config = {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+        config_path = tmp_path / "one.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = str(tmp_path / "missing" / "x.csv")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "1",
+            "--seed", "1", "--out", out,
+        )
+        assert code == 2
+        assert text.startswith(f"error: cannot write {out!r}: ")
+        assert text.count("\n") == 1
+
     def test_excessive_skips_exit_4(self, capsys, tmp_path, monkeypatch):
         def all_skip(*args, **kwargs):
             raise ExcessiveSkipsError("forced")
@@ -599,3 +622,23 @@ class TestPlotCommand:
             capsys, "plot", "--results", str(broken), "--out", str(tmp_path / "x.svg")
         )
         assert code == 2
+
+    def test_over_long_quoted_cell_exits_2(self, capsys, tmp_path):
+        long = tmp_path / "long.csv"
+        long.write_text(
+            "# r2margin simulate\n" + ",".join(cli.RESULT_COLUMNS) + "\n"
+            + '"' + "s" * 140_000 + '",60,2,1.0,0.03,0.05,0.05,2,0,0.0,0,1\n',
+            encoding="utf-8",
+        )
+        code, _, text = run_cli(
+            capsys, "plot", "--results", str(long), "--out", str(tmp_path / "x.svg")
+        )
+        assert code == 2
+        assert text == "error: line 3: field larger than field limit (131072)\n"
+
+    def test_unwritable_out_exits_2(self, capsys, results_csv, tmp_path):
+        out = str(tmp_path / "missing" / "figure.svg")
+        code, _, text = run_cli(capsys, "plot", "--results", str(results_csv), "--out", out)
+        assert code == 2
+        assert text.startswith(f"error: cannot write {out!r}: ")
+        assert text.count("\n") == 1

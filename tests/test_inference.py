@@ -4,7 +4,8 @@ The two canonical cases are pinned as golden values to 1e-6.  Randomized
 grids check the structural identities the construction must satisfy: the
 closed-form p-value equals the original fixed-point construction, the
 p-value at the bound recovers the bound's own tail probability (duality),
-and both quantities are monotone in their arguments.
+and both quantities are monotone in their arguments.  The critical R2 is
+checked against scipy's F quantile and against the p-value's own crossing.
 """
 
 import math
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 from r2margin.errors import DomainError
-from r2margin.inference import TestInput, noninferiority_pvalue, upper_ci_p2
+from r2margin.inference import TestInput, critical_r2, noninferiority_pvalue, upper_ci_p2
+from r2margin.montecarlo import default_delta_grid, paper_grid
 
-from oracles import ci_upper_bisection, pvalue_fixed_point
+from oracles import ci_upper_bisection, critical_r2_scipy, pvalue_fixed_point
 
 GOLDEN_CI = 0.1069415
 GOLDEN_P = 0.02710537
@@ -204,3 +206,67 @@ class TestNonInferiorityPvalue:
             assert 0.0 <= result.p_value <= 1.0
             assert result.f_stat >= 0.0
             assert result.v_final > 0.0
+
+
+# (n, k, delta, alpha) keys of the critical R2: the paper grid's; the large-N
+# benchmark grid's plus the N = 1e6 keys of the Monte Carlo tests; and a
+# sweep over the corners of the domain.
+CRITICAL_R2_KEYS = {
+    "paper-grid": sorted(
+        {(s.n, s.k, d, 0.05) for s in paper_grid() for d in default_delta_grid()}
+    ),
+    "large-n-grid": [
+        (n, k, d, 0.05)
+        for n, k in [(10**5, 2), (3 * 10**5, 2), (3 * 10**5, 4), (10**6, 2), (10**6, 4)]
+        for d in (0.005, 0.01, 0.02)
+    ]
+    + [(10**6, 2, d, 0.05) for d in (0.2, 0.3, 0.31)]
+    + [(10**6, 4, 0.1974, 0.05)],
+    "sweep": [
+        (n, k, d, a)
+        for n in (4, 60, 10**4, 10**6)
+        for k in (1, 2, 10)
+        for d in (0.001, 0.05, 0.5, 0.99)
+        for a in (1e-6, 0.01, 0.05, 0.5, 0.99)
+        if n >= k + 2
+    ],
+}
+
+
+class TestCriticalR2:
+    @pytest.mark.parametrize("keys", CRITICAL_R2_KEYS)
+    def test_matches_scipy_oracle(self, keys):
+        for key in CRITICAL_R2_KEYS[keys]:
+            assert abs(critical_r2(*key) - critical_r2_scipy(*key)) <= 1e-11, key
+
+    @pytest.mark.parametrize("keys", CRITICAL_R2_KEYS)
+    def test_root_brackets_the_pvalue_crossing(self, keys):
+        # The test rejects just below the root and not just above it.
+        for n, k, delta, alpha in CRITICAL_R2_KEYS[keys]:
+            root = critical_r2(n, k, delta, alpha)
+            assert 0.0 < root < 1.0
+            above = noninferiority_pvalue(TestInput(root + 1e-12, n, k), delta)
+            assert alpha <= above.p_value, (n, k, delta, alpha)
+            if root >= 1e-12:
+                below = noninferiority_pvalue(TestInput(root - 1e-12, n, k), delta)
+                assert below.p_value < alpha, (n, k, delta, alpha)
+
+    @pytest.mark.parametrize(
+        "n,k,delta,alpha",
+        [
+            (100.0, 2, 0.05, 0.05),  # non-integer n
+            (100, 2.0, 0.05, 0.05),  # non-integer k
+            (100, True, 0.05, 0.05),
+            (100, 0, 0.05, 0.05),  # k < 1
+            (4, 3, 0.05, 0.05),  # n < k + 2
+            (100, 2, 0.0, 0.05),
+            (100, 2, 1.0, 0.05),
+            (100, 2, math.nan, 0.05),
+            (100, 2, 0.05, 0.0),
+            (100, 2, 0.05, 1.0),
+            (100, 2, 0.05, -0.5),
+        ],
+    )
+    def test_rejects_invalid_inputs(self, n, k, delta, alpha):
+        with pytest.raises(DomainError):
+            critical_r2(n, k, delta, alpha)

@@ -170,9 +170,7 @@ class TestRunScenario:
             raise ConvergenceError("forced failure")
 
         scenario = _small_scenario()
-        # The root is found with the working p-value and cached; then every
-        # replicate takes the exact path, where the forced failure is a skip.
-        mc._critical_r2(scenario.n, scenario.k, 0.05, 0.05)
+        # Every replicate takes the exact path, where the forced failure is a skip.
         monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: None)
         monkeypatch.setattr(mc, "noninferiority_pvalue", explode)
         with pytest.raises(ExcessiveSkipsError):
@@ -217,7 +215,7 @@ class TestCriticalR2Decisions:
             assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
 
     def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
-        monkeypatch.setattr(mc, "_BAND_PAD", 1.0)
+        monkeypatch.setattr(mc, "_BAND", 1.0)
         fits = []
 
         def counted_r_squared(data):
@@ -276,11 +274,6 @@ class TestCriticalR2Decisions:
         records = run_scenario(scenario, deltas, n_sims, 0.05, 1)
         assert records[0].skipped == 0
         assert _counts(records) == replicate_counts_exact(scenario, deltas, n_sims, 0.05, 1)
-
-    def test_pivot_gate_never_trips_on_the_paper_grid(self):
-        for scenario in paper_grid():
-            for delta in default_delta_grid():
-                assert 0.0 < mc._critical_r2(scenario.n, scenario.k, delta, 0.05) < 1.0
 
     def _patched_counts(self, monkeypatch, draw):
         scenario = _small_scenario(n=60)
