@@ -17,6 +17,7 @@ CPU).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -33,7 +34,7 @@ from .errors import (
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
-from .figures import REQUIRED_COLUMNS, render_rejection_figure
+from .figures import render_rejection_figure
 from .inference import TestInput, noninferiority_pvalue, upper_ci_p2
 from .montecarlo import (
     Scenario,
@@ -79,10 +80,12 @@ def _fmt(value: float, precision: int) -> str:
     return format(float(value), f".{precision}g")
 
 
-def _write_output(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` opened for writing; an OSError on it becomes a DomainError."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
     except OSError as exc:
         raise DomainError(f"cannot write {path!r}: {exc}") from None
 
@@ -281,10 +284,6 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
         unknown = set(entry) - required - {"beta0"}
         if unknown:
             raise DomainError(f"scenario {index} has unknown keys: {sorted(unknown)}")
-        if not isinstance(entry["id"], str):
-            raise DomainError(f"scenario {index}: 'id' must be a string")
-        if not isinstance(entry["n"], int) or isinstance(entry["n"], bool):
-            raise DomainError(f"scenario {index}: 'n' must be an integer")
         if not isinstance(entry["k"], int) or isinstance(entry["k"], bool):
             raise DomainError(f"scenario {index}: 'k' must be an integer")
         if not isinstance(entry["beta"], list):
@@ -314,8 +313,7 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
                 beta0=_number(where, "beta0", entry.get("beta0", 0.0)),
             )
         )
-    identifiers = [s.id for s in scenarios]
-    if len(set(identifiers)) != len(identifiers):
+    if len({s.id for s in scenarios}) != len(scenarios):
         raise DomainError("scenario ids must be unique")
     deltas = [_number("config", "deltas", d) for d in raw_deltas]
     return scenarios, deltas
@@ -332,74 +330,51 @@ def _cmd_simulate(args) -> int:
         scenarios, deltas = _load_config(args.config)
         source = f"--config {args.config}"
 
-    records = []
-    for scenario in scenarios:
-        records.extend(run_scenario(scenario, deltas, args.sims, args.alpha, args.seed))
-    records.sort(key=lambda record: (record.scenario_id, record.delta))
-
-    by_id = {scenario.id: scenario for scenario in scenarios}
     # The metadata comment carries the semantic flag set only: neither the
     # output path nor the worker count may influence the bytes written.
     meta = f"# r2margin simulate {source} --sims {args.sims} --alpha {args.alpha!r} --seed {args.seed}"
-    lines = [meta, ",".join(RESULT_COLUMNS)]
-    for record in records:
-        scenario = by_id[record.scenario_id]
-        lines.append(
-            ",".join(
-                [
-                    record.scenario_id,
-                    str(scenario.n),
-                    str(scenario.k),
-                    str(scenario.sigma2),
-                    str(record.true_p2),
-                    str(record.delta),
-                    str(record.alpha),
-                    str(record.n_sims),
-                    str(record.rejections),
-                    str(record.rejection_rate),
-                    str(record.skipped),
-                    str(record.master_seed),
-                ]
-            )
-        )
-    _write_output(args.out, "".join(line + "\n" for line in lines))
-    print(f"wrote {len(records)} rows ({len(scenarios)} scenarios) to {args.out}")
+    # Opened before the grid runs; a failed run leaves it empty.
+    with _output(args.out) as handle:
+        results = [
+            (scenario, run_scenario(scenario, deltas, args.sims, args.alpha, args.seed))
+            for scenario in sorted(scenarios, key=lambda scenario: scenario.id)
+        ]
+        handle.write(meta + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        for scenario, records in results:
+            for r in sorted(records, key=lambda record: record.delta):
+                writer.writerow(
+                    [r.scenario_id, scenario.n, scenario.k, scenario.sigma2, r.true_p2,
+                     r.delta, r.alpha, r.n_sims, r.rejections, r.rejection_rate,
+                     r.skipped, r.master_seed]
+                )
+    print(f"wrote {len(scenarios) * len(deltas)} rows ({len(scenarios)} scenarios) to {args.out}")
     return EXIT_OK
 
 
 def _read_results_csv(path: str) -> list[dict]:
-    """The rows of a ``simulate`` CSV, ``#`` lines dropped.  A csv error
-    names the physical line, dropped lines included."""
+    """The rows of a ``simulate`` CSV after its leading ``#`` lines.  A csv
+    error names the physical line.  ``figures`` checks the rows."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            kept = [
-                (number, line)
-                for number, line in enumerate(handle, 1)
-                if not line.startswith("#")
-            ]
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = list(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
-    reader = csv.DictReader(line for _, line in kept)
+    skipped = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    reader = csv.DictReader(lines[skipped:])
     try:
-        fieldnames = reader.fieldnames
-        rows = list(reader)
+        return list(reader)
     except csv.Error as exc:  # e.g. a quoted cell beyond csv's field size limit
         # the underlying reader's count: DictReader's own lags on an error
-        raise DomainError(f"line {kept[reader.reader.line_num - 1][0]}: {exc}") from None
-    if fieldnames is None:
-        raise DomainError("results CSV is empty")
-    missing = set(REQUIRED_COLUMNS) - set(fieldnames)
-    if missing:
-        raise DomainError(f"results CSV is missing columns: {sorted(missing)}")
-    if not rows:
-        raise DomainError("results CSV has no data rows")
-    return rows
+        raise DomainError(f"line {skipped + reader.reader.line_num}: {exc}") from None
 
 
 def _cmd_plot(args) -> int:
     rows = _read_results_csv(args.results)
     svg = render_rejection_figure(rows, restricted_axis=args.restricted_axis)
-    _write_output(args.out, svg)
+    with _output(args.out) as handle:
+        handle.write(svg)
     print(f"wrote figure with {len(rows)} source rows to {args.out}")
     return EXIT_OK
 

@@ -10,6 +10,8 @@ output stays diffable.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
 
 __all__ = ["REQUIRED_COLUMNS", "RESTRICTED_AXIS_MAX", "render_rejection_figure"]
@@ -41,18 +43,20 @@ def _parse_rows(rows):
             if column not in row or row[column] in (None, ""):
                 raise DomainError(f"results row {index} is missing column {column!r}")
         try:
-            parsed.append(
-                {
-                    "n": int(row["n"]),
-                    "k": int(row["k"]),
-                    "sigma2": float(row["sigma2"]),
-                    "delta": float(row["delta"]),
-                    "rate": float(row["rejection_rate"]),
-                    "alpha": float(row["alpha"]),
-                }
-            )
+            entry = {
+                "n": int(row["n"]),
+                "k": int(row["k"]),
+                "sigma2": float(row["sigma2"]),
+                "delta": float(row["delta"]),
+                "rate": float(row["rejection_rate"]),
+                "alpha": float(row["alpha"]),
+            }
         except (TypeError, ValueError) as exc:
             raise DomainError(f"results row {index} has a non-numeric cell: {exc}") from None
+        for column in ("sigma2", "delta", "rejection_rate", "alpha"):
+            if not math.isfinite(float(row[column])):
+                raise DomainError(f"results row {index} has a non-finite {column!r}: {row[column]!r}")
+        parsed.append(entry)
     return parsed
 
 

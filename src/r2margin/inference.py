@@ -79,7 +79,10 @@ def _check_sizes(n, k) -> tuple[int, int]:
 
 def _check_open_unit(name: str, value: float) -> float:
     """``value`` as a float strictly inside (0, 1), or DomainError."""
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value) or not 0.0 < value < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
     return value

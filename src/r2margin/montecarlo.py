@@ -101,8 +101,9 @@ class Scenario:
     beta0: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise DomainError(f"scenario id must be a non-empty string, got {self.id!r}")
+        # printable, so that it fits on one line of the results CSV and encodes
+        if not isinstance(self.id, str) or not self.id or not self.id.isprintable():
+            raise DomainError(f"scenario id must be a non-empty printable string, got {self.id!r}")
         for name in ("n", "k"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -158,6 +159,8 @@ class RejectionRecord:
     skipped: int = 0
 
     def __post_init__(self):
+        if self.n_sims < 1:
+            raise DomainError(f"n_sims must be >= 1, got {self.n_sims}")
         if not 0 <= self.rejections <= self.n_sims:
             raise DomainError(
                 f"rejections must lie in [0, n_sims], got {self.rejections}/{self.n_sims}"
@@ -183,7 +186,10 @@ def true_p2(beta, sigma_matrix, sigma2: float) -> float:
     sigma2 = float(sigma2)
     if not math.isfinite(sigma2) or sigma2 <= 0.0:
         raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
-    signal = float(beta @ sigma @ beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = float(beta @ sigma @ beta)
+    if not math.isfinite(signal):
+        raise DomainError(f"beta' Sigma beta must be finite, got {signal!r}")
     if signal < 0.0:
         raise NotPositiveDefiniteError(
             f"beta' Sigma beta = {signal!r} is negative; sigma_matrix is not positive semidefinite"

@@ -91,7 +91,7 @@ def fit_ols(data: Dataset) -> OlsFit:
     The intercept is always included.  Raises RankDeficiencyError when the
     augmented design matrix is numerically collinear (an R-factor diagonal
     entry at or below 1e-10 times the largest), with the offending column
-    index attached to the exception.
+    index attached to the exception, and DomainError when a sum of squares overflows.
     """
     n = data.n_obs
     k = data.n_covariates
@@ -106,17 +106,24 @@ def fit_ols(data: Dataset) -> OlsFit:
             f"design matrix is rank deficient at column {column} ({label})",
             column_index=column,
         )
-    coefficients = np.linalg.solve(r, q.T @ data.y)
-    residuals = data.y - design @ coefficients
-    sse = float(residuals @ residuals)
-    centered = data.y - data.y.mean()
-    sst = float(centered @ centered)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.linalg.solve(r, q.T @ data.y)
+        residuals = data.y - design @ coefficients
+        sse = float(residuals @ residuals)
+        centered = data.y - data.y.mean()
+        sst = float(centered @ centered)
+    if not (math.isfinite(sse) and math.isfinite(sst)):
+        raise DomainError("the outcome's sums of squares overflow the float range")
     residual_variance = sse / (n - k - 1)
     # A constant outcome rarely gives an exact zero here: mean subtraction
     # leaves rounding residue of order eps * |y|, so compare against that
     # scale rather than zero.
     y_scale = max(1.0, float(np.abs(data.y).max()))
-    if sst <= n * (1e-14 * y_scale) ** 2:
+    try:
+        constant = sst <= n * (1e-14 * y_scale) ** 2
+    except OverflowError:  # a scale whose square overflows exceeds any finite sst
+        constant = True
+    if constant:
         # Nothing to explain; r2 := 0 and the fit is flagged.
         return OlsFit(
             intercept=float(coefficients[0]),
@@ -150,7 +157,7 @@ def _gram_r_squared(x: np.ndarray, y: np.ndarray) -> float | None:
     - the outcome is nearly constant: SST at or below N (1e-4 max|y|)^2,
       where centering loses digits, or near ``fit_ols``'s own cut-off;
     - R2 exceeds 1 - 1e-9;
-    - any of these is NaN, as non-finite input makes them.
+    - any of these is NaN, as non-finite or overflowing input makes them.
 
     Elsewhere the value agrees with ``fit_ols(...).r2`` to 1e-12 (measured
     at most 6.4e-13 next to these limits, about 1e-15 well inside them).
@@ -159,8 +166,9 @@ def _gram_r_squared(x: np.ndarray, y: np.ndarray) -> float | None:
     centered = np.empty((k + 1, n))
     centered[:k] = x.T
     centered[k] = y
-    centered -= centered.mean(axis=1, keepdims=True)
-    gram = centered @ centered.T
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs, caught below
+        centered -= centered.mean(axis=1, keepdims=True)
+        gram = centered @ centered.T
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -177,7 +185,10 @@ def _gram_r_squared(x: np.ndarray, y: np.ndarray) -> float | None:
         return None
     sst = sums[k]
     y_max = max(float(y.max()), -float(y.min()))
-    if not sst > n * max(1e-26, (1e-4 * y_max) ** 2):
+    try:
+        if not sst > n * max(1e-26, (1e-4 * y_max) ** 2):
+            return None
+    except OverflowError:  # a floor beyond the float range, which no SST clears
         return None
     explained = lower[k, :k]
     r2 = float(explained @ explained) / sst

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import csv
 import json
 import math
 import warnings
@@ -29,6 +30,10 @@ def run_cli(capsys, *argv):
         if len(parts) == 2:
             report[parts[0]] = parts[1].strip()
     return code, report, captured.out + captured.err
+
+
+def _unexpected_run(*args, **kwargs):
+    raise AssertionError("run_scenario called")
 
 
 def write_csv(path, y, x):
@@ -178,6 +183,16 @@ class TestFitCommand:
             code, _, text = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
         assert code == 2
         assert text == "error: CSV must contain a header row followed by data rows\n"
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_outcome_exits_2(self, capsys, tmp_path, scale):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(50, 2))
+        path = tmp_path / "huge.csv"
+        write_csv(path, scale * (x[:, 0] + rng.normal(size=50)), x)
+        code, _, text = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
+        assert code == 2
+        assert text == "error: the outcome's sums of squares overflow the float range\n"
 
     def test_collinear_column_reported(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
@@ -522,7 +537,8 @@ class TestSimulateCommand:
         assert code == 2
         assert text == "error: out of memory: Unable to allocate 1.42 PiB for an array\n"
 
-    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", _unexpected_run)
         config = {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
                                  "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
         config_path = tmp_path / "one.json"
@@ -541,11 +557,91 @@ class TestSimulateCommand:
             raise ExcessiveSkipsError("forced")
 
         monkeypatch.setattr(cli, "run_scenario", all_skip)
+        out = tmp_path / "x.csv"
         code, _, _ = run_cli(
             capsys, "simulate", "--paper-grid", "--sims", "2", "--seed", "1",
-            "--out", str(tmp_path / "x.csv"),
+            "--out", str(out),
         )
         assert code == 4
+        assert out.read_bytes() == b""
+
+    def test_failure_after_a_finished_scenario_leaves_no_partial_table(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def skip_from_second_scenario(*args, **kwargs):
+            calls.append(args[0].id)
+            if len(calls) > 1:
+                raise ExcessiveSkipsError("forced")
+            return montecarlo.run_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario", skip_from_second_scenario)
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--paper-grid", "--sims", "2", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 4
+        assert calls == ["k2_n0060_v0.4", "k2_n0060_v0.5"]
+        assert out.read_bytes() == b""
+
+    def test_ids_round_trip_through_csv_and_plot(self, capsys, tmp_path):
+        ids = ["a,b", 'say "hi"', "#x"]
+        config = {
+            "scenarios": [
+                {"id": id_, "n": n, "k": 2, "beta": [0.2, -0.1], "sigma2": 1.0,
+                 "sigma_offdiag": 0.05}
+                for id_, n in zip(ids, (40, 50, 60))
+            ],
+            "deltas": [0.02, 0.05],
+        }
+        config_path = tmp_path / "ids.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "ids.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "3",
+            "--seed", "2", "--out", str(out),
+        )
+        assert code == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))[2:]
+        assert sorted({row[0] for row in rows}) == sorted(ids)
+        assert all(len(row) == len(cli.RESULT_COLUMNS) for row in rows)
+        figure = tmp_path / "ids.svg"
+        code, _, text = run_cli(capsys, "plot", "--results", str(out), "--out", str(figure))
+        assert code == 0
+        assert "6 source rows" in text
+        assert figure.read_text(encoding="utf-8").count("<polyline") == len(ids)
+
+    @pytest.mark.parametrize("bad_id", ["a\ud800", "a\nb"], ids=["lone-surrogate", "newline"])
+    def test_unprintable_id_exits_2_before_any_run(self, capsys, tmp_path, monkeypatch, bad_id):
+        monkeypatch.setattr(cli, "run_scenario", _unexpected_run)
+        config = {"scenarios": [{"id": bad_id, "n": 50, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+        config_path = tmp_path / "bad-id.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "1",
+            "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert text.startswith("error: scenario id must be a non-empty printable string")
+        assert text.count("\n") == 1
+
+    def test_overflowing_outcome_exits_4(self, capsys, tmp_path):
+        config = {"scenarios": [{"id": "huge", "n": 50, "k": 2, "beta": [1e300, 1e300],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+        config_path = tmp_path / "huge.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "5",
+            "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 4
+        assert text == (
+            "error: 5 of 5 replicates failed inference in scenario 'huge' (threshold 0.1%)\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -635,6 +731,25 @@ class TestPlotCommand:
         )
         assert code == 2
         assert text == "error: line 3: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("rejection_rate", "nan"), ("delta", "inf"), ("sigma2", "-inf"), ("alpha", "nan")],
+    )
+    def test_non_finite_cell_exits_2(self, capsys, tmp_path, column, value):
+        cells = dict(zip(cli.RESULT_COLUMNS, "s,60,2,1.0,0.03,0.05,0.05,2,0,0.0,0,1".split(",")))
+        rows = [dict(cells, delta="0.05"), dict(cells, delta="0.1") | {column: value}]
+        results = tmp_path / "results.csv"
+        results.write_text(
+            ",".join(cli.RESULT_COLUMNS) + "\n"
+            + "".join(",".join(row.values()) + "\n" for row in rows),
+            encoding="utf-8",
+        )
+        code, _, text = run_cli(
+            capsys, "plot", "--results", str(results), "--out", str(tmp_path / "x.svg")
+        )
+        assert code == 2
+        assert text == f"error: results row 1 has a non-finite {column!r}: {value!r}\n"
 
     def test_unwritable_out_exits_2(self, capsys, results_csv, tmp_path):
         out = str(tmp_path / "missing" / "figure.svg")

@@ -1,13 +1,16 @@
 """The public namespace: every name a module exports in ``__all__`` exists,
-every exported error class is raised somewhere in the package, and every
-private module-level name is used somewhere in it."""
+every exported error class is raised somewhere in the package, every
+private module-level name is used somewhere in it, and bad arguments at the
+library boundary raise the package's own errors."""
 
 import ast
 import importlib
 import inspect
+import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import r2margin
@@ -79,3 +82,22 @@ def test_every_private_name_is_used():
         if name not in used
     ]
     assert not unused
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: r2margin.RejectionRecord(
+            scenario_id="a", delta=0.05, n_sims=0, rejections=0, rejection_rate=0.0,
+            true_p2=0.1, alpha=0.05, master_seed=1,
+        ),
+        lambda: r2margin.true_p2([math.nan], [[1.0]], 1.0),
+        lambda: r2margin.true_p2([1e300, 1e300], np.eye(2), 1.0),  # beta' Sigma beta overflows
+        lambda: r2margin.noninferiority_pvalue(r2margin.TestInput(r2=0.2, n=100, k=2), None),
+        lambda: r2margin.critical_r2(100, 2, 0.1, "x"),
+    ],
+    ids=["zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha"],
+)
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(errors.DomainError):
+        call()

@@ -59,6 +59,20 @@ class TestFitOls:
         assert fit.r2 == 0.0
         assert fit.constant_outcome
 
+    def test_constant_outcome_whose_scale_squared_overflows_is_flagged(self):
+        # (1e-14 * 2e168) ** 2 overflows; the finite sums of squares lie below it
+        rng = np.random.default_rng(0)
+        fit = fit_ols(Dataset(y=np.full(30, 2e168), x=rng.normal(size=(30, 2))))
+        assert fit.r2 == 0.0
+        assert fit.constant_outcome
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_overflowing_sums_of_squares_raise(self, scale):
+        rng = np.random.default_rng(3)
+        data = _random_dataset(rng, n=50, k=2)
+        with pytest.raises(DomainError, match="sums of squares overflow"):
+            fit_ols(Dataset(y=scale * data.y, x=data.x))
+
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(8)
         data = _random_dataset(rng, n=50, k=3)
@@ -161,6 +175,12 @@ class TestGramRSquared:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(100, 2))
         assert _gram_r_squared(x, 1.0 + x @ [0.5, -2.0] + 1e-6 * rng.normal(size=100)) is None
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_overflowing_outcome_defers_to_qr(self, scale):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(40, 2))
+        assert _gram_r_squared(x, scale * (x[:, 0] + rng.normal(size=40))) is None
 
     def test_non_finite_input_defers_to_qr(self):
         rng = np.random.default_rng(13)
