@@ -90,6 +90,12 @@ def _output(path: str):
         raise DomainError(f"cannot write {path!r}: {exc}") from None
 
 
+def _shown(path: str) -> str:
+    """``path`` as echoed: its repr unless printable, so that a newline cannot
+    split a line and an undecodable byte (a lone surrogate) still encodes."""
+    return path if path.isprintable() else repr(path)
+
+
 def _print_report(meta: str, lines: list[tuple[str, str]]) -> None:
     print(meta)
     width = max(len(name) for name, _ in lines)
@@ -227,7 +233,7 @@ def _cmd_fit(args) -> int:
     else:
         decision = f"fail to reject H0: P2 >= {args.delta:g}"
     meta = (
-        f"# r2margin fit --data {args.data} --delta {args.delta!r} --alpha {args.alpha!r}"
+        f"# r2margin fit --data {_shown(args.data)} --delta {args.delta!r} --alpha {args.alpha!r}"
     )
     _print_report(
         meta,
@@ -328,7 +334,7 @@ def _cmd_simulate(args) -> int:
         source = "--paper-grid"
     else:
         scenarios, deltas = _load_config(args.config)
-        source = f"--config {args.config}"
+        source = f"--config {_shown(args.config)}"
 
     # The metadata comment carries the semantic flag set only: neither the
     # output path nor the worker count may influence the bytes written.
@@ -349,7 +355,8 @@ def _cmd_simulate(args) -> int:
                      r.delta, r.alpha, r.n_sims, r.rejections, r.rejection_rate,
                      r.skipped, r.master_seed]
                 )
-    print(f"wrote {len(scenarios) * len(deltas)} rows ({len(scenarios)} scenarios) to {args.out}")
+    rows = len(scenarios) * len(deltas)
+    print(f"wrote {rows} rows ({len(scenarios)} scenarios) to {_shown(args.out)}")
     return EXIT_OK
 
 
@@ -375,7 +382,7 @@ def _cmd_plot(args) -> int:
     svg = render_rejection_figure(rows, restricted_axis=args.restricted_axis)
     with _output(args.out) as handle:
         handle.write(svg)
-    print(f"wrote figure with {len(rows)} source rows to {args.out}")
+    print(f"wrote figure with {len(rows)} source rows to {_shown(args.out)}")
     return EXIT_OK
 
 

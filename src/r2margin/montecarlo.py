@@ -4,21 +4,21 @@ A ``Scenario`` is one data-generating configuration: N covariate rows drawn
 from a multivariate normal with covariance ``sigma_matrix``, coefficient
 vector ``beta``, and independent N(0, sigma2) noise.  For every replicate
 the harness draws a fresh dataset, computes its R2 once, and counts, at
-every requested margin, whether the non-inferiority p-value falls below
-alpha.  Type-1 error is the rejection rate when the margin sits at the
+every requested margin, whether the level-alpha non-inferiority test
+rejects.  Type-1 error is the rejection rate when the margin sits at the
 scenario's true variance share; power is the rate beyond it.
 
 For fixed (N, K, delta) the test rejects exactly when R2 lies below the
 closed-form critical value ``inference.critical_r2``.  It is computed once
 per (N, K, delta, alpha) and kept in a bounded cache, which fills lazily and
 is shared by scenarios that differ only in their noise and by repeat runs.
-A replicate then takes R2 from centered cross-products and compares it with
-each margin's critical value; only when the comparison could disagree with
-the p-value does it take the exact path (QR fit, one p-value per margin,
-skip on failure), so counts and skips equal those of evaluating every
-p-value.  The exact path is taken when R2 lies within a guard band of 1e-9
-around any critical value and when the cross-product R2 cannot be trusted
-(see ``regression._gram_r_squared``).
+Each replicate is decided by that comparison alone: it takes R2 from
+centered cross-products, or from the QR fit where the cross-products cannot
+be trusted (see ``regression._gram_r_squared``), and counts a rejection at
+every margin whose critical value exceeds it.  A replicate is skipped only
+when the QR fit fails.  Counts are those of the rejection region; they can
+differ from per-replicate p-values only for an R2 within about 1e-12 of a
+critical value, where either answer is a rounding artifact.
 
 Replicate ``j`` of scenario ``s`` draws from a ``RandomStream`` keyed by
 (master_seed, s.id, j), so results are independent of evaluation order and
@@ -36,20 +36,19 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import RandomStream
 from .errors import (
-    ConvergenceError,
     DimensionMismatchError,
     DomainError,
     ExcessiveSkipsError,
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
-from .inference import TestInput, critical_r2, noninferiority_pvalue
+from .inference import critical_r2
 from .regression import Dataset, _gram_r_squared, r_squared
 
 __all__ = [
@@ -68,18 +67,11 @@ __all__ = [
     "true_p2",
 ]
 
-# A replicate is skipped when inference fails on it; more than this fraction
-# of skips invalidates the whole run.
+# A replicate is skipped when its fit fails; more than this fraction of
+# skips invalidates the whole run.
 SKIP_FAILURE_FRACTION = 0.001
 
 _CHOLESKY_PIVOT_TOL = 1e-12
-
-# A replicate is decided by comparison only if its R2 lies farther than this
-# from every critical value.  The band covers the critical value's error
-# against the p-value's own crossing (under 1e-12) plus the distance between
-# the cross-product R2 and the QR fit's (at most 6.4e-13 where
-# ``_gram_r_squared`` answers).
-_BAND = 1e-9
 
 # Standard 30-cell grid.
 GRID_SAMPLE_SIZES = (60, 180, 540, 1000, 8000)
@@ -90,7 +82,12 @@ GRID_OFFDIAG = 0.05
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One data-generating configuration of a simulation grid."""
+    """One data-generating configuration of a simulation grid.
+
+    ``lower`` is the Cholesky factor of ``sigma_matrix``, computed when the
+    scenario is built, so a covariance that is not positive definite fails
+    before any replicate is drawn.
+    """
 
     id: str
     n: int
@@ -99,6 +96,7 @@ class Scenario:
     sigma2: float
     sigma_matrix: np.ndarray
     beta0: float = 0.0
+    lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # printable, so that it fits on one line of the results CSV and encodes
@@ -128,10 +126,8 @@ class Scenario:
             raise DimensionMismatchError(
                 f"sigma_matrix must be {self.k}x{self.k}, got shape {sigma.shape}"
             )
-        if not np.isfinite(beta).all() or not np.isfinite(sigma).all():
-            raise DomainError("beta and sigma_matrix must be finite")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
-            raise DomainError("sigma_matrix must be symmetric")
+        if not np.isfinite(beta).all():
+            raise DomainError("beta must be finite")
         sigma2 = float(self.sigma2)
         if not math.isfinite(sigma2) or sigma2 <= 0.0:
             raise DomainError(f"sigma2 must be > 0, got {self.sigma2!r}")
@@ -142,6 +138,7 @@ class Scenario:
         object.__setattr__(self, "sigma_matrix", sigma)
         object.__setattr__(self, "sigma2", sigma2)
         object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "lower", cholesky_factor(sigma))
 
 
 @dataclass(frozen=True)
@@ -212,7 +209,7 @@ def cholesky_factor(sigma_matrix) -> np.ndarray:
         pivot = sigma[j, j] - lower[j, :j] @ lower[j, :j]
         if pivot <= _CHOLESKY_PIVOT_TOL:
             raise NotPositiveDefiniteError(
-                f"Cholesky pivot {pivot!r} at row {j}; matrix is not positive definite"
+                f"Cholesky pivot {float(pivot)!r} at row {j}; matrix is not positive definite"
             )
         lower[j, j] = math.sqrt(pivot)
         for i in range(j + 1, k):
@@ -220,10 +217,10 @@ def cholesky_factor(sigma_matrix) -> np.ndarray:
     return lower
 
 
-def _draw(scenario: Scenario, lower: np.ndarray, stream: RandomStream):
-    """(x, y) of one dataset, given the covariance's Cholesky factor."""
+def _draw(scenario: Scenario, stream: RandomStream):
+    """(x, y) of one dataset."""
     z = stream.standard_normal((scenario.n, scenario.k))
-    x = z @ lower.T
+    x = z @ scenario.lower.T
     noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
     y = scenario.beta0 + x @ scenario.beta + noise
     return x, y
@@ -235,51 +232,33 @@ def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     Covariate rows are L z with z standard normal and L the Cholesky factor
     of the scenario covariance; the noise is drawn independently of X.
     """
-    x, y = _draw(scenario, cholesky_factor(scenario.sigma_matrix), stream)
+    x, y = _draw(scenario, stream)
     return Dataset(y=y, x=x)
 
 
-# The closed-form critical value, cached per (n, k, delta, alpha): an R2
-# farther than _BAND below it certainly rejects and one that far above it
-# certainly does not.  A quantile that fails propagates.
+# The closed-form critical value, cached per (n, k, delta, alpha).  A
+# quantile that fails propagates.
 _critical_r2 = functools.lru_cache(maxsize=4096)(critical_r2)
 
 
-def _decision_cuts(scenario: Scenario, deltas, alpha: float):
-    """(reject below, keep above) arrays over ``deltas``."""
-    roots = np.array([_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas])
-    return roots - _BAND, roots + _BAND
-
-
-def _replicate_counts(scenario, deltas, start, stop, alpha, master_seed, lower, cuts):
+def _replicate_counts(scenario, start, stop, master_seed, roots):
     """Rejection counts over replicates [start, stop); one unit of work.
 
-    ``lower`` is the covariance's Cholesky factor and ``cuts`` comes from
-    ``_decision_cuts``.  A replicate whose R2 clears every margin's band is
-    decided by comparison; any other takes the exact path: QR fit, one
-    p-value per margin, and a skip if inference fails.
+    ``roots`` holds each margin's critical R2.  A replicate rejects at every
+    margin whose root exceeds its R2, and is skipped if its QR fit fails.
     """
-    counts = np.zeros(len(deltas), dtype=np.int64)
+    counts = np.zeros(len(roots), dtype=np.int64)
     skipped = 0
     for j in range(start, stop):
-        stream = RandomStream(master_seed, scenario.id, j)
-        x, y = _draw(scenario, lower, stream)
+        x, y = _draw(scenario, RandomStream(master_seed, scenario.id, j))
         r2 = _gram_r_squared(x, y)
-        if r2 is not None:
-            rejects, keeps = r2 < cuts[0], r2 > cuts[1]
-            if (rejects | keeps).all():
-                counts += rejects
+        if r2 is None:
+            try:
+                r2 = r_squared(Dataset(y=y, x=x))
+            except (RankDeficiencyError, DomainError):
+                skipped += 1
                 continue
-        data = Dataset(y=y, x=x)
-        try:
-            observed = TestInput(r2=r_squared(data), n=scenario.n, k=scenario.k)
-            p_values = [noninferiority_pvalue(observed, d).p_value for d in deltas]
-        except (ConvergenceError, RankDeficiencyError, DomainError):
-            skipped += 1
-            continue
-        for i, p in enumerate(p_values):
-            if p < alpha:
-                counts[i] += 1
+        counts += r2 < roots
     return counts.tolist(), skipped
 
 
@@ -317,15 +296,17 @@ def run_scenario(
     independent of worker count and evaluation order.
 
     The test rejects at a margin exactly when R2 < r2_crit(N, K, delta,
-    alpha); each critical value is computed once in closed form and cached.
-    A replicate is decided by comparing its cross-product R2 with every
-    critical value, and takes the exact path (QR R2, one p-value per margin)
-    when its R2 lies within 1e-9 of one or when the cross-product R2 is not
-    trusted (near-collinear covariates, near-constant outcome,
-    R2 > 1 - 1e-9); results equal those of evaluating every p-value.
+    alpha); each critical value is computed once in closed form and cached,
+    before any replicate is drawn.  A replicate's R2 comes from centered
+    cross-products, or from the QR fit where those are not trusted
+    (near-collinear covariates, near-constant outcome, R2 > 1 - 1e-9), and
+    is compared with every critical value.  Counts can differ from those of
+    per-replicate p-values only for an R2 within about 1e-12 of a critical
+    value.  A critical value whose quantile fails raises ConvergenceError.
 
-    Replicates whose inference fails are counted as skipped; if more than
-    SKIP_FAILURE_FRACTION of them skip, the run raises ExcessiveSkipsError.
+    A replicate whose QR fit fails (rank-deficient design, overflowing sums
+    of squares) is counted as skipped; if more than SKIP_FAILURE_FRACTION of
+    them skip, the run raises ExcessiveSkipsError.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -343,13 +324,10 @@ def run_scenario(
         raise DomainError(f"master_seed must be an integer, got {master_seed!r}")
     master_seed = int(master_seed)
     workers = _resolve_workers(workers)
-    lower = cholesky_factor(scenario.sigma_matrix)
-    cuts = _decision_cuts(scenario, deltas, alpha)
+    roots = np.array([_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas])
 
     if workers == 1:
-        counts, skipped = _replicate_counts(
-            scenario, deltas, 0, n_sims, alpha, master_seed, lower, cuts
-        )
+        counts, skipped = _replicate_counts(scenario, 0, n_sims, master_seed, roots)
     else:
         chunk = max(1, math.ceil(n_sims / (workers * 4)))
         spans = [(lo, min(lo + chunk, n_sims)) for lo in range(0, n_sims, chunk)]
@@ -357,9 +335,7 @@ def run_scenario(
         skipped = 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    _replicate_counts, scenario, deltas, lo, hi, alpha, master_seed, lower, cuts
-                )
+                pool.submit(_replicate_counts, scenario, lo, hi, master_seed, roots)
                 for lo, hi in spans
             ]
             for future in futures:

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -642,6 +646,100 @@ class TestSimulateCommand:
         assert text == (
             "error: 5 of 5 replicates failed inference in scenario 'huge' (threshold 0.1%)\n"
         )
+
+
+    def test_singular_covariance_exits_2_before_any_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_scenario", _unexpected_run)
+        config = {
+            "scenarios": [
+                {"id": "a", "n": 8000, "k": 2, "beta": [0.1, 0.2], "sigma2": 1.0,
+                 "sigma_offdiag": 0.05},
+                {"id": "b", "n": 50, "k": 2, "beta": [0.1, 0.2], "sigma2": 1.0,
+                 "sigma_offdiag": 0.9999999999999},
+            ],
+            "deltas": [0.05],
+        }
+        config_path = tmp_path / "singular.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "1",
+            "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert text.startswith("error: Cholesky pivot 2.00062189037")
+        assert "np.float64" not in text
+
+
+class TestPathEcho:
+    """A path is echoed as-is when printable and as its repr otherwise."""
+
+    def _config(self, tmp_path, name):
+        config = {"scenarios": [{"id": "a", "n": 40, "k": 2, "beta": [0.2, -0.1],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.05}],
+                  "deltas": [0.02, 0.05]}
+        path = tmp_path / name
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return str(path)
+
+    def _data(self, tmp_path, name):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 2))
+        path = tmp_path / name
+        write_csv(path, x @ [0.5, -0.3] + rng.standard_normal(30), x)
+        return str(path)
+
+    def test_newline_paths_keep_simulate_and_plot_lines_whole(self, capsys, tmp_path):
+        config = self._config(tmp_path, "c\nd.json")
+        out = str(tmp_path / "r\ns.csv")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", config, "--sims", "2", "--seed", "1",
+            "--out", out,
+        )
+        assert code == 0
+        assert text == f"wrote 2 rows (1 scenarios) to {out!r}\n"
+        lines = pathlib.Path(out).read_text(encoding="utf-8").splitlines()
+        assert lines[0] == f"# r2margin simulate --config {config!r} --sims 2 --alpha 0.05 --seed 1"
+        assert lines[1] == ",".join(cli.RESULT_COLUMNS)
+        figure = str(tmp_path / "f\ng.svg")
+        code, _, text = run_cli(capsys, "plot", "--results", out, "--out", figure)
+        assert code == 0
+        assert text == f"wrote figure with 2 source rows to {figure!r}\n"
+
+    def test_undecodable_config_path_is_escaped(self, capsys, tmp_path):
+        # an argv byte that is not UTF-8 arrives as a lone surrogate
+        config = self._config(tmp_path, "c\udcff.json")
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", config, "--sims", "2", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        first = out.read_text(encoding="utf-8").splitlines()[0]
+        assert first.startswith(f"# r2margin simulate --config {config!r} --sims 2")
+        assert "\\udcff" in first
+
+    def test_newline_data_path_keeps_fit_header_one_line(self, capsys, tmp_path):
+        data = self._data(tmp_path, "c\nd.csv")
+        code, report, text = run_cli(capsys, "fit", "--data", data, "--delta", "0.1")
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == f"# r2margin fit --data {data!r} --delta 0.1 --alpha 0.05"
+        assert [line.split()[0] for line in lines[1:]] == [
+            "n", "k", "r2", "ci_upper", "ci_level", "p_value", "decision"
+        ]
+
+    def test_undecodable_data_path_prints_on_strict_stdout(self, tmp_path):
+        data = self._data(tmp_path, "c\udcff.csv")
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "r2margin.cli", "fit", "--data", data, "--delta", "0.1"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        header = done.stdout.decode("utf-8").splitlines()[0]
+        assert header == f"# r2margin fit --data {data!r} --delta 0.1 --alpha 0.05"
 
 
 @pytest.mark.parametrize(

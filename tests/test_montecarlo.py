@@ -7,7 +7,6 @@ from scipy import stats
 import r2margin.montecarlo as mc
 from r2margin.distributions import RandomStream
 from r2margin.errors import (
-    ConvergenceError,
     DimensionMismatchError,
     DomainError,
     ExcessiveSkipsError,
@@ -167,12 +166,12 @@ class TestRunScenario:
 
     def test_excessive_skips_raise(self, monkeypatch):
         def explode(*args, **kwargs):
-            raise ConvergenceError("forced failure")
+            raise RankDeficiencyError("forced failure")
 
         scenario = _small_scenario()
-        # Every replicate takes the exact path, where the forced failure is a skip.
+        # Every replicate takes the QR route, where the forced failure is a skip.
         monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: None)
-        monkeypatch.setattr(mc, "noninferiority_pvalue", explode)
+        monkeypatch.setattr(mc, "r_squared", explode)
         with pytest.raises(ExcessiveSkipsError):
             run_scenario(scenario, [0.05], 40, 0.05, 1)
 
@@ -215,7 +214,7 @@ class TestCriticalR2Decisions:
             assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
 
     def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
-        monkeypatch.setattr(mc, "_BAND", 1.0)
+        monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: None)
         fits = []
 
         def counted_r_squared(data):
@@ -275,21 +274,31 @@ class TestCriticalR2Decisions:
         assert records[0].skipped == 0
         assert _counts(records) == replicate_counts_exact(scenario, deltas, n_sims, 0.05, 1)
 
+    @pytest.mark.parametrize("offset", [-1e-13, 1e-13], ids=["below", "above"])
+    def test_decision_is_the_comparison_at_the_root(self, monkeypatch, offset):
+        scenario = _small_scenario(n=60)
+        deltas = default_delta_grid()
+        roots = [mc._critical_r2(scenario.n, scenario.k, d, 0.05) for d in deltas]
+        r2 = roots[9] + offset
+        monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: r2)
+        records = run_scenario(scenario, deltas, 3, 0.05, 1)
+        assert _counts(records) == ([3 if root > r2 else 0 for root in roots], 0)
+        assert records[9].rejections == (3 if offset < 0 else 0)
+
     def _patched_counts(self, monkeypatch, draw):
         scenario = _small_scenario(n=60)
         monkeypatch.setattr(mc, "_draw", draw)
-        deltas = default_delta_grid()
-        lower = cholesky_factor(scenario.sigma_matrix)
-        cuts = mc._decision_cuts(scenario, deltas, 0.05)
-        return mc._replicate_counts(scenario, deltas, 0, 5, 0.05, 1, lower, cuts)
+        roots = np.array([mc._critical_r2(scenario.n, scenario.k, d, 0.05)
+                          for d in default_delta_grid()])
+        return mc._replicate_counts(scenario, 0, 5, 1, roots)
 
     def test_collinear_replicate_is_skipped_as_rank_deficient(self, monkeypatch):
-        def collinear(scenario, lower, stream):
+        def collinear(scenario, stream):
             x = stream.standard_normal((scenario.n, 2))
             x[:, 1] = 2.0 * x[:, 0]
             return x, x[:, 0] + stream.standard_normal(scenario.n)
 
-        x, y = collinear(_small_scenario(n=60), None, RandomStream(0))
+        x, y = collinear(_small_scenario(n=60), RandomStream(0))
         assert _gram_r_squared(x, y) is None
         with pytest.raises(RankDeficiencyError):
             fit_ols(Dataset(y=y, x=x))
@@ -297,10 +306,10 @@ class TestCriticalR2Decisions:
         assert counts == [0] * 19 and skipped == 5
 
     def test_constant_outcome_rejects_at_every_margin(self, monkeypatch):
-        def constant(scenario, lower, stream):
+        def constant(scenario, stream):
             return stream.standard_normal((scenario.n, 2)), np.full(scenario.n, 2.5)
 
-        x, y = constant(_small_scenario(n=60), None, RandomStream(0))
+        x, y = constant(_small_scenario(n=60), RandomStream(0))
         assert _gram_r_squared(x, y) is None
         assert fit_ols(Dataset(y=y, x=x)).constant_outcome
         counts, skipped = self._patched_counts(monkeypatch, constant)
@@ -361,6 +370,18 @@ class TestGridConstruction:
                 sigma2=-1.0,
                 sigma_matrix=np.eye(2),
             )
+
+    def test_covariance_is_factored_when_built(self):
+        scenario = _small_scenario(k=2)
+        np.testing.assert_array_equal(scenario.lower, cholesky_factor(scenario.sigma_matrix))
+        for sigma, error in [
+            ([[1.0, 2.0], [2.0, 1.0]], NotPositiveDefiniteError),
+            ([[1.0, 0.3], [0.0, 1.0]], DomainError),
+            ([[1.0, np.nan], [np.nan, 1.0]], DomainError),
+        ]:
+            with pytest.raises(error):
+                Scenario(id="bad", n=50, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
+                         sigma_matrix=np.array(sigma))
 
     @pytest.mark.parametrize("n", [10**30, 2**62])
     def test_unaddressable_design_is_rejected(self, n):
