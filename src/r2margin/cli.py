@@ -8,9 +8,10 @@ fit       run both on a CSV dataset (first column outcome, rest covariates)
 simulate  rejection-rate study over a scenario grid, written as CSV
 plot      per-K SVG panels of rejection-rate curves from a simulate CSV
 
-Exit codes: 0 success, 2 validation failure (including an input too large
-for the memory available), 3 convergence failure, 4 excessive Monte Carlo
-skips.  ``R2MARGIN_THREADS`` sets the simulate worker count (0 = one per
+Exit codes: 0 success, otherwise the ``exit_code`` of the error class
+raised (see ``errors``): 2 validation failure (an input too large for the
+memory available exits 2 as well), 3 convergence failure, 4 excessive Monte
+Carlo skips.  ``R2MARGIN_THREADS`` sets the simulate worker count (0 = one per
 CPU).
 """
 
@@ -26,14 +27,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    DomainError,
-    ExcessiveSkipsError,
-    NotPositiveDefiniteError,
-    RankDeficiencyError,
-)
+from .errors import DomainError, R2MarginError, _check_int
 from .figures import render_rejection_figure
 from .inference import TestInput, noninferiority_pvalue, upper_ci_p2
 from .montecarlo import (
@@ -46,9 +40,6 @@ from .montecarlo import (
 from .regression import Dataset, r_squared
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_CONVERGENCE = 3
-EXIT_SKIPS = 4
 
 RESULT_COLUMNS = (
     "scenario_id",
@@ -67,13 +58,6 @@ RESULT_COLUMNS = (
 
 # The largest precision ``format`` accepts (C int); beyond it it raises.
 _MAX_PRECISION = 2**31 - 1
-
-_VALIDATION_ERRORS = (
-    DomainError,
-    DimensionMismatchError,
-    RankDeficiencyError,
-    NotPositiveDefiniteError,
-)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -290,12 +274,10 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
         unknown = set(entry) - required - {"beta0"}
         if unknown:
             raise DomainError(f"scenario {index} has unknown keys: {sorted(unknown)}")
-        if not isinstance(entry["k"], int) or isinstance(entry["k"], bool):
-            raise DomainError(f"scenario {index}: 'k' must be an integer")
+        k = _check_int(f"scenario {index}: 'k'", entry["k"])
         if not isinstance(entry["beta"], list):
             raise DomainError(f"scenario {index}: 'beta' must be a list of numbers")
         # before the k-by-k covariance is built
-        k = entry["k"]
         if k * k * 8 > np.iinfo(np.intp).max:
             raise DomainError(
                 f"scenario {index}: a k={k} by k float64 covariance is beyond the "
@@ -310,11 +292,11 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
             Scenario(
                 id=entry["id"],
                 n=entry["n"],
-                k=entry["k"],
+                k=k,
                 beta=np.array([_number(where, "beta", b) for b in entry["beta"]]),
                 sigma2=_number(where, "sigma2", entry["sigma2"]),
                 sigma_matrix=exchangeable_covariance(
-                    entry["k"], _number(where, "sigma_offdiag", entry["sigma_offdiag"])
+                    k, _number(where, "sigma_offdiag", entry["sigma_offdiag"])
                 ),
                 beta0=_number(where, "beta0", entry.get("beta0", 0.0)),
             )
@@ -465,18 +447,12 @@ def main(argv=None) -> int:
                 f"--precision must lie in [1, {_MAX_PRECISION}], got {args.precision}"
             )
         return args.handler(args)
-    except _VALIDATION_ERRORS as exc:
+    except R2MarginError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.exit_code
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except ExcessiveSkipsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SKIPS
+        return DomainError.exit_code
 
 
 def entrypoint() -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_finite, _check_open_unit
 
 __all__ = [
     "FParams",
@@ -53,13 +53,6 @@ _QUANTILE_HI = 1e300
 _QUANTILE_CDF_TOL = 1e-10
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class FParams:
     """Degrees of freedom of a central F distribution.
@@ -73,11 +66,8 @@ class FParams:
     d2: float
 
     def __post_init__(self):
-        for name in ("d1", "d2"):
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0.0:
-                raise DomainError(f"{name} must be > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "d1", _check_finite("d1", self.d1, True))
+        object.__setattr__(self, "d2", _check_finite("d2", self.d2, True))
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
@@ -138,11 +128,9 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         P(B <= x) for B ~ Beta(a, b); monotone non-decreasing in x, with
         I_0 = 0 and I_1 = 1.
     """
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
-    x = _require_finite("x", x)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"shape parameters must be > 0, got a={a!r}, b={b!r}")
+    a = _check_finite("a", a, True)
+    b = _check_finite("b", b, True)
+    x = _check_finite("x", x)
     if x < 0.0 or x > 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
@@ -170,7 +158,7 @@ def f_cdf(x: float, params: FParams) -> float:
     Zero for x <= 0; elsewhere computed through the incomplete beta via the
     substitution t = d1*x / (d1*x + d2).
     """
-    x = _require_finite("x", x)
+    x = _check_finite("x", x)
     if x <= 0.0:
         return 0.0
     t = params.d1 * x / (params.d1 * x + params.d2)
@@ -206,9 +194,7 @@ def f_quantile(prob: float, params: FParams) -> float:
     that bracket, or when the CDF at the answer misses ``prob`` by more than
     1e-10 (near 1 the CDF can be too coarse in floats to be inverted).
     """
-    prob = _require_finite("prob", prob)
-    if not 0.0 < prob < 1.0:
-        raise DomainError(f"prob must lie strictly inside (0, 1), got {prob!r}")
+    prob = _check_open_unit("prob", prob)
     context = f"(prob={prob!r}, d1={params.d1!r}, d2={params.d2!r})"
     if not f_cdf(_QUANTILE_LO, params) < prob < f_cdf(_QUANTILE_HI, params):
         raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")

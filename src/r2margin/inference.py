@@ -40,13 +40,10 @@ the golden values in the test suite were generated under.  Pass
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import FParams, _bisect, f_cdf, f_quantile
-from .errors import DomainError
+from .errors import DomainError, _check_finite, _check_open_unit, _check_sizes
 
 __all__ = [
     "ConfidenceBound",
@@ -62,30 +59,6 @@ __all__ = [
 _PSQ_CEILING = 1.0 - 1e-12
 # Bracket width at which the bound's root search stops.
 _BOUND_WIDTH = 1e-12
-
-
-def _check_sizes(n, k) -> tuple[int, int]:
-    """(n, k) as ints; integers with k >= 1 and n >= k + 2, or DomainError."""
-    for name, value in (("n", n), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    n, k = int(n), int(k)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if n < k + 2:
-        raise DomainError(f"n must be >= k + 2 so that n - k - 1 >= 1, got n={n}, k={k}")
-    return n, k
-
-
-def _check_open_unit(name: str, value: float) -> float:
-    """``value`` as a float strictly inside (0, 1), or DomainError."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(value) or not 0.0 < value < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -114,8 +87,8 @@ class TestInput:
         n, k = _check_sizes(self.n, self.k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        r2 = float(self.r2)
-        if not math.isfinite(r2) or not 0.0 <= r2 < 1.0:
+        r2 = _check_finite("r2", self.r2)
+        if not 0.0 <= r2 < 1.0:
             raise DomainError(f"r2 must lie in [0, 1), got {self.r2!r}")
         object.__setattr__(self, "r2", r2)
 
@@ -215,15 +188,11 @@ def noninferiority_pvalue(input: TestInput, delta: float) -> NonInfResult:
     lower tail of the central F distribution with (v, n-k-1) degrees of
     freedom at that statistic.
 
-    At r2 = 0 the statistic is identically zero, so the p-value
-    short-circuits to 0 (the lower tail at zero is zero: an observed R2 of
-    exactly zero is maximal evidence that the population share is below any
-    positive margin).
+    At r2 = 0 the statistic is zero and so is the lower tail there: an
+    observed R2 of exactly zero is maximal evidence that the population
+    share is below any positive margin.  ``v_final`` is v(delta) as always.
     """
     delta = _check_open_unit("delta", delta)
-    if input.r2 == 0.0:
-        return NonInfResult(p_value=0.0, f_stat=0.0, v_final=float(input.k), delta=delta)
-
     p_value, f_stat, v = _tail_at(input, delta)
     return NonInfResult(p_value=p_value, f_stat=f_stat, v_final=v, delta=delta)
 

@@ -47,6 +47,10 @@ from .errors import (
     ExcessiveSkipsError,
     NotPositiveDefiniteError,
     RankDeficiencyError,
+    _check_finite,
+    _check_int,
+    _check_open_unit,
+    _check_sizes,
 )
 from .inference import critical_r2
 from .regression import Dataset, _gram_r_squared, r_squared
@@ -102,42 +106,28 @@ class Scenario:
         # printable, so that it fits on one line of the results CSV and encodes
         if not isinstance(self.id, str) or not self.id or not self.id.isprintable():
             raise DomainError(f"scenario id must be a non-empty printable string, got {self.id!r}")
-        for name in ("n", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.n < self.k + 2:
-            raise DomainError(f"need n >= k + 2, got n={self.n}, k={self.k}")
-        if self.n * (self.k + 1) * 8 > np.iinfo(np.intp).max:
+        n, k = _check_sizes(self.n, self.k)
+        if n * (k + 1) * 8 > np.iinfo(np.intp).max:
             raise DomainError(
-                f"scenario {self.id!r}: an n={self.n} by k+1={self.k + 1} float64 "
+                f"scenario {self.id!r}: an n={n} by k+1={k + 1} float64 "
                 "design is beyond the addressable memory"
             )
         beta = np.asarray(self.beta, dtype=float)
-        if beta.shape != (self.k,):
-            raise DimensionMismatchError(
-                f"beta must have length k={self.k}, got shape {beta.shape}"
-            )
+        if beta.shape != (k,):
+            raise DimensionMismatchError(f"beta must have length k={k}, got shape {beta.shape}")
         sigma = np.asarray(self.sigma_matrix, dtype=float)
-        if sigma.shape != (self.k, self.k):
+        if sigma.shape != (k, k):
             raise DimensionMismatchError(
-                f"sigma_matrix must be {self.k}x{self.k}, got shape {sigma.shape}"
+                f"sigma_matrix must be {k}x{k}, got shape {sigma.shape}"
             )
         if not np.isfinite(beta).all():
             raise DomainError("beta must be finite")
-        sigma2 = float(self.sigma2)
-        if not math.isfinite(sigma2) or sigma2 <= 0.0:
-            raise DomainError(f"sigma2 must be > 0, got {self.sigma2!r}")
-        beta0 = float(self.beta0)
-        if not math.isfinite(beta0):
-            raise DomainError(f"beta0 must be finite, got {self.beta0!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma_matrix", sigma)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "sigma2", _check_finite("sigma2", self.sigma2, True))
+        object.__setattr__(self, "beta0", _check_finite("beta0", self.beta0))
         object.__setattr__(self, "lower", cholesky_factor(sigma))
 
 
@@ -180,9 +170,7 @@ def true_p2(beta, sigma_matrix, sigma2: float) -> float:
         raise DimensionMismatchError(
             f"sigma_matrix must be {beta.size}x{beta.size}, got shape {sigma.shape}"
         )
-    sigma2 = float(sigma2)
-    if not math.isfinite(sigma2) or sigma2 <= 0.0:
-        raise DomainError(f"sigma2 must be > 0, got {sigma2!r}")
+    sigma2 = _check_finite("sigma2", sigma2, True)
     with np.errstate(over="ignore", invalid="ignore"):
         signal = float(beta @ sigma @ beta)
     if not math.isfinite(signal):
@@ -271,9 +259,7 @@ def _resolve_workers(workers) -> int:
             workers = int(raw)
         except ValueError:
             raise DomainError(f"R2MARGIN_THREADS must be an integer, got {raw!r}") from None
-    workers = int(workers)
-    if workers < 0:
-        raise DomainError(f"worker count must be >= 0 (0 means one per CPU), got {workers}")
+    workers = _check_int("worker count (0 means one per CPU)", workers, 0)
     if workers == 0:
         return os.cpu_count() or 1
     return workers
@@ -308,21 +294,12 @@ def run_scenario(
     of squares) is counted as skipped; if more than SKIP_FAILURE_FRACTION of
     them skip, the run raises ExcessiveSkipsError.
     """
-    deltas = [float(d) for d in deltas]
+    deltas = [_check_open_unit("every margin", d) for d in deltas]
     if not deltas:
         raise DomainError("deltas must be non-empty")
-    for d in deltas:
-        if not math.isfinite(d) or not 0.0 < d < 1.0:
-            raise DomainError(f"every margin must lie strictly inside (0, 1), got {d!r}")
-    if isinstance(n_sims, bool) or not isinstance(n_sims, (int, np.integer)) or n_sims < 1:
-        raise DomainError(f"n_sims must be a positive integer, got {n_sims!r}")
-    n_sims = int(n_sims)
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
-        raise DomainError(f"master_seed must be an integer, got {master_seed!r}")
-    master_seed = int(master_seed)
+    n_sims = _check_int("n_sims", n_sims, 1)
+    alpha = _check_open_unit("alpha", alpha)
+    master_seed = _check_int("master_seed", master_seed)
     workers = _resolve_workers(workers)
     roots = np.array([_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas])
 
@@ -345,7 +322,7 @@ def run_scenario(
 
     if skipped > SKIP_FAILURE_FRACTION * n_sims:
         raise ExcessiveSkipsError(
-            f"{skipped} of {n_sims} replicates failed inference in scenario "
+            f"the QR fit failed on {skipped} of {n_sims} replicates in scenario "
             f"{scenario.id!r} (threshold {SKIP_FAILURE_FRACTION:.1%})"
         )
 
@@ -371,9 +348,7 @@ def exchangeable_covariance(k: int, offdiag: float = GRID_OFFDIAG) -> np.ndarray
 
     Positive definite exactly when -1/(k-1) < offdiag < 1.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
+    k = _check_int("k", k, 1)
     offdiag = float(offdiag)
     if k > 1 and not -1.0 / (k - 1) < offdiag < 1.0:
         raise DomainError(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from scipy import stats
 
 import r2margin.cli as cli
 import r2margin.montecarlo as montecarlo
+from r2margin import errors
 from r2margin.errors import ConvergenceError, ExcessiveSkipsError, R2MarginError
 from r2margin.cli import main
 
@@ -46,6 +48,38 @@ def write_csv(path, y, x):
     for yi, row in zip(y, x):
         lines.append(",".join(format(v, ".17g") for v in [yi, *row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# The exit code each error class is documented to map onto.
+DOCUMENTED_EXIT_CODES = {
+    "DomainError": 2,
+    "DimensionMismatchError": 2,
+    "RankDeficiencyError": 2,
+    "NotPositiveDefiniteError": 2,
+    "ConvergenceError": 3,
+    "ExcessiveSkipsError": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        cls
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, R2MarginError) and cls is not R2MarginError
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_error_class_exits_with_its_documented_code(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "upper_ci_p2", fail)
+    code, _, text = run_cli(
+        capsys, "ci", "--r2", "0.1", "--n", "100", "--k", "2", "--alpha", "0.05"
+    )
+    assert code == DOCUMENTED_EXIT_CODES[error.__name__]
+    assert text == "error: forced\n"
 
 
 class TestCiCommand:
@@ -644,7 +678,7 @@ class TestSimulateCommand:
         )
         assert code == 4
         assert text == (
-            "error: 5 of 5 replicates failed inference in scenario 'huge' (threshold 0.1%)\n"
+            "error: the QR fit failed on 5 of 5 replicates in scenario 'huge' (threshold 0.1%)\n"
         )
 
 

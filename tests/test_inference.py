@@ -137,7 +137,8 @@ class TestNonInferiorityPvalue:
         result = noninferiority_pvalue(TestInput(r2=0.0, n=100, k=2), 0.05)
         assert result.p_value == 0.0
         assert result.f_stat == 0.0
-        assert result.v_final == 2.0
+        # the degrees of freedom the test uses, v(delta), not k
+        assert result.v_final == pytest.approx((97 * 0.05 + 2) ** 2 / (99 - 97 * 0.95**2))
 
     def test_matches_fixed_point_construction(self):
         # The margin's F statistic inverts the variance-fraction update, so

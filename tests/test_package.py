@@ -84,6 +84,12 @@ def test_every_private_name_is_used():
     assert not unused
 
 
+def _scenario(n=60):
+    return r2margin.Scenario(
+        id="a", n=n, k=2, beta=[0.1, 0.2], sigma2=1.0, sigma_matrix=np.eye(2)
+    )
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -95,8 +101,16 @@ def test_every_private_name_is_used():
         lambda: r2margin.true_p2([1e300, 1e300], np.eye(2), 1.0),  # beta' Sigma beta overflows
         lambda: r2margin.noninferiority_pvalue(r2margin.TestInput(r2=0.2, n=100, k=2), None),
         lambda: r2margin.critical_r2(100, 2, 0.1, "x"),
+        lambda: r2margin.run_scenario(_scenario(), [0.05], True, 0.05, 1),
+        lambda: r2margin.run_scenario(_scenario(), [0.05], 10, 0.05, 1.0),
+        lambda: r2margin.exchangeable_covariance(True),
+        lambda: _scenario(n=60.0),
+        lambda: r2margin.f_quantile(float("nan"), r2margin.FParams(2.0, 10.0)),
     ],
-    ids=["zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha"],
+    ids=[
+        "zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha",
+        "bool-sims", "float-seed", "bool-k", "float-n", "nan-prob",
+    ],
 )
 def test_bad_arguments_raise_domain_error(call):
     with pytest.raises(errors.DomainError):
