@@ -8,8 +8,8 @@ Library layout:
 - ``inference``: the non-inferiority p-value for the population variance
   share P2, a closed-form lower tail of a scaled central F approximation;
   the test's critical R2 in closed form, from one F quantile; and the
-  one-sided upper confidence bound that solves p = alpha/2 for it by
-  bisection.
+  one-sided upper confidence bound that solves p = alpha/2 for it by a
+  Brent root search on the log-odds scale.
 - ``regression``: intercept-included ordinary least squares and R2.
 - ``montecarlo``: the rejection-rate simulation harness and the built-in
   30-scenario study grid.

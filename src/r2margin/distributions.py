@@ -9,8 +9,10 @@ bound's root search, so this module implements the classical chain
 directly.  The incomplete beta uses the continued-fraction expansion
 (modified Lentz recurrence, with the usual series/fraction pivot at
 x = (a+1)/(a+b+2)) on top of the platform's ``math.lgamma``; the quantile
-inverts the CDF by bisection on log x.  ``_bisect`` is the one root search
-of the package: the confidence bound in ``inference`` runs on it as well.
+inverts the CDF by a root search over log x on the log-odds scale.
+``_root`` (Brent's bracketing method) is the one root search of the
+package, and ``_logit`` its log-odds scale: the confidence bound in
+``inference`` runs on both as well.
 
 ``RandomStream`` supplies standard normal variates from a counter-based
 generator (Philox) keyed by hashing arbitrary labels, so independent,
@@ -165,42 +167,108 @@ def f_cdf(x: float, params: FParams) -> float:
     return reg_inc_beta(0.5 * params.d1, 0.5 * params.d2, t)
 
 
-def _bisect(go_right, lo: float, hi: float, width: float) -> tuple[float, int]:
-    """Bisect [lo, hi] for the point where ``go_right`` turns false.
+def _logit(p: float) -> float:
+    """log(p / (1 - p)), with p <= 0 sent to -745 and p >= 1 to 37.
 
-    ``go_right(mid)``, true when the root lies right of ``mid``, is called
-    only at midpoints.  The search stops once the bracket is no wider than
-    ``width`` or its midpoint is no longer strictly inside it.  Returns the
-    final midpoint and the number of ``go_right`` calls.
+    Those two values lie just past the logits of the smallest positive
+    double (-744.4) and of the largest double below 1 (36.7), so the map
+    stays monotone and nearly continuous where a CDF rounds to 0 or 1, and a
+    root search can interpolate through it.
     """
-    steps = 0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+    if p <= 0.0:
+        return -745.0
+    if p >= 1.0:
+        return 37.0
+    return math.log(p) - math.log1p(-p)
+
+
+def _root(
+    excess, lo: float, hi: float, width: float, excess_lo: float, excess_hi: float
+) -> tuple[float, int]:
+    """Brent's bracketing search for the root of an increasing ``excess``.
+
+    ``excess_lo`` < 0 <= ``excess_hi`` are the values (or stand-ins of the
+    right sign) at ``lo`` and ``hi``, which are never evaluated.  Each step
+    evaluates one point strictly inside the sign-change bracket, chosen by
+    inverse quadratic or linear interpolation when that shrinks the bracket
+    fast enough and by bisection otherwise (Brent 1973, ch. 4); the first
+    step bisects, since the end values may be stand-ins.  A point with
+    ``excess`` > 0 closes the bracket from above and one with ``excess`` < 0
+    from below.  The search stops once the bracket is no wider than
+    ``width`` or a step no longer lands strictly inside it, and returns the
+    midpoint of that bracket; a point with ``excess`` == 0 is returned
+    as it is.  The second value returned is the number of ``excess`` calls.
+    """
+    # b is the best point so far, c the other end of the bracket and a the
+    # previous b; d is the step just taken and e the one before it.
+    a, fa, b, fb = lo, excess_lo, hi, excess_hi
+    c, fc = a, fa
+    d = e = 0.0
+    calls = 0
+    while True:
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        # The shortest step: half the width, and never below one float at b.
+        tol = max(0.5 * width, math.ulp(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
             break
-        steps += 1
-        if go_right(mid):
-            lo = mid
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi), steps
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        x = b + (d if abs(d) > tol else math.copysign(tol, m))
+        if not min(b, c) < x < max(b, c):
+            break
+        a, fa = b, fb
+        b, fb = x, excess(x)
+        calls += 1
+        if fb == 0.0:
+            return b, calls
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return 0.5 * (b + c), calls
 
 
 def f_quantile(prob: float, params: FParams) -> float:
     """Lower-tail quantile: the x at which ``f_cdf(x, params) == prob``.
 
-    Bisects log x over the fixed bracket [1e-300, 1e300] down to the float
-    resolution of log x.  Raises ConvergenceError when the root lies outside
-    that bracket, or when the CDF at the answer misses ``prob`` by more than
-    1e-10 (near 1 the CDF can be too coarse in floats to be inverted).
+    Solves logit(f_cdf(e^u)) = logit(prob) for u = log x by ``_root`` over
+    the fixed bracket [1e-300, 1e300], down to the float resolution of log
+    x.  Raises ConvergenceError when the root lies outside that bracket, or
+    when the CDF at the answer misses ``prob`` by more than 1e-10 (near 1
+    the CDF can be too coarse in floats to be inverted).
     """
     prob = _check_open_unit("prob", prob)
     context = f"(prob={prob!r}, d1={params.d1!r}, d2={params.d2!r})"
-    if not f_cdf(_QUANTILE_LO, params) < prob < f_cdf(_QUANTILE_HI, params):
+    cdf_lo, cdf_hi = f_cdf(_QUANTILE_LO, params), f_cdf(_QUANTILE_HI, params)
+    if not cdf_lo < prob < cdf_hi:
         raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")
 
-    lo, hi = math.log(_QUANTILE_LO), math.log(_QUANTILE_HI)
-    log_x, _ = _bisect(lambda u: f_cdf(math.exp(u), params) < prob, lo, hi, math.ulp(1.0))
+    target = _logit(prob)
+    log_x, _ = _root(
+        lambda u: _logit(f_cdf(math.exp(u), params)) - target,
+        math.log(_QUANTILE_LO),
+        math.log(_QUANTILE_HI),
+        math.ulp(1.0),
+        _logit(cdf_lo) - target,
+        _logit(cdf_hi) - target,
+    )
     x = math.exp(log_x)
     if abs(f_cdf(x, params) - prob) > _QUANTILE_CDF_TOL:
         raise ConvergenceError(f"quantile search ended off the root {context}")

@@ -85,6 +85,9 @@ def _check_finite(name: str, value, positive: bool = False) -> float:
         value = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        # e.g. an int past 1.8e308; its repr can run to any length
+        raise DomainError(f"{name} must be finite, got a number beyond the float range") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if positive and value <= 0.0:

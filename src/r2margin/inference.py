@@ -20,8 +20,9 @@ from 1 to 0 as z runs from -k/(n-k-1) to 1.  Three entry points build on it:
 
 ``upper_ci_p2``
     Upper limit of a one-sided confidence interval for P2: the root of
-    p(z) = alpha/2, found by bisection.  The test inverts this interval, so
-    the p-value at the bound recovers the bound's tail probability.
+    p(z) = alpha/2, found by a Brent root search on the log-odds of p.  The
+    test inverts this interval, so the p-value at the bound recovers the
+    bound's tail probability.
 
 ``critical_r2``
     The test's rejection region on the R2 scale.  For fixed (n, k, delta)
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import FParams, _bisect, f_cdf, f_quantile
+from .distributions import FParams, _logit, _root, f_cdf, f_quantile
 from .errors import DomainError, _check_finite, _check_open_unit, _check_sizes
 
 __all__ = [
@@ -106,7 +107,7 @@ class ConfidenceBound:
     when even z = 0 leaves too little tail (e.g. r2 = 0, where it is
     -k/(n-k-1)); ``upper`` is that root clamped into [0, 1) and ``clamped``
     says whether the clamp moved it.  ``v_final`` is v(upper_raw) and
-    ``iterations`` counts the bisection steps, one F CDF each.
+    ``iterations`` counts the root-search steps, one F CDF each.
     """
 
     upper: float
@@ -150,20 +151,28 @@ def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> 
     The bound is the root of p(z) = alpha/2 (or alpha when
     ``halve_alpha=False``), where p(z) is the non-inferiority p-value at
     margin z.  p decreases over the bracket [-k/(n-k-1), 1 - 1e-12], so the
-    root is found by bisection, one F CDF per step; p is evaluated only at
-    midpoints, never at the lower end where F is infinite (at r2 = 0, p is 0
-    throughout and the search closes on that end).  The search stops once
-    the bracket is no wider than 1e-12 or its midpoint no longer falls
-    strictly inside it.  The reported bound is clamped into [0, 1); the root
+    root is found by Brent's bracketing search on logit(prob) - logit(p(z)),
+    one F CDF per step; on the log-odds scale p(z) is close to linear in z,
+    where on its own scale it is flat in both tails.  p is evaluated
+    only strictly inside the bracket, never at the lower end where F is
+    infinite (at r2 = 0, p is 0 throughout and the search closes on that
+    end).  The search stops once the bracket is no wider than 1e-12 or a
+    step no longer falls strictly inside it, and the bound is the midpoint
+    of that bracket.  The reported bound is clamped into [0, 1); the root
     itself is kept in ``upper_raw``.
     """
     alpha = _check_open_unit("alpha", alpha)
     prob = 0.5 * alpha if halve_alpha else alpha
-    upper_raw, iterations = _bisect(
-        lambda z: _tail_at(input, z)[0] > prob,
+    target = _logit(prob)
+    # p is 1 at the lower end, where F is infinite, and next to 0 at the
+    # upper end; neither is evaluated.
+    upper_raw, iterations = _root(
+        lambda z: target - _logit(_tail_at(input, z)[0]),
         -input.k / input.residual_df,
         _PSQ_CEILING,
         _BOUND_WIDTH,
+        target - _logit(1.0),
+        target - _logit(0.0),
     )
     upper = min(max(upper_raw, 0.0), _PSQ_CEILING)
     return ConfidenceBound(

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -458,6 +459,19 @@ class TestSimulateCommand:
             )
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_seed_7_paper_grid_csv_bytes_are_pinned(self, capsys, tmp_path):
+        # The rejection counts of a full paper-grid run must not move when
+        # the numerics behind the critical R2 are reworked.
+        out = tmp_path / "seed7.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--paper-grid", "--sims", "200", "--seed", "7",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "59a16f4c78f85889eb5538193c84d3059880b7af174b314c8ae2725b789e9b60"
+        )
 
     def test_zero_sims_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -9,17 +9,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import betainc
 
+from r2margin import distributions
 from r2margin.distributions import (
     FParams,
     RandomStream,
+    _root,
     f_cdf,
     f_quantile,
     reg_inc_beta,
 )
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import _v_from_psq
+from r2margin.montecarlo import default_delta_grid, paper_grid
 
 from oracles import f_cdf_quadrature
 
@@ -184,6 +189,72 @@ class TestFQuantile:
     def test_uninvertible_probability_raises(self, prob, d1, d2):
         with pytest.raises(ConvergenceError):
             f_quantile(prob, FParams(d1, d2))
+
+    def test_few_cdf_calls_per_paper_grid_key(self, monkeypatch):
+        # Two range checks, the root search's steps and the final check.
+        calls = []
+
+        def counting_cdf(x, params):
+            calls.append(x)
+            return f_cdf(x, params)
+
+        monkeypatch.setattr(distributions, "f_cdf", counting_cdf)
+        keys = {(s.n, s.k, delta) for s in paper_grid() for delta in default_delta_grid()}
+        for n, k, delta in sorted(keys):
+            calls.clear()
+            f_quantile(0.05, FParams(_v_from_psq(delta, n, k), n - k - 1))
+            assert len(calls) <= 25, (n, k, delta)
+
+
+@st.composite
+def root_problems(draw):
+    """An increasing function with a known root r in a bracket [lo, hi],
+    a stop width, and the values handed to ``_root`` for the two ends."""
+    lo = draw(st.floats(-100.0, 100.0))
+    span = draw(st.floats(1e-3, 200.0))
+    hi = lo + span
+    root = draw(
+        st.one_of(
+            st.floats(lo, hi),
+            st.floats(0.0, 1e-9).map(lambda off: lo + off),
+            st.floats(0.0, 1e-9).map(lambda off: hi - off),
+        )
+    )
+    scale = span * 10.0 ** draw(st.floats(-6.0, 1.0))
+    shape = draw(st.sampled_from(["logistic", "capped", "step"]))
+    # Each shape has the sign of x - root exactly, so the root is known
+    # to the last bit.  "step" is flat on both sides of the root, the way
+    # the bound's p(z) is flat at r2 = 0 with its root on the lower end.
+    if shape == "logistic":
+        def fn(x):
+            return math.tanh((x - root) / scale)
+    elif shape == "capped":
+        def fn(x):
+            return min(max((x - root) / scale, -745.0), 37.0)
+    else:
+        def fn(x):
+            return -1.0 if x < root else 1.0
+    width = max(span * 10.0 ** -draw(st.floats(1.0, 12.0)), 1e-11)
+    excess_lo = fn(lo) if fn(lo) < 0.0 else -1.0
+    return fn, lo, hi, root, width, excess_lo, fn(hi)
+
+
+class TestRoot:
+    @settings(max_examples=500, deadline=None)
+    @given(problem=root_problems())
+    def test_lands_within_half_a_width_without_touching_the_ends(self, problem):
+        fn, lo, hi, root, width, excess_lo, excess_hi = problem
+        seen = []
+
+        def excess(x):
+            seen.append(x)
+            return fn(x)
+
+        found, calls = _root(excess, lo, hi, width, excess_lo, excess_hi)
+        assert calls == len(seen)
+        assert all(lo < x < hi for x in seen)
+        slack = math.ulp(max(abs(lo), abs(hi)))
+        assert abs(found - root) <= 0.5 * width + slack, (found, root)
 
 
 class TestRandomStream:

@@ -126,6 +126,20 @@ class TestUpperCiP2:
     def test_bisection_steps_stay_within_budget(self, r2, n, k):
         assert upper_ci_p2(TestInput(r2=r2, n=n, k=k), 0.05).iterations <= 64
 
+    def test_mean_root_steps_over_inference_like_inputs(self):
+        # N log-uniform on [60, 1e7], K on 1..10, R2 below min(0.5, 1e5 / N)
+        # and tiny (1e-7..1e-3) a fifth of the time.
+        rng = np.random.default_rng(12)
+        steps = []
+        for _ in range(200):
+            n = int(10.0 ** rng.uniform(math.log10(60.0), 7.0))
+            k = int(rng.integers(1, 11))
+            top = math.log10(min(0.5, 1e5 / n))
+            low, high = (-7.0, -3.0) if rng.random() < 0.2 else (-3.0, top)
+            observed = TestInput(r2=10.0 ** rng.uniform(low, high), n=n, k=k)
+            steps.append(upper_ci_p2(observed, 0.05).iterations)
+        assert np.mean(steps) <= 20
+
 
 class TestNonInferiorityPvalue:
     def test_golden_value(self):

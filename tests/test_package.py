@@ -106,12 +106,20 @@ def _scenario(n=60):
         lambda: r2margin.exchangeable_covariance(True),
         lambda: _scenario(n=60.0),
         lambda: r2margin.f_quantile(float("nan"), r2margin.FParams(2.0, 10.0)),
+        # ints past the float range overflow inside float()
+        lambda: r2margin.TestInput(10**400, 100, 2),
+        lambda: r2margin.critical_r2(100, 2, 0.1, 10**400),
+        lambda: r2margin.noninferiority_pvalue(r2margin.TestInput(r2=0.2, n=100, k=2), 10**400),
+        lambda: r2margin.true_p2([0.1], [[1.0]], 10**400),
     ],
     ids=[
         "zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha",
         "bool-sims", "float-seed", "bool-k", "float-n", "nan-prob",
+        "huge-int-r2", "huge-int-alpha", "huge-int-margin", "huge-int-sigma2",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):
-    with pytest.raises(errors.DomainError):
+    with pytest.raises(errors.DomainError) as caught:
         call()
+    # the message names the argument, never a 400-digit echo of it
+    assert len(str(caught.value)) < 200
