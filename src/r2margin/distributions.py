@@ -275,6 +275,32 @@ def f_quantile(prob: float, params: FParams) -> float:
     return x
 
 
+def _philox_key(key_parts) -> np.ndarray:
+    """The 128-bit Philox key of a stream: a hash of its key parts, read as two
+    little-endian 64-bit words."""
+    material = "\x1f".join(repr(part) for part in key_parts)
+    digest = hashlib.blake2b(material.encode("utf-8"), digest_size=16).digest()
+    return np.frombuffer(digest, dtype="<u8").astype(np.uint64)
+
+
+def _fresh_philox_state(*key_parts: object) -> dict:
+    """The state of a newly built Philox keyed as ``RandomStream(*key_parts)``.
+
+    Assigning it to a Philox's ``state`` re-keys that generator, so it then
+    replays the stream from its start.  That costs about a third of building
+    a new Philox, which first seeds itself from OS entropy and only then
+    takes its key.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(key_parts)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 class RandomStream:
     """Single-owner stream of standard normal variates.
 
@@ -292,17 +318,8 @@ class RandomStream:
     def __init__(self, *key_parts: object):
         if not key_parts:
             raise DomainError("RandomStream requires at least one key part")
-        material = "\x1f".join(repr(part) for part in key_parts)
-        digest = hashlib.blake2b(material.encode("utf-8"), digest_size=16).digest()
-        key = np.array(
-            [
-                int.from_bytes(digest[:8], "little"),
-                int.from_bytes(digest[8:], "little"),
-            ],
-            dtype=np.uint64,
-        )
         self.key_parts = key_parts
-        self._generator = np.random.Generator(np.random.Philox(key=key))
+        self._generator = np.random.Generator(np.random.Philox(key=_philox_key(key_parts)))
 
     def standard_normal(self, size=None):
         """Draw N(0, 1) variates; a plain float when ``size`` is None."""

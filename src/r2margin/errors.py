@@ -71,9 +71,15 @@ def _check_int(name: str, value, minimum: int | None = None) -> int:
 
 
 def _check_sizes(n, k) -> tuple[int, int]:
-    """(n, k) as ints; integers with k >= 1 and n >= k + 2, or DomainError."""
+    """(n, k) as ints; integers within the float range with k >= 1 and
+    n >= k + 2, or DomainError."""
     n = _check_int("n", n)
-    k = _check_int("k", k, 1)
+    k = _check_int("k", k)
+    # the inference layer computes in floats, and an int past 1.8e308 has none
+    _check_finite("n", n)
+    _check_finite("k", k)
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
     if n < k + 2:
         raise DomainError(f"n must be >= k + 2 so that n - k - 1 >= 1, got n={n}, k={k}")
     return n, k

@@ -12,18 +12,25 @@ For fixed (N, K, delta) the test rejects exactly when R2 lies below the
 closed-form critical value ``inference.critical_r2``.  It is computed once
 per (N, K, delta, alpha) and kept in a bounded cache, which fills lazily and
 is shared by scenarios that differ only in their noise and by repeat runs.
-Each replicate is decided by that comparison alone: it takes R2 from
-centered cross-products, or from the QR fit where the cross-products cannot
-be trusted (see ``regression._gram_r_squared``), and counts a rejection at
-every margin whose critical value exceeds it.  A replicate is skipped only
-when the QR fit fails.  Counts are those of the rejection region; they can
-differ from per-replicate p-values only for an R2 within about 1e-12 of a
-critical value, where either answer is a rounding artifact.
+Each replicate is decided by that comparison alone, and counts a rejection at
+every margin whose critical value exceeds its R2.
 
-Replicate ``j`` of scenario ``s`` draws from a ``RandomStream`` keyed by
-(master_seed, s.id, j), so results are independent of evaluation order and
-worker count; rejection counts reduce by plain integer addition, which keeps
-parallel runs bit-identical to serial ones.
+R2 is invariant under invertible linear maps of the covariates, so a
+replicate takes it from the centered (K+1)-square cross-products of its own
+standard normals (covariates z, noise e), mapped to those of (x, y) by the
+scenario's Cholesky factor and coefficients; no N-row x, y or centered copy
+is formed.  Only where those cross-products cannot be trusted (see
+``regression._r2_from_gram``) does it form x and y, exactly as
+``generate_dataset`` does, and take R2 from the QR fit.  A replicate is
+skipped only when that fit fails.  Counts are those of the rejection region;
+they can differ from per-replicate p-values only for an R2 within about
+1e-12 of a critical value, where either answer is a rounding artifact.
+
+Replicate ``j`` of scenario ``s`` draws the normals of a ``RandomStream``
+keyed by (master_seed, s.id, j), so results are independent of evaluation
+order and worker count; rejection counts reduce by plain integer addition,
+which keeps parallel runs bit-identical to serial ones.  Each unit of work
+owns its buffers and one generator, which it re-keys for every replicate.
 
 The environment variable ``R2MARGIN_THREADS`` sets the default worker count
 (0 = one per CPU); runs are serial unless it is set or ``workers`` is passed
@@ -40,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import RandomStream
+from .distributions import RandomStream, _fresh_philox_state
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -53,7 +60,7 @@ from .errors import (
     _check_sizes,
 )
 from .inference import critical_r2
-from .regression import Dataset, _gram_r_squared, r_squared
+from .regression import Dataset, _r2_from_gram, r_squared
 
 __all__ = [
     "GRID_BETAS",
@@ -107,10 +114,11 @@ class Scenario:
         if not isinstance(self.id, str) or not self.id or not self.id.isprintable():
             raise DomainError(f"scenario id must be a non-empty printable string, got {self.id!r}")
         n, k = _check_sizes(self.n, self.k)
-        if n * (k + 1) * 8 > np.iinfo(np.intp).max:
+        # the replicate kernel's buffer: covariate and noise normals, ones, y
+        if n * (k + 3) * 8 > np.iinfo(np.intp).max:
             raise DomainError(
-                f"scenario {self.id!r}: an n={n} by k+1={k + 1} float64 "
-                "design is beyond the addressable memory"
+                f"scenario {self.id!r}: an n={n} by k+3={k + 3} float64 "
+                "draw buffer is beyond the addressable memory"
             )
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (k,):
@@ -205,13 +213,11 @@ def cholesky_factor(sigma_matrix) -> np.ndarray:
     return lower
 
 
-def _draw(scenario: Scenario, stream: RandomStream):
-    """(x, y) of one dataset."""
-    z = stream.standard_normal((scenario.n, scenario.k))
+def _design(scenario: Scenario, z: np.ndarray, noise: np.ndarray):
+    """(x, y) of one dataset from its (N, K) covariate normals ``z`` and its
+    noise, already scaled to standard deviation sqrt(sigma2)."""
     x = z @ scenario.lower.T
-    noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
-    y = scenario.beta0 + x @ scenario.beta + noise
-    return x, y
+    return x, scenario.beta0 + x @ scenario.beta + noise
 
 
 def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
@@ -220,7 +226,9 @@ def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     Covariate rows are L z with z standard normal and L the Cholesky factor
     of the scenario covariance; the noise is drawn independently of X.
     """
-    x, y = _draw(scenario, stream)
+    z = stream.standard_normal((scenario.n, scenario.k))
+    noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
+    x, y = _design(scenario, z, noise)
     return Dataset(y=y, x=x)
 
 
@@ -229,24 +237,80 @@ def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
 _critical_r2 = functools.lru_cache(maxsize=4096)(critical_r2)
 
 
+def _draw_normals(generator: np.random.Generator, out: np.ndarray, *key_parts) -> None:
+    """Fill ``out`` with the first ``out.size`` normals of
+    ``RandomStream(*key_parts)``, re-keying ``generator`` in place."""
+    generator.bit_generator.state = _fresh_philox_state(*key_parts)
+    generator.standard_normal(out=out)
+
+
 def _replicate_counts(scenario, start, stop, master_seed, roots):
     """Rejection counts over replicates [start, stop); one unit of work.
 
     ``roots`` holds each margin's critical R2.  A replicate rejects at every
     margin whose root exceeds its R2, and is skipped if its QR fit fails.
+
+    Each replicate's normals are those of ``generate_dataset``: z, shaped
+    (N, K), then the N noise normals.  R2 is invariant under invertible
+    linear maps of the covariates, so it is read from the centered
+    cross-products of [z noise], mapped to those of [x y] by M:
+    [x_c y_c] = [z_c noise_c] M with M = [[L', L' beta], [0, 1]], as
+    x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).  x and y
+    are formed only where ``_r2_from_gram`` returns None, for the QR fit.
     """
+    n, k = scenario.n, scenario.k
+    # One buffer per span, never shared between threads: [z | noise | ones |
+    # y - beta0].  One draw fills z and the noise, and [noise; ones] times z
+    # or the noise gives the noise cross-products and the column sums.  One
+    # allocation rather than several: glibc maps blocks beyond 32 MiB and
+    # unmaps them when freed, where smaller N-length arrays would stay
+    # behind in the heap and raise the peak RSS of later, larger scenarios.
+    buffer = np.empty(n * (k + 3))
+    normals = buffer[: n * (k + 1)]
+    z = buffer[: n * k].reshape(n, k)
+    noise = buffer[n * k : n * (k + 1)]
+    noise_ones = buffer[n * k : n * (k + 2)].reshape(2, n)
+    noise_ones[1] = 1.0
+    y_part = buffer[n * (k + 2) :]
+    sigma = math.sqrt(scenario.sigma2)
+    gamma = scenario.lower.T @ scenario.beta
+    to_xy = np.eye(k + 1)
+    to_xy[:k, :k] = scenario.lower.T
+    to_xy[:k, k] = gamma
+    gram = np.empty((k + 1, k + 1))
+    sums = np.empty(k + 1)
+    generator = np.random.Generator(np.random.Philox())
+
     counts = np.zeros(len(roots), dtype=np.int64)
     skipped = 0
-    for j in range(start, stop):
-        x, y = _draw(scenario, RandomStream(master_seed, scenario.id, j))
-        r2 = _gram_r_squared(x, y)
-        if r2 is None:
-            try:
-                r2 = r_squared(Dataset(y=y, x=x))
-            except (RankDeficiencyError, DomainError):
-                skipped += 1
-                continue
-        counts += r2 < roots
+    # overflow from huge coefficients leaves NaNs, which _r2_from_gram and
+    # Dataset catch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(start, stop):
+            _draw_normals(generator, normals, master_seed, scenario.id, j)
+            noise *= sigma
+            cross = noise_ones @ z
+            tail = noise_ones @ noise
+            gram[:k, :k] = z.T @ z
+            gram[k, :k] = gram[:k, k] = cross[0]
+            gram[k, k] = tail[0]
+            sums[:k] = cross[1]
+            sums[k] = tail[1]
+            gram -= np.outer(sums, sums / n)
+            # y less beta0, for max|y|
+            np.matmul(z, gamma, out=y_part)
+            y_part += noise
+            top = scenario.beta0 + float(y_part.max())
+            bottom = scenario.beta0 + float(y_part.min())
+            r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, max(top, -bottom))
+            if r2 is None:
+                x, y = _design(scenario, z, noise)
+                try:
+                    r2 = r_squared(Dataset(y=y, x=x))
+                except (RankDeficiencyError, DomainError):
+                    skipped += 1
+                    continue
+            counts += r2 < roots
     return counts.tolist(), skipped
 
 
@@ -283,9 +347,10 @@ def run_scenario(
 
     The test rejects at a margin exactly when R2 < r2_crit(N, K, delta,
     alpha); each critical value is computed once in closed form and cached,
-    before any replicate is drawn.  A replicate's R2 comes from centered
-    cross-products, or from the QR fit where those are not trusted
-    (near-collinear covariates, near-constant outcome, R2 > 1 - 1e-9), and
+    before any replicate is drawn.  A replicate's R2 comes from the centered
+    cross-products of its normals, or from the QR fit where those are not
+    trusted (near-collinear covariates, near-constant outcome,
+    R2 > 1 - 1e-9), and
     is compared with every critical value.  Counts can differ from those of
     per-replicate p-values only for an R2 within about 1e-12 of a critical
     value.  A critical value whose quantile fails raises ConvergenceError.

@@ -4,6 +4,12 @@ The fit goes through a QR factorization of the intercept-augmented design
 matrix rather than the normal equations, for numerical stability; rank
 problems are detected from the R factor's diagonal.  R2 is computed against
 the centered total sum of squares.
+
+``_r2_from_gram`` reads R2 from the (K+1)-square centered cross-product
+matrix of covariates and outcome instead, where that can be trusted.  The
+Monte Carlo harness builds that matrix from each replicate's normals without
+forming X or y (see ``montecarlo``), and falls back to ``fit_ols`` on the
+formed data where ``_r2_from_gram`` returns None.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ __all__ = ["Dataset", "OlsFit", "fit_ols", "r_squared"]
 _RANK_TOL = 1e-10
 # Largest R2 that ``r_squared`` returns: the top of ``TestInput``'s range.
 _R2_MAX = 1.0 - 1e-12
-# Where ``_gram_r_squared`` hands over to the QR fit: pivot spread, least
+# Where ``_r2_from_gram`` hands over to the QR fit: pivot spread, least
 # squared pivot over its column's centered sum of squares (1 minus the
 # column's squared multiple correlation with the columns before it), top R2.
 _GRAM_PIVOT_TOL = 1e-6
@@ -140,14 +146,16 @@ def fit_ols(data: Dataset) -> OlsFit:
     )
 
 
-def _gram_r_squared(x: np.ndarray, y: np.ndarray) -> float | None:
+def _r2_from_gram(gram: np.ndarray, n: int, y_max: float) -> float | None:
     """R2 of the intercept-included fit from centered cross-products, or
     None where only ``fit_ols`` can be trusted to give it.
 
-    The Cholesky factor of [Xc yc]'[Xc yc] holds the factor L of Xc'Xc in
-    its leading block and w = L^-1 Xc'yc in its last row, so R2 = |w|^2 /
-    SST with no Q factor formed.  ``x`` and ``y`` are shaped as in
-    ``Dataset``.  None, which leaves the decision to the QR fit, when:
+    ``gram`` is [Xc yc]'[Xc yc], the (K+1)-square cross-product matrix of
+    the N rows of covariates and outcome after each column's mean is
+    subtracted, and ``y_max`` is max|y| over the uncentered outcome.  Its
+    Cholesky factor holds the factor L of Xc'Xc in its leading block and
+    w = L^-1 Xc'yc in its last row, so R2 = |w|^2 / SST with no Q factor
+    formed.  None, which leaves the decision to the QR fit, when:
 
     - the Cholesky factorization fails;
     - the pivots, with sqrt(N) for the intercept, spread more than 1e6-fold,
@@ -162,13 +170,7 @@ def _gram_r_squared(x: np.ndarray, y: np.ndarray) -> float | None:
     Elsewhere the value agrees with ``fit_ols(...).r2`` to 1e-12 (measured
     at most 6.4e-13 next to these limits, about 1e-15 well inside them).
     """
-    n, k = x.shape
-    centered = np.empty((k + 1, n))
-    centered[:k] = x.T
-    centered[k] = y
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs, caught below
-        centered -= centered.mean(axis=1, keepdims=True)
-        gram = centered @ centered.T
+    k = gram.shape[0] - 1
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -184,9 +186,8 @@ def _gram_r_squared(x: np.ndarray, y: np.ndarray) -> float | None:
     if not all(p * p > _GRAM_TOLERANCE_MIN * s for p, s in zip(pivots, sums)):
         return None
     sst = sums[k]
-    y_max = max(float(y.max()), -float(y.min()))
     try:
-        if not sst > n * max(1e-26, (1e-4 * y_max) ** 2):
+        if not (sst > n * 1e-26 and sst > n * (1e-4 * y_max) ** 2):
             return None
     except OverflowError:  # a floor beyond the float range, which no SST clears
         return None

@@ -108,6 +108,13 @@ class TestCiCommand:
         assert code == 2
         assert "n must be >= k + 2" in text
 
+    def test_n_beyond_the_float_range_exits_2(self, capsys):
+        code, _, text = run_cli(
+            capsys, "ci", "--r2", "0.1", "--n", "1" + "0" * 400, "--k", "2", "--alpha", "0.05"
+        )
+        assert code == 2
+        assert text == "error: n must be finite, got a number beyond the float range\n"
+
     def test_minimal_residual_df_is_accepted(self, capsys):
         # n = k + 2 gives one residual degree of freedom, the smallest
         # configuration the input contract admits
@@ -581,7 +588,7 @@ class TestSimulateCommand:
         def unallocatable(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.42 PiB for an array")
 
-        monkeypatch.setattr(montecarlo, "_draw", unallocatable)
+        monkeypatch.setattr(montecarlo, "_draw_normals", unallocatable)
         code, _, text = run_cli(
             capsys, "simulate", "--paper-grid", "--sims", "2", "--seed", "1",
             "--out", str(tmp_path / "x.csv"),

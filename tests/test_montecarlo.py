@@ -14,6 +14,7 @@ from r2margin.errors import (
     RankDeficiencyError,
 )
 from r2margin.montecarlo import (
+    GRID_BETAS,
     Scenario,
     cholesky_factor,
     default_delta_grid,
@@ -24,7 +25,7 @@ from r2margin.montecarlo import (
     true_p2,
 )
 from r2margin.inference import TestInput, noninferiority_pvalue
-from r2margin.regression import Dataset, _gram_r_squared, fit_ols, r_squared
+from r2margin.regression import Dataset, _r2_from_gram, fit_ols, r_squared
 
 from oracles import replicate_counts_exact
 
@@ -170,7 +171,7 @@ class TestRunScenario:
 
         scenario = _small_scenario()
         # Every replicate takes the QR route, where the forced failure is a skip.
-        monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: None)
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda gram, n, y_max: None)
         monkeypatch.setattr(mc, "r_squared", explode)
         with pytest.raises(ExcessiveSkipsError):
             run_scenario(scenario, [0.05], 40, 0.05, 1)
@@ -191,6 +192,19 @@ class TestRunScenario:
         records = run_scenario(_small_scenario(), [0.05], 30, 0.05, 1)
         serial = run_scenario(_small_scenario(), [0.05], 30, 0.05, 1, workers=1)
         assert records[0].rejections == serial[0].rejections
+
+
+def _record_gram_r2(monkeypatch):
+    """Patch the kernel's ``_r2_from_gram`` to record what it returns; the
+    list it records into."""
+    values = []
+
+    def recorded(gram, n, y_max):
+        values.append(_r2_from_gram(gram, n, y_max))
+        return values[-1]
+
+    monkeypatch.setattr(mc, "_r2_from_gram", recorded)
+    return values
 
 
 def _counts(records):
@@ -214,7 +228,7 @@ class TestCriticalR2Decisions:
             assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
 
     def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
-        monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: None)
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda gram, n, y_max: None)
         fits = []
 
         def counted_r_squared(data):
@@ -280,40 +294,118 @@ class TestCriticalR2Decisions:
         deltas = default_delta_grid()
         roots = [mc._critical_r2(scenario.n, scenario.k, d, 0.05) for d in deltas]
         r2 = roots[9] + offset
-        monkeypatch.setattr(mc, "_gram_r_squared", lambda x, y: r2)
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda gram, n, y_max: r2)
         records = run_scenario(scenario, deltas, 3, 0.05, 1)
         assert _counts(records) == ([3 if root > r2 else 0 for root in roots], 0)
         assert records[9].rejections == (3 if offset < 0 else 0)
 
-    def _patched_counts(self, monkeypatch, draw):
-        scenario = _small_scenario(n=60)
-        monkeypatch.setattr(mc, "_draw", draw)
+    def _patched_counts(self, monkeypatch, fill, scenario):
+        """Counts and skips of five replicates whose normals ``fill`` writes,
+        and what ``_r2_from_gram`` returned for each."""
+        monkeypatch.setattr(mc, "_draw_normals", fill)
+        gram_r2 = _record_gram_r2(monkeypatch)
         roots = np.array([mc._critical_r2(scenario.n, scenario.k, d, 0.05)
                           for d in default_delta_grid()])
-        return mc._replicate_counts(scenario, 0, 5, 1, roots)
+        counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots)
+        return counts, skipped, gram_r2
+
+    @staticmethod
+    def _formed(scenario, fill):
+        """(x, y) of the dataset the kernel forms from normals ``fill`` writes."""
+        n, k = scenario.n, scenario.k
+        normals = np.empty(n * (k + 1))
+        fill(None, normals, 0)
+        noise = normals[n * k :] * np.sqrt(scenario.sigma2)
+        return mc._design(scenario, normals[: n * k].reshape(n, k), noise)
 
     def test_collinear_replicate_is_skipped_as_rank_deficient(self, monkeypatch):
-        def collinear(scenario, stream):
-            x = stream.standard_normal((scenario.n, 2))
-            x[:, 1] = 2.0 * x[:, 0]
-            return x, x[:, 0] + stream.standard_normal(scenario.n)
+        scenario = _small_scenario(n=60)
 
-        x, y = collinear(_small_scenario(n=60), RandomStream(0))
-        assert _gram_r_squared(x, y) is None
+        def collinear(generator, out, *key_parts):
+            out[:] = RandomStream(*key_parts).standard_normal(out.size)
+            z = out[: 2 * scenario.n].reshape(scenario.n, 2)
+            z[:, 1] = 2.0 * z[:, 0]  # x = z L' is collinear with z
+
+        x, y = self._formed(scenario, collinear)
         with pytest.raises(RankDeficiencyError):
             fit_ols(Dataset(y=y, x=x))
-        counts, skipped = self._patched_counts(monkeypatch, collinear)
+        counts, skipped, gram_r2 = self._patched_counts(monkeypatch, collinear, scenario)
+        assert gram_r2 == [None] * 5
         assert counts == [0] * 19 and skipped == 5
 
     def test_constant_outcome_rejects_at_every_margin(self, monkeypatch):
-        def constant(scenario, stream):
-            return stream.standard_normal((scenario.n, 2)), np.full(scenario.n, 2.5)
+        scenario = Scenario(id="flat", n=60, k=2, beta=np.zeros(2), sigma2=1.0,
+                            sigma_matrix=exchangeable_covariance(2), beta0=2.5)
 
-        x, y = constant(_small_scenario(n=60), RandomStream(0))
-        assert _gram_r_squared(x, y) is None
+        def constant(generator, out, *key_parts):
+            out[:] = RandomStream(*key_parts).standard_normal(out.size)
+            out[-scenario.n :] = 0.0  # no noise, so y = beta0 = 2.5
+
+        x, y = self._formed(scenario, constant)
+        assert (y == 2.5).all()
         assert fit_ols(Dataset(y=y, x=x)).constant_outcome
-        counts, skipped = self._patched_counts(monkeypatch, constant)
+        counts, skipped, gram_r2 = self._patched_counts(monkeypatch, constant, scenario)
+        assert gram_r2 == [None] * 5
         assert counts == [5] * 19 and skipped == 0
+
+
+class TestReplicateKernel:
+    """``_replicate_counts`` draws ``generate_dataset``'s normals and reads R2
+    from their cross-products without forming x or y."""
+
+    @staticmethod
+    def _roots(scenario):
+        return np.array([mc._critical_r2(scenario.n, scenario.k, d, 0.05)
+                         for d in default_delta_grid()])
+
+    def test_normals_are_those_of_the_replicate_streams(self, monkeypatch):
+        scenario = _small_scenario(n=75, k=2)
+        draws = []
+        draw_normals = mc._draw_normals
+
+        def recorded(generator, out, *key_parts):
+            draw_normals(generator, out, *key_parts)
+            draws.append((key_parts, out.copy()))
+
+        monkeypatch.setattr(mc, "_draw_normals", recorded)
+        # one span of several replicates: each re-keying must replay its
+        # stream from the start, whatever the last draw left buffered
+        mc._replicate_counts(scenario, 3, 9, 17, self._roots(scenario))
+        assert [key for key, _ in draws] == [(17, scenario.id, j) for j in range(3, 9)]
+        for key_parts, normals in draws:
+            stream = RandomStream(*key_parts)
+            z = stream.standard_normal((scenario.n, scenario.k))
+            e = stream.standard_normal(scenario.n)
+            np.testing.assert_array_equal(normals, np.concatenate([z.ravel(), e]))
+
+    @pytest.mark.parametrize(
+        "scenario,n_sims",
+        [(s, 20) for s in paper_grid()]
+        + [(Scenario(id="k2_n1e6", n=10**6, k=2, beta=np.array([0.07, -0.07]), sigma2=1.0,
+                     sigma_matrix=exchangeable_covariance(2)), 2)],
+        ids=lambda value: value.id if isinstance(value, Scenario) else str(value),
+    )
+    def test_r2_equals_qr_fit_of_the_dataset(self, monkeypatch, scenario, n_sims):
+        values = _record_gram_r2(monkeypatch)
+        mc._replicate_counts(scenario, 0, n_sims, 5, self._roots(scenario))
+        assert len(values) == n_sims
+        for j, r2 in enumerate(values):
+            expected = r_squared(generate_dataset(scenario, RandomStream(5, scenario.id, j)))
+            assert r2 is not None and abs(r2 - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n,k,deltas,n_sims",
+        [(8000, 4, [0.034, 0.038, 0.042], 60), (10**6, 2, [0.0322, 0.0325, 0.0328], 6)],
+        ids=["k4_n8000", "k2_n1e6"],
+    )
+    def test_thread_count_does_not_change_counts(self, n, k, deltas, n_sims):
+        scenario = Scenario(id=f"threads_k{k}_n{n}", n=n, k=k, beta=np.array(GRID_BETAS[k]),
+                            sigma2=1.0, sigma_matrix=exchangeable_covariance(k))
+        serial = run_scenario(scenario, deltas, n_sims, 0.05, 23, workers=1)
+        threaded = run_scenario(scenario, deltas, n_sims, 0.05, 23, workers=3)
+        assert _counts(serial) == _counts(threaded)
+        # margins next to the true share, so the counts say something
+        assert 0 < sum(_counts(serial)[0]) < len(deltas) * n_sims
 
 
 class TestGridConstruction:
@@ -383,7 +475,9 @@ class TestGridConstruction:
                 Scenario(id="bad", n=50, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
                          sigma_matrix=np.array(sigma))
 
-    @pytest.mark.parametrize("n", [10**30, 2**62])
+    # 3e17 rows of k + 1 = 3 doubles fit the index range, but the replicate
+    # kernel's buffer of k + 3 columns does not
+    @pytest.mark.parametrize("n", [10**30, 2**62, 3 * 10**17])
     def test_unaddressable_design_is_rejected(self, n):
         with pytest.raises(DomainError, match="'huge'"):
             Scenario(

@@ -111,11 +111,15 @@ def _scenario(n=60):
         lambda: r2margin.critical_r2(100, 2, 0.1, 10**400),
         lambda: r2margin.noninferiority_pvalue(r2margin.TestInput(r2=0.2, n=100, k=2), 10**400),
         lambda: r2margin.true_p2([0.1], [[1.0]], 10**400),
+        lambda: r2margin.critical_r2(10**400, 2, 0.1, 0.05),
+        lambda: r2margin.upper_ci_p2(r2margin.TestInput(0.1, 10**400, 2), 0.05),
+        lambda: r2margin.TestInput(0.1, 100, -(10**400)),
     ],
     ids=[
         "zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha",
         "bool-sims", "float-seed", "bool-k", "float-n", "nan-prob",
         "huge-int-r2", "huge-int-alpha", "huge-int-margin", "huge-int-sigma2",
+        "huge-int-n-critical", "huge-int-n-bound", "huge-negative-int-k",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):

@@ -10,9 +10,19 @@ from r2margin.errors import (
     DomainError,
     RankDeficiencyError,
 )
-from r2margin.regression import Dataset, _gram_r_squared, fit_ols, r_squared
+from r2margin.regression import Dataset, _r2_from_gram, fit_ols, r_squared
 
 from oracles import ols_normal_equations
+
+
+def _gram_r_squared(x, y):
+    """``_r2_from_gram`` on the centered cross-products of (x, y), formed
+    column by column with no shortcut."""
+    columns = np.column_stack([x, y])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
+        centered = columns - columns.mean(axis=0)
+        gram = centered.T @ centered
+    return _r2_from_gram(gram, x.shape[0], max(float(y.max()), -float(y.min())))
 
 
 def _random_dataset(rng, n=60, k=3, noise=1.0):
