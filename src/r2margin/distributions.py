@@ -146,7 +146,13 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         + a * math.log(x)
         + b * math.log1p(-x)
     )
-    front = math.exp(ln_front)
+    try:
+        front = math.exp(ln_front)
+    except OverflowError:
+        raise ConvergenceError(
+            f"the incomplete-beta prefactor is beyond the float range "
+            f"(a={a!r}, b={b!r}, x={x!r})"
+        ) from None
     # The fraction converges fastest below the pivot; above it, evaluate the
     # mirrored fraction and use I_x(a, b) = 1 - I_{1-x}(b, a).
     if x < (a + 1.0) / (a + b + 2.0):
@@ -158,12 +164,15 @@ def f_cdf(x: float, params: FParams) -> float:
     """CDF of the central F distribution at ``x``.
 
     Zero for x <= 0; elsewhere computed through the incomplete beta via the
-    substitution t = d1*x / (d1*x + d2).
+    substitution t = d1*x / (d1*x + d2), and one where d1*x overflows.
     """
     x = _check_finite("x", x)
     if x <= 0.0:
         return 0.0
-    t = params.d1 * x / (params.d1 * x + params.d2)
+    scaled = params.d1 * x
+    if math.isinf(scaled):
+        return 1.0
+    t = scaled / (scaled + params.d2)
     return reg_inc_beta(0.5 * params.d1, 0.5 * params.d2, t)
 
 

@@ -19,12 +19,15 @@ R2 is invariant under invertible linear maps of the covariates, so a
 replicate takes it from the centered (K+1)-square cross-products of its own
 standard normals (covariates z, noise e), mapped to those of (x, y) by the
 scenario's Cholesky factor and coefficients; no N-row x, y or centered copy
-is formed.  Only where those cross-products cannot be trusted (see
-``regression._r2_from_gram``) does it form x and y, exactly as
-``generate_dataset`` does, and take R2 from the QR fit.  A replicate is
-skipped only when that fit fails.  Counts are those of the rejection region;
-they can differ from per-replicate p-values only for an R2 within about
-1e-12 of a critical value, where either answer is a rounding artifact.
+is formed.  Replicates are decided in batches: each draws its normals into
+its own row of one buffer, and one set of stacked numpy calls forms, maps
+and factors the cross-products of the whole batch.  Only where those
+cross-products cannot be trusted (``regression._r2_from_gram`` returns NaN)
+does a replicate form x and y, exactly as ``generate_dataset`` does, and
+take R2 from the QR fit.  A replicate is skipped only when that fit fails.
+Counts are those of the rejection region; they can differ from
+per-replicate p-values only for an R2 within about 1e-12 of a critical
+value, where either answer is a rounding artifact.
 
 Replicate ``j`` of scenario ``s`` draws the normals of a ``RandomStream``
 keyed by (master_seed, s.id, j), so results are independent of evaluation
@@ -83,6 +86,11 @@ __all__ = [
 SKIP_FAILURE_FRACTION = 0.001
 
 _CHOLESKY_PIVOT_TOL = 1e-12
+
+# Float64s in one batch of the replicate kernel's draw buffer (2 MiB): at the
+# paper grid's N a batch holds dozens to hundreds of replicates, and from
+# N (K+3) > 2^18 it holds one.
+_BATCH_FLOATS = 2**18
 
 # Standard 30-cell grid.
 GRID_SAMPLE_SIZES = (60, 180, 540, 1000, 8000)
@@ -255,30 +263,38 @@ def _replicate_counts(scenario, start, stop, master_seed, roots):
     linear maps of the covariates, so it is read from the centered
     cross-products of [z noise], mapped to those of [x y] by M:
     [x_c y_c] = [z_c noise_c] M with M = [[L', L' beta], [0, 1]], as
-    x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).  x and y
-    are formed only where ``_r2_from_gram`` returns None, for the QR fit.
+    x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).
+
+    Replicates are decided in batches of up to _BATCH_FLOATS / (N (K+3)).
+    Each replicate of a batch is drawn into its own row of one buffer; then
+    one set of stacked numpy calls forms the batch's cross-products, maps
+    them by M and reads their R2 through ``_r2_from_gram``.  x and y are
+    formed only for the replicates where it returns NaN, for the QR fit.
     """
     n, k = scenario.n, scenario.k
-    # One buffer per span, never shared between threads: [z | noise | ones |
-    # y - beta0].  One draw fills z and the noise, and [noise; ones] times z
-    # or the noise gives the noise cross-products and the column sums.  One
-    # allocation rather than several: glibc maps blocks beyond 32 MiB and
-    # unmaps them when freed, where smaller N-length arrays would stay
-    # behind in the heap and raise the peak RSS of later, larger scenarios.
-    buffer = np.empty(n * (k + 3))
-    normals = buffer[: n * (k + 1)]
-    z = buffer[: n * k].reshape(n, k)
-    noise = buffer[n * k : n * (k + 1)]
-    noise_ones = buffer[n * k : n * (k + 2)].reshape(2, n)
-    noise_ones[1] = 1.0
-    y_part = buffer[n * (k + 2) :]
+    width = n * (k + 3)
+    batch = max(1, min(stop - start, _BATCH_FLOATS // width))
+    # One buffer per span, never shared between threads, one row per
+    # replicate of a batch: [z | noise | ones | y - beta0].  One draw fills
+    # z and the noise, and [noise; ones] times z or the noise gives the
+    # noise cross-products and the column sums.  One allocation rather than
+    # several: glibc maps blocks beyond 32 MiB and unmaps them when freed,
+    # where smaller N-length arrays would stay behind in the heap and raise
+    # the peak RSS of later, larger scenarios.
+    buffer = np.empty((batch, width))
+    normals = buffer[:, : n * (k + 1)]
+    z = buffer[:, : n * k].reshape(batch, n, k)
+    noise = buffer[:, n * k : n * (k + 1)]
+    noise_ones = buffer[:, n * k : n * (k + 2)].reshape(batch, 2, n)
+    noise_ones[:, 1] = 1.0
+    y_part = buffer[:, n * (k + 2) :]
     sigma = math.sqrt(scenario.sigma2)
     gamma = scenario.lower.T @ scenario.beta
     to_xy = np.eye(k + 1)
     to_xy[:k, :k] = scenario.lower.T
     to_xy[:k, k] = gamma
-    gram = np.empty((k + 1, k + 1))
-    sums = np.empty(k + 1)
+    grams = np.empty((batch, k + 1, k + 1))
+    sums = np.empty((batch, k + 1))
     generator = np.random.Generator(np.random.Philox())
 
     counts = np.zeros(len(roots), dtype=np.int64)
@@ -286,31 +302,34 @@ def _replicate_counts(scenario, start, stop, master_seed, roots):
     # overflow from huge coefficients leaves NaNs, which _r2_from_gram and
     # Dataset catch
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(start, stop):
-            _draw_normals(generator, normals, master_seed, scenario.id, j)
-            noise *= sigma
-            cross = noise_ones @ z
-            tail = noise_ones @ noise
-            gram[:k, :k] = z.T @ z
-            gram[k, :k] = gram[:k, k] = cross[0]
-            gram[k, k] = tail[0]
-            sums[:k] = cross[1]
-            sums[k] = tail[1]
-            gram -= np.outer(sums, sums / n)
+        for lo in range(start, stop, batch):
+            size = min(batch, stop - lo)
+            for row, j in enumerate(range(lo, lo + size)):
+                _draw_normals(generator, normals[row], master_seed, scenario.id, j)
+            zs, es, gram = z[:size], noise[:size], grams[:size]
+            es *= sigma
+            cross = noise_ones[:size] @ zs
+            tail = noise_ones[:size] @ es[:, :, None]
+            np.matmul(zs.transpose(0, 2, 1), zs, out=gram[:, :k, :k])
+            gram[:, k, :k] = gram[:, :k, k] = cross[:, 0]
+            gram[:, k, k] = tail[:, 0, 0]
+            sums[:size, :k] = cross[:, 1]
+            sums[:size, k] = tail[:, 1, 0]
+            gram -= sums[:size, :, None] * (sums[:size, None, :] / n)
             # y less beta0, for max|y|
-            np.matmul(z, gamma, out=y_part)
-            y_part += noise
-            top = scenario.beta0 + float(y_part.max())
-            bottom = scenario.beta0 + float(y_part.min())
-            r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, max(top, -bottom))
-            if r2 is None:
-                x, y = _design(scenario, z, noise)
+            ys = y_part[:size]
+            np.matmul(zs, gamma, out=ys)
+            ys += es
+            top = scenario.beta0 + ys.max(axis=1)
+            bottom = scenario.beta0 + ys.min(axis=1)
+            r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, np.maximum(top, -bottom))
+            for row in np.flatnonzero(np.isnan(r2)):
+                x, y = _design(scenario, zs[row], es[row])
                 try:
-                    r2 = r_squared(Dataset(y=y, x=x))
+                    r2[row] = r_squared(Dataset(y=y, x=x))
                 except (RankDeficiencyError, DomainError):
-                    skipped += 1
-                    continue
-            counts += r2 < roots
+                    skipped += 1  # its NaN R2 rejects nowhere
+            counts += (r2[:, None] < roots).sum(axis=0)
     return counts.tolist(), skipped
 
 

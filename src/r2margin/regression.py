@@ -5,11 +5,12 @@ matrix rather than the normal equations, for numerical stability; rank
 problems are detected from the R factor's diagonal.  R2 is computed against
 the centered total sum of squares.
 
-``_r2_from_gram`` reads R2 from the (K+1)-square centered cross-product
-matrix of covariates and outcome instead, where that can be trusted.  The
-Monte Carlo harness builds that matrix from each replicate's normals without
-forming X or y (see ``montecarlo``), and falls back to ``fit_ols`` on the
-formed data where ``_r2_from_gram`` returns None.
+``_r2_from_gram`` reads R2 from (K+1)-square centered cross-product
+matrices of covariates and outcome instead, a stack of them at a time, where
+that can be trusted.  The Monte Carlo harness builds one such matrix from
+each replicate's normals without forming X or y (see ``montecarlo``), and
+falls back to ``fit_ols`` on the formed data where ``_r2_from_gram``
+returns NaN.
 """
 
 from __future__ import annotations
@@ -146,16 +147,19 @@ def fit_ols(data: Dataset) -> OlsFit:
     )
 
 
-def _r2_from_gram(gram: np.ndarray, n: int, y_max: float) -> float | None:
-    """R2 of the intercept-included fit from centered cross-products, or
-    None where only ``fit_ols`` can be trusted to give it.
+def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
+    """R2 of the intercept-included fit of each of a stack of datasets from
+    its centered cross-products, NaN where only ``fit_ols`` can be trusted to
+    give it.
 
-    ``gram`` is [Xc yc]'[Xc yc], the (K+1)-square cross-product matrix of
-    the N rows of covariates and outcome after each column's mean is
-    subtracted, and ``y_max`` is max|y| over the uncentered outcome.  Its
-    Cholesky factor holds the factor L of Xc'Xc in its leading block and
-    w = L^-1 Xc'yc in its last row, so R2 = |w|^2 / SST with no Q factor
-    formed.  None, which leaves the decision to the QR fit, when:
+    ``grams`` holds, shaped (B, K+1, K+1), [Xc yc]'[Xc yc] of each dataset:
+    the cross-product matrix of its N rows of covariates and outcome after
+    each column's mean is subtracted.  ``y_max`` holds each max|y| over the
+    uncentered outcome.  Each Cholesky factor holds the factor L of Xc'Xc in
+    its leading block and w = L^-1 Xc'yc in its last row, so R2 = |w|^2 /
+    SST with no Q factor formed.  One Cholesky call factors the whole stack;
+    if it fails, each matrix is factored alone.  NaN, which leaves the
+    decision to the QR fit, when:
 
     - the Cholesky factorization fails;
     - the pivots, with sqrt(N) for the intercept, spread more than 1e6-fold,
@@ -170,30 +174,36 @@ def _r2_from_gram(gram: np.ndarray, n: int, y_max: float) -> float | None:
     Elsewhere the value agrees with ``fit_ols(...).r2`` to 1e-12 (measured
     at most 6.4e-13 next to these limits, about 1e-15 well inside them).
     """
-    k = gram.shape[0] - 1
+    k = grams.shape[-1] - 1
     try:
-        lower = np.linalg.cholesky(gram)
+        lower = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
-        return None
-    # k is small: plain floats are cheaper than numpy calls here.  Every test
-    # is written so that a NaN fails it.
-    pivots = lower.diagonal().tolist()[:k]
-    sums = gram.diagonal().tolist()
-    spread = pivots + [math.sqrt(n)]
-    top = max(spread)
-    if not all(p > _GRAM_PIVOT_TOL * top for p in spread):
-        return None
-    if not all(p * p > _GRAM_TOLERANCE_MIN * s for p, s in zip(pivots, sums)):
-        return None
-    sst = sums[k]
-    try:
-        if not (sst > n * 1e-26 and sst > n * (1e-4 * y_max) ** 2):
-            return None
-    except OverflowError:  # a floor beyond the float range, which no SST clears
-        return None
-    explained = lower[k, :k]
-    r2 = float(explained @ explained) / sst
-    return r2 if r2 <= _GRAM_R2_MAX else None
+        if len(grams) == 1:
+            return np.full(1, np.nan)
+        return np.concatenate(
+            [_r2_from_gram(grams[i : i + 1], n, y_max[i : i + 1]) for i in range(len(grams))]
+        )
+    # Every test is written so that a NaN fails it.
+    pivots = lower.diagonal(0, 1, 2)[:, :k]
+    sums = grams.diagonal(0, 1, 2)
+    sst = sums[:, k]
+    # |w|^2 by matmul, which rounds as a dot product does; a sum of squares
+    # rounds differently and would move R2 in its last bits
+    explained = lower[:, k : k + 1, :k]
+    intercept = math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        floor = _GRAM_PIVOT_TOL * np.maximum(pivots.max(axis=1), intercept)
+        r2 = (explained @ explained.transpose(0, 2, 1))[:, 0, 0] / sst
+        trusted = (
+            ((pivots > floor[:, None]) & (pivots * pivots > _GRAM_TOLERANCE_MIN * sums[:, :k]))
+            .all(axis=1)
+            & (intercept > floor)
+            & (sst > n * 1e-26)
+            & (sst > n * (1e-4 * y_max) ** 2)
+            & (r2 <= _GRAM_R2_MAX)
+        )
+    r2[~trusted] = np.nan
+    return r2
 
 
 def r_squared(data: Dataset) -> float:

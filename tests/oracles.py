@@ -166,8 +166,9 @@ def pvalue_fixed_point(r2: float, n: int, k: int, delta: float) -> tuple[float, 
     return float(stats.f.cdf(f_stat, v, resid)), psq
 
 
-def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed):
-    """Rejection counts and skips of ``run_scenario`` by brute force.
+def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed, start=0):
+    """Rejection counts and skips of ``run_scenario`` by brute force, over
+    replicates [start, n_sims).
 
     Every replicate draws its dataset, fits it by QR and evaluates the
     p-value at every margin; a replicate whose inference fails is skipped.
@@ -175,7 +176,7 @@ def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed):
     """
     counts = [0] * len(deltas)
     skipped = 0
-    for j in range(n_sims):
+    for j in range(start, n_sims):
         stream = RandomStream(master_seed, scenario.id, j)
         data = generate_dataset(scenario, stream)
         try:

@@ -115,6 +115,14 @@ class TestCiCommand:
         assert code == 2
         assert text == "error: n must be finite, got a number beyond the float range\n"
 
+    def test_prefactor_beyond_the_float_range_exits_3(self, capsys):
+        # at N = 1e18 the incomplete beta's prefactor overflows the float range
+        code, _, text = run_cli(
+            capsys, "ci", "--r2", "0.1", "--n", "1" + "0" * 18, "--k", "2", "--alpha", "0.05"
+        )
+        assert code == 3
+        assert text.startswith("error: the incomplete-beta prefactor is beyond the float range")
+
     def test_minimal_residual_df_is_accepted(self, capsys):
         # n = k + 2 gives one residual degree of freedom, the smallest
         # configuration the input contract admits

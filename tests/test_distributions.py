@@ -82,6 +82,13 @@ class TestRegIncBeta:
                         if n <= 10**6:
                             assert abs(value - betainc(a, b, x)) <= 1e-9, (n, k, delta, x)
 
+    def test_prefactor_beyond_the_float_range_raises_convergence_error(self):
+        # the shapes of the F CDF at N = 1e18, K = 2, r2 = 0.1
+        a, b, x = 2.6315788137926784e16, 5e17, 0.050000000133946745
+        with pytest.raises(ConvergenceError, match="prefactor is beyond the float range") as info:
+            reg_inc_beta(a, b, x)
+        assert f"a={a!r}, b={b!r}, x={x!r}" in str(info.value)
+
     @pytest.mark.parametrize(
         "a,b,x",
         [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, -0.1), (1.0, 1.0, 1.1)],
@@ -135,6 +142,10 @@ class TestFCdf:
 
     def test_approaches_one(self):
         assert f_cdf(1e8, FParams(4.0, 40.0)) > 1.0 - 1e-9
+
+    def test_one_where_d1_x_overflows(self):
+        # 2.6e8 * 1e300 is beyond the float range
+        assert f_cdf(1e300, FParams(2.6e8, 1e10)) == 1.0
 
     def test_pure_function(self):
         params = FParams(6.3, 1243.0)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from r2margin.errors import DomainError
+from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import TestInput, critical_r2, noninferiority_pvalue, upper_ci_p2
 from r2margin.montecarlo import default_delta_grid, paper_grid
 
@@ -265,6 +265,12 @@ class TestCriticalR2:
             if root >= 1e-12:
                 below = noninferiority_pvalue(TestInput(root - 1e-12, n, k), delta)
                 assert below.p_value < alpha, (n, k, delta, alpha)
+
+    def test_quantile_failure_at_n_1e10_names_the_quantile(self):
+        # the quantile's range check evaluates the CDF at x = 1e300, where
+        # d1 * x overflows; the search itself then ends off the root
+        with pytest.raises(ConvergenceError, match="quantile search ended off the root"):
+            critical_r2(10**10, 2, 0.05, 0.05)
 
     @pytest.mark.parametrize(
         "n,k,delta,alpha",

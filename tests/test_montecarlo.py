@@ -171,7 +171,7 @@ class TestRunScenario:
 
         scenario = _small_scenario()
         # Every replicate takes the QR route, where the forced failure is a skip.
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda gram, n, y_max: None)
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_max: np.full(len(grams), np.nan))
         monkeypatch.setattr(mc, "r_squared", explode)
         with pytest.raises(ExcessiveSkipsError):
             run_scenario(scenario, [0.05], 40, 0.05, 1)
@@ -195,13 +195,14 @@ class TestRunScenario:
 
 
 def _record_gram_r2(monkeypatch):
-    """Patch the kernel's ``_r2_from_gram`` to record what it returns; the
-    list it records into."""
+    """Patch the kernel's ``_r2_from_gram`` to record what it returns, one
+    float per replicate; the list it records into."""
     values = []
 
-    def recorded(gram, n, y_max):
-        values.append(_r2_from_gram(gram, n, y_max))
-        return values[-1]
+    def recorded(grams, n, y_max):
+        r2 = _r2_from_gram(grams, n, y_max)
+        values.extend(r2.tolist())
+        return r2
 
     monkeypatch.setattr(mc, "_r2_from_gram", recorded)
     return values
@@ -228,7 +229,7 @@ class TestCriticalR2Decisions:
             assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
 
     def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda gram, n, y_max: None)
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_max: np.full(len(grams), np.nan))
         fits = []
 
         def counted_r_squared(data):
@@ -294,7 +295,7 @@ class TestCriticalR2Decisions:
         deltas = default_delta_grid()
         roots = [mc._critical_r2(scenario.n, scenario.k, d, 0.05) for d in deltas]
         r2 = roots[9] + offset
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda gram, n, y_max: r2)
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_max: np.full(len(grams), r2))
         records = run_scenario(scenario, deltas, 3, 0.05, 1)
         assert _counts(records) == ([3 if root > r2 else 0 for root in roots], 0)
         assert records[9].rejections == (3 if offset < 0 else 0)
@@ -330,7 +331,7 @@ class TestCriticalR2Decisions:
         with pytest.raises(RankDeficiencyError):
             fit_ols(Dataset(y=y, x=x))
         counts, skipped, gram_r2 = self._patched_counts(monkeypatch, collinear, scenario)
-        assert gram_r2 == [None] * 5
+        assert len(gram_r2) == 5 and np.isnan(gram_r2).all()
         assert counts == [0] * 19 and skipped == 5
 
     def test_constant_outcome_rejects_at_every_margin(self, monkeypatch):
@@ -345,7 +346,7 @@ class TestCriticalR2Decisions:
         assert (y == 2.5).all()
         assert fit_ols(Dataset(y=y, x=x)).constant_outcome
         counts, skipped, gram_r2 = self._patched_counts(monkeypatch, constant, scenario)
-        assert gram_r2 == [None] * 5
+        assert len(gram_r2) == 5 and np.isnan(gram_r2).all()
         assert counts == [5] * 19 and skipped == 0
 
 
@@ -391,12 +392,36 @@ class TestReplicateKernel:
         assert len(values) == n_sims
         for j, r2 in enumerate(values):
             expected = r_squared(generate_dataset(scenario, RandomStream(5, scenario.id, j)))
-            assert r2 is not None and abs(r2 - expected) <= 1e-12
+            assert not np.isnan(r2) and abs(r2 - expected) <= 1e-12
+
+    def test_span_in_small_batches_equals_exact_evaluation(self, monkeypatch):
+        scenario = [s for s in paper_grid() if s.n == 60 and s.k == 2][0]
+        # batches of three replicates: the span [5, 22) ends in a batch of two
+        monkeypatch.setattr(mc, "_BATCH_FLOATS", 3 * scenario.n * (scenario.k + 3) + 1)
+        draws = []
+        draw_normals = mc._draw_normals
+
+        def recorded(generator, out, *key_parts):
+            draws.append(key_parts[-1])
+            draw_normals(generator, out, *key_parts)
+
+        monkeypatch.setattr(mc, "_draw_normals", recorded)
+        counts = mc._replicate_counts(scenario, 5, 22, 9, self._roots(scenario))
+        assert draws == list(range(5, 22))
+        assert counts == replicate_counts_exact(
+            scenario, default_delta_grid(), 22, 0.05, 9, start=5
+        )
+        assert 0 < sum(counts[0]) < 19 * 17
 
     @pytest.mark.parametrize(
         "n,k,deltas,n_sims",
-        [(8000, 4, [0.034, 0.038, 0.042], 60), (10**6, 2, [0.0322, 0.0325, 0.0328], 6)],
-        ids=["k4_n8000", "k2_n1e6"],
+        [
+            # three workers take spans of five, shorter than one batch
+            (60, 2, [0.1, 0.2, 0.3], 60),
+            (8000, 4, [0.034, 0.038, 0.042], 60),
+            (10**6, 2, [0.0322, 0.0325, 0.0328], 6),
+        ],
+        ids=["k2_n60", "k4_n8000", "k2_n1e6"],
     )
     def test_thread_count_does_not_change_counts(self, n, k, deltas, n_sims):
         scenario = Scenario(id=f"threads_k{k}_n{n}", n=n, k=k, beta=np.array(GRID_BETAS[k]),

@@ -17,12 +17,14 @@ from oracles import ols_normal_equations
 
 def _gram_r_squared(x, y):
     """``_r2_from_gram`` on the centered cross-products of (x, y), formed
-    column by column with no shortcut."""
+    column by column with no shortcut, as a stack of one; NaN where it
+    defers to the QR fit."""
     columns = np.column_stack([x, y])
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
         centered = columns - columns.mean(axis=0)
         gram = centered.T @ centered
-    return _r2_from_gram(gram, x.shape[0], max(float(y.max()), -float(y.min())))
+    y_max = max(float(y.max()), -float(y.min()))
+    return float(_r2_from_gram(gram[None], x.shape[0], np.array([y_max]))[0])
 
 
 def _random_dataset(rng, n=60, k=3, noise=1.0):
@@ -153,15 +155,48 @@ class TestGramRSquared:
         for noise in (0.3, 1.0, 30.0):
             data = _random_dataset(rng, n=n, k=k, noise=noise)
             r2 = _gram_r_squared(data.x, data.y)
-            assert r2 is not None
+            assert not math.isnan(r2)
             assert abs(r2 - fit_ols(data).r2) <= 1e-13
+
+    @staticmethod
+    def _stack(rng, size, n=80, k=3):
+        """Centered cross-products and max|y| of ``size`` random datasets."""
+        grams, y_max = [], []
+        for _ in range(size):
+            data = _random_dataset(rng, n=n, k=k)
+            centered = np.column_stack([data.x, data.y])
+            centered = centered - centered.mean(axis=0)
+            grams.append(centered.T @ centered)
+            y_max.append(float(np.abs(data.y).max()))
+        return np.array(grams), np.array(y_max)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_stack_equals_each_gram_alone(self, k):
+        rng = np.random.default_rng(20 + k)
+        grams, y_max = self._stack(rng, 37, k=k)
+        stacked = _r2_from_gram(grams, 80, y_max)
+        alone = [_r2_from_gram(grams[i : i + 1], 80, y_max[i : i + 1])[0] for i in range(37)]
+        assert not np.isnan(stacked).any()
+        assert stacked.tolist() == alone
+
+    def test_failed_grams_give_nan_and_leave_the_rest(self):
+        rng = np.random.default_rng(31)
+        grams, y_max = self._stack(rng, 6)
+        expected = _r2_from_gram(grams, 80, y_max)
+        broken = grams.copy()
+        broken[1, 2, 2] = -1.0  # not positive definite: Cholesky fails
+        broken[4, 0, 3] = broken[4, 3, 0] = np.nan
+        r2 = _r2_from_gram(broken, 80, y_max)
+        assert np.isnan(r2[[1, 4]]).all()
+        keep = [0, 2, 3, 5]
+        assert r2[keep].tolist() == expected[keep].tolist()
 
     def test_collinear_covariates_defer_to_qr(self):
         rng = np.random.default_rng(8)
         data = _random_dataset(rng, n=50, k=3)
         x = data.x.copy()
         x[:, 2] = x[:, 0] - 0.5 * x[:, 1]
-        assert _gram_r_squared(x, data.y) is None
+        assert math.isnan(_gram_r_squared(x, data.y))
         with pytest.raises(RankDeficiencyError):
             fit_ols(Dataset(y=data.y, x=x))
 
@@ -169,28 +204,28 @@ class TestGramRSquared:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(200, 2))
         x[:, 1] = x[:, 0] + 1e-3 * x[:, 1]
-        assert _gram_r_squared(x, x[:, 0] + rng.normal(size=200)) is None
+        assert math.isnan(_gram_r_squared(x, x[:, 0] + rng.normal(size=200)))
 
     @pytest.mark.parametrize("level", [0.0, 2.5, 1e12])
     def test_constant_outcome_defers_to_qr(self, level):
         x = np.random.default_rng(10).normal(size=(40, 2))
-        assert _gram_r_squared(x, np.full(40, level)) is None
+        assert math.isnan(_gram_r_squared(x, np.full(40, level)))
 
     def test_outcome_offset_far_beyond_its_spread_defers_to_qr(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(100, 2))
-        assert _gram_r_squared(x, 1e8 + x[:, 0] + rng.normal(size=100)) is None
+        assert math.isnan(_gram_r_squared(x, 1e8 + x[:, 0] + rng.normal(size=100)))
 
     def test_near_perfect_fit_defers_to_qr(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(100, 2))
-        assert _gram_r_squared(x, 1.0 + x @ [0.5, -2.0] + 1e-6 * rng.normal(size=100)) is None
+        assert math.isnan(_gram_r_squared(x, 1.0 + x @ [0.5, -2.0] + 1e-6 * rng.normal(size=100)))
 
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
     def test_overflowing_outcome_defers_to_qr(self, scale):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(40, 2))
-        assert _gram_r_squared(x, scale * (x[:, 0] + rng.normal(size=40))) is None
+        assert math.isnan(_gram_r_squared(x, scale * (x[:, 0] + rng.normal(size=40))))
 
     def test_non_finite_input_defers_to_qr(self):
         rng = np.random.default_rng(13)
@@ -202,5 +237,5 @@ class TestGramRSquared:
             broken_y = y.copy()
             broken_y[7] = bad
             with np.errstate(invalid="ignore"):
-                assert _gram_r_squared(broken, y) is None
-                assert _gram_r_squared(x, broken_y) is None
+                assert math.isnan(_gram_r_squared(broken, y))
+                assert math.isnan(_gram_r_squared(x, broken_y))
