@@ -9,7 +9,8 @@ Library layout:
   share P2, a closed-form lower tail of a scaled central F approximation;
   the test's critical R2 in closed form, from one F quantile; and the
   one-sided upper confidence bound that solves p = alpha/2 for it by a
-  Brent root search on the log-odds scale.
+  Brent root search on the log-odds scale, started next to the root of
+  Paulson's closed-form approximation to p.
 - ``regression``: intercept-included ordinary least squares and R2.
 - ``montecarlo``: the rejection-rate simulation harness and the built-in
   30-scenario study grid.

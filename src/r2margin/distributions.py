@@ -192,7 +192,14 @@ def _logit(p: float) -> float:
 
 
 def _root(
-    excess, lo: float, hi: float, width: float, excess_lo: float, excess_hi: float
+    excess,
+    lo: float,
+    hi: float,
+    width: float,
+    excess_lo: float,
+    excess_hi: float,
+    *,
+    ends_evaluated: bool = False,
 ) -> tuple[float, int]:
     """Brent's bracketing search for the root of an increasing ``excess``.
 
@@ -200,8 +207,10 @@ def _root(
     right sign) at ``lo`` and ``hi``, which are never evaluated.  Each step
     evaluates one point strictly inside the sign-change bracket, chosen by
     inverse quadratic or linear interpolation when that shrinks the bracket
-    fast enough and by bisection otherwise (Brent 1973, ch. 4); the first
-    step bisects, since the end values may be stand-ins.  A point with
+    fast enough and by bisection otherwise (Brent 1973, ch. 4).  The first
+    step bisects, since a stand-in says nothing about where the root is,
+    unless ``ends_evaluated`` says both end values are ``excess`` itself;
+    then it interpolates between them.  A point with
     ``excess`` > 0 closes the bracket from above and one with ``excess`` < 0
     from below.  The search stops once the bracket is no wider than
     ``width`` or a step no longer lands strictly inside it, and returns the
@@ -212,7 +221,7 @@ def _root(
     # previous b; d is the step just taken and e the one before it.
     a, fa, b, fb = lo, excess_lo, hi, excess_hi
     c, fc = a, fa
-    d = e = 0.0
+    d = e = hi - lo if ends_evaluated else 0.0
     calls = 0
     while True:
         if abs(fc) < abs(fb):

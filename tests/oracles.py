@@ -6,10 +6,11 @@ beta; the least-squares oracle solves the normal equations with a hand-rolled
 Gauss-Jordan inversion instead of a QR factorization; the p-value oracle runs
 the original fixed-point construction with an external CDF instead of the
 closed form; the confidence-bound oracle root-solves the defining tail
-equation with an external CDF over its own bracket; the critical-R2 oracle
-takes its F quantile from scipy; the Monte Carlo oracle
-evaluates every replicate's p-values instead of comparing R2 with cached
-critical values.
+equation with an external CDF over its own bracket, and the full-bracket
+oracle runs the bound's own root search without its approximate starting
+point; the critical-R2 oracle takes its F quantile from scipy; the Monte
+Carlo oracle evaluates every replicate's p-values instead of comparing R2
+with cached critical values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 import numpy as np
 from scipy import integrate, stats
 
-from r2margin.distributions import RandomStream
+from r2margin import inference
+from r2margin.distributions import RandomStream, _logit, _root
 from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
 from r2margin.inference import TestInput, noninferiority_pvalue
 from r2margin.montecarlo import generate_dataset
@@ -129,6 +131,27 @@ def ci_upper_bisection(r2: float, n: int, k: int, alpha: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def upper_raw_full_bracket(input: TestInput, prob: float) -> float:
+    """Raw confidence bound by Brent's search over the whole bracket.
+
+    Solves logit(prob) = logit(p(z)) over [-k/(n-k-1), 1 - 1e-12] with the
+    package's own p(z) and root search, starting from stand-ins at both
+    ends, as the bound did before its search started from an approximate
+    root.  p(z) is looked up on the ``inference`` module at each call, so a
+    test that wraps it sees this search's evaluations too.
+    """
+    target = _logit(prob)
+    root, _ = _root(
+        lambda z: target - _logit(inference._tail_at(input, z)[0]),
+        -input.k / input.residual_df,
+        inference._PSQ_CEILING,
+        inference._BOUND_WIDTH,
+        target - _logit(1.0),
+        target - _logit(0.0),
+    )
+    return root
 
 
 def critical_r2_scipy(n: int, k: int, delta: float, alpha: float) -> float:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
@@ -252,20 +252,41 @@ def root_problems(draw):
 
 class TestRoot:
     @settings(max_examples=500, deadline=None)
-    @given(problem=root_problems())
-    def test_lands_within_half_a_width_without_touching_the_ends(self, problem):
+    @given(problem=root_problems(), ends_evaluated=st.booleans())
+    def test_lands_within_half_a_width_without_touching_the_ends(self, problem, ends_evaluated):
         fn, lo, hi, root, width, excess_lo, excess_hi = problem
+        if ends_evaluated:
+            # the ends' values must then be the function's own
+            assume(fn(lo) < 0.0)
+            excess_lo = fn(lo)
         seen = []
 
         def excess(x):
             seen.append(x)
             return fn(x)
 
-        found, calls = _root(excess, lo, hi, width, excess_lo, excess_hi)
+        found, calls = _root(
+            excess, lo, hi, width, excess_lo, excess_hi, ends_evaluated=ends_evaluated
+        )
         assert calls == len(seen)
         assert all(lo < x < hi for x in seen)
         slack = math.ulp(max(abs(lo), abs(hi)))
         assert abs(found - root) <= 0.5 * width + slack, (found, root)
+
+    def test_evaluated_ends_start_by_interpolation(self):
+        # A straight line is solved by the first secant step, where a
+        # bisection would land at 0.5.
+        seen = []
+
+        def line(x):
+            seen.append(x)
+            return x - 0.1
+
+        _root(line, 0.0, 1.0, 1e-12, -0.1, 0.9, ends_evaluated=True)
+        assert seen[0] == pytest.approx(0.1, abs=1e-15)
+        seen.clear()
+        _root(line, 0.0, 1.0, 1e-12, -0.1, 0.9)
+        assert seen[0] == 0.5
 
 
 class TestRandomStream:

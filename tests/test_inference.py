@@ -4,20 +4,32 @@ The two canonical cases are pinned as golden values to 1e-6.  Randomized
 grids check the structural identities the construction must satisfy: the
 closed-form p-value equals the original fixed-point construction, the
 p-value at the bound recovers the bound's own tail probability (duality),
-and both quantities are monotone in their arguments.  The critical R2 is
-checked against scipy's F quantile and against the p-value's own crossing.
+the bound's search from an approximate root ends where the search over the
+whole bracket does, and both quantities are monotone in their arguments.
+The critical R2 is checked against scipy's F quantile and against the
+p-value's own crossing.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from r2margin import inference
+from r2margin.distributions import _logit
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import TestInput, critical_r2, noninferiority_pvalue, upper_ci_p2
 from r2margin.montecarlo import default_delta_grid, paper_grid
 
-from oracles import ci_upper_bisection, critical_r2_scipy, pvalue_fixed_point
+from oracles import (
+    ci_upper_bisection,
+    critical_r2_scipy,
+    pvalue_fixed_point,
+    upper_raw_full_bracket,
+)
 
 GOLDEN_CI = 0.1069415
 GOLDEN_P = 0.02710537
@@ -26,6 +38,64 @@ GOLDEN_P = 0.02710537
 def margin_f_stat(r2, n, k, delta):
     resid = n - k - 1
     return (resid * r2 * (delta - 1.0)) / ((r2 - 1.0) * (delta * resid + k))
+
+
+def assert_matches_full_bracket(r2, n, k, alpha, halve_alpha):
+    """The seeded bound against the full-bracket search, to 1e-11.
+
+    Both searches end on a sign change of logit(prob) - logit(p(z)), so
+    they can end further apart only where the package's p(z) is not
+    monotone (its F CDF loses digits at large N).  Such a gap must then be
+    witnessed by two evaluated points between the two roots, z1 < z2, with
+    p(z1) < prob < p(z2).
+    """
+    observed = TestInput(r2=r2, n=n, k=k)
+    prob = 0.5 * alpha if halve_alpha else alpha
+    seen = []
+    tail_at = inference._tail_at
+
+    def recording(input, z):
+        result = tail_at(input, z)
+        seen.append((z, result[0]))
+        return result
+
+    with mock.patch.object(inference, "_tail_at", recording):
+        bound = upper_ci_p2(observed, alpha, halve_alpha=halve_alpha)
+        want = upper_raw_full_bracket(observed, prob)
+    assert bound.iterations <= 64
+    if abs(bound.upper_raw - want) <= 1e-11:
+        return
+    low = min(bound.upper_raw, want) - 1e-12
+    high = max(bound.upper_raw, want) + 1e-12
+    target = _logit(prob)
+    below_seen = False
+    for z, p in sorted(point for point in seen if low <= point[0] <= high):
+        if below_seen and _logit(p) > target:
+            return
+        below_seen = below_seen or _logit(p) < target
+    raise AssertionError(f"bound {bound.upper_raw!r} != full bracket {want!r}, p monotone")
+
+
+@st.composite
+def bound_inputs(draw):
+    """(r2, n, k, alpha, halve_alpha) over the bound's whole domain up to
+    N = 1e9: N log-uniform from K + 2, r2 at its edges or log-uniform on
+    [1e-9, 0.999], alpha log-uniform on [1e-300, 0.999] or uniform."""
+    k = draw(st.integers(1, 10))
+    n = max(k + 2, int(10.0 ** draw(st.floats(math.log10(k + 2), 9.0))))
+    r2 = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1e-300, 1.0 - 1e-12]),
+            st.floats(-9.0, math.log10(0.999)).map(lambda e: 10.0**e),
+        )
+    )
+    alpha = draw(
+        st.one_of(
+            st.floats(-300.0, math.log10(0.999)).map(lambda e: 10.0**e),
+            st.floats(1e-4, 0.999),
+        )
+    )
+    return r2, n, k, alpha, draw(st.booleans())
 
 
 class TestTestInput:
@@ -138,7 +208,56 @@ class TestUpperCiP2:
             low, high = (-7.0, -3.0) if rng.random() < 0.2 else (-3.0, top)
             observed = TestInput(r2=10.0 ** rng.uniform(low, high), n=n, k=k)
             steps.append(upper_ci_p2(observed, 0.05).iterations)
-        assert np.mean(steps) <= 20
+        assert np.mean(steps) <= 5
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=bound_inputs())
+    def test_seeded_search_matches_full_bracket(self, case):
+        assert_matches_full_bracket(*case)
+
+    @pytest.mark.parametrize("halve_alpha", [True, False])
+    @pytest.mark.parametrize(
+        "r2,n,k,alpha",
+        [
+            (0.1, 10**9, 2, 0.05),
+            (1e-300, 100, 2, 0.05),
+            (0.5, 100, 2, 1e-300),
+            (1.0 - 1e-12, 10**6, 3, 0.05),
+            (0.3, 4, 2, 0.999),
+            (0.99, 10, 8, 0.05),
+            (1e-9, 10**7, 10, 0.05),
+        ],
+    )
+    def test_seeded_search_matches_full_bracket_at_edges(self, r2, n, k, alpha, halve_alpha):
+        assert_matches_full_bracket(r2, n, k, alpha, halve_alpha)
+
+    @pytest.mark.parametrize("r2,n,k", [(0.085, 1250, 6), (0.3, 4, 2), (1.0 - 1e-12, 10**6, 3)])
+    @pytest.mark.parametrize(
+        "guess,slope",
+        [(end, math.nan) for end in ("nan", "below", "above", "lower-end", "upper-end")]
+        + [("root", slope) for slope in (math.nan, -1.0, 0.0, 1e-300, 1.0, 1e300)],
+    )
+    def test_any_guess_falls_back_to_the_same_bound(self, monkeypatch, r2, n, k, guess, slope):
+        observed = TestInput(r2=r2, n=n, k=k)
+        want = upper_raw_full_bracket(observed, 0.025)
+        guesses = {
+            "nan": lambda lo, hi: math.nan,
+            "below": lambda lo, hi: lo - 1.0,
+            "above": lambda lo, hi: 2.0,
+            "lower-end": lambda lo, hi: lo,
+            "upper-end": lambda lo, hi: hi,
+            "root": lambda lo, hi: want,
+        }
+        monkeypatch.setattr(
+            inference, "_approx_root", lambda input, target, lo, hi: (guesses[guess](lo, hi), slope)
+        )
+        bound = upper_ci_p2(observed, 0.05)
+        assert bound.iterations <= 64
+        if guess == "root":
+            assert abs(bound.upper_raw - want) <= 1e-11
+        else:
+            # a guess not strictly inside the bracket leaves the full search
+            assert bound.upper_raw == want
 
 
 class TestNonInferiorityPvalue:
