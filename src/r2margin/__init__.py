@@ -3,8 +3,8 @@
 Library layout:
 
 - ``distributions``: F distribution CDF/quantile at fractional degrees of
-  freedom, built on a continued-fraction incomplete beta; keyed random
-  streams for reproducible simulation.
+  freedom, ``f_cdf(x, d1, d2)`` and ``f_quantile(prob, d1, d2)``, built on a
+  continued-fraction incomplete beta.
 - ``inference``: the non-inferiority p-value for the population variance
   share P2, a closed-form lower tail of a scaled central F approximation;
   the test's critical R2 in closed form, from one F quantile; and the
@@ -12,18 +12,13 @@ Library layout:
   Brent root search on the log-odds scale, started next to the root of
   Paulson's closed-form approximation to p.
 - ``regression``: intercept-included ordinary least squares and R2.
-- ``montecarlo``: the rejection-rate simulation harness and the built-in
-  30-scenario study grid.
+- ``montecarlo``: the rejection-rate simulation harness, whose replicates
+  draw from hash-keyed Philox streams, and the built-in 30-scenario study
+  grid.
 - ``cli``: the ``r2margin`` command-line tool.
 """
 
-from .distributions import (
-    FParams,
-    RandomStream,
-    f_cdf,
-    f_quantile,
-    reg_inc_beta,
-)
+from .distributions import f_cdf, f_quantile, reg_inc_beta
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -44,10 +39,8 @@ from .inference import (
 from .montecarlo import (
     RejectionRecord,
     Scenario,
-    cholesky_factor,
     default_delta_grid,
     exchangeable_covariance,
-    generate_dataset,
     paper_grid,
     run_scenario,
     true_p2,
@@ -63,24 +56,20 @@ __all__ = [
     "DimensionMismatchError",
     "DomainError",
     "ExcessiveSkipsError",
-    "FParams",
     "NonInfResult",
     "NotPositiveDefiniteError",
     "OlsFit",
     "R2MarginError",
-    "RandomStream",
     "RankDeficiencyError",
     "RejectionRecord",
     "Scenario",
     "TestInput",
-    "cholesky_factor",
     "critical_r2",
     "default_delta_grid",
     "exchangeable_covariance",
     "f_cdf",
     "f_quantile",
     "fit_ols",
-    "generate_dataset",
     "noninferiority_pvalue",
     "paper_grid",
     "r_squared",

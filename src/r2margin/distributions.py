@@ -1,4 +1,5 @@
-"""Central F distribution built from first principles, plus keyed normal streams.
+"""Central F distribution built from first principles, plus the keys of the
+simulation's normal streams.
 
 The inference layer evaluates the F CDF at real-valued (fractional)
 degrees of freedom, once per p-value and once per step of the confidence
@@ -14,26 +15,22 @@ inverts the CDF by a root search over log x on the log-odds scale.
 package, and ``_logit`` its log-odds scale: the confidence bound in
 ``inference`` runs on both as well.
 
-``RandomStream`` supplies standard normal variates from a counter-based
-generator (Philox) keyed by hashing arbitrary labels, so independent,
-reproducible substreams can be derived from tuples such as
-(master_seed, scenario_id, replicate) without any sequential seeding
-discipline.
+``_fresh_philox_state`` keys a counter-based generator (Philox) by hashing
+arbitrary labels, so independent, reproducible streams of normals can be
+derived from tuples such as (master_seed, scenario_id, replicate) without
+any sequential seeding discipline.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_open_unit
 
 __all__ = [
-    "FParams",
-    "RandomStream",
     "f_cdf",
     "f_quantile",
     "reg_inc_beta",
@@ -53,23 +50,6 @@ _LENTZ_TINY = 1e-300
 _QUANTILE_LO = 1e-300
 _QUANTILE_HI = 1e300
 _QUANTILE_CDF_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FParams:
-    """Degrees of freedom of a central F distribution.
-
-    Both entries are real-valued and strictly positive.  Fractional values
-    are routine here: the numerator degrees of freedom come out of a
-    data-dependent approximation, not a count of anything.
-    """
-
-    d1: float
-    d2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "d1", _check_finite("d1", self.d1, True))
-        object.__setattr__(self, "d2", _check_finite("d2", self.d2, True))
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
@@ -160,20 +140,26 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cont_fraction(b, a, 1.0 - x) / b
 
 
-def f_cdf(x: float, params: FParams) -> float:
-    """CDF of the central F distribution at ``x``.
+def f_cdf(x: float, d1: float, d2: float) -> float:
+    """CDF at ``x`` of the central F distribution with ``d1`` and ``d2``
+    degrees of freedom.
 
-    Zero for x <= 0; elsewhere computed through the incomplete beta via the
-    substitution t = d1*x / (d1*x + d2), and one where d1*x overflows.
+    Both degrees of freedom are real and > 0; fractional values are routine
+    here, since the test's numerator degrees of freedom come out of a
+    data-dependent approximation.  Zero for x <= 0; elsewhere computed
+    through the incomplete beta via the substitution t = d1*x / (d1*x + d2),
+    and one where d1*x overflows.
     """
     x = _check_finite("x", x)
+    d1 = _check_finite("d1", d1, True)
+    d2 = _check_finite("d2", d2, True)
     if x <= 0.0:
         return 0.0
-    scaled = params.d1 * x
+    scaled = d1 * x
     if math.isinf(scaled):
         return 1.0
-    t = scaled / (scaled + params.d2)
-    return reg_inc_beta(0.5 * params.d1, 0.5 * params.d2, t)
+    t = scaled / (scaled + d2)
+    return reg_inc_beta(0.5 * d1, 0.5 * d2, t)
 
 
 def _logit(p: float) -> float:
@@ -263,8 +249,8 @@ def _root(
     return 0.5 * (b + c), calls
 
 
-def f_quantile(prob: float, params: FParams) -> float:
-    """Lower-tail quantile: the x at which ``f_cdf(x, params) == prob``.
+def f_quantile(prob: float, d1: float, d2: float) -> float:
+    """Lower-tail quantile: the x at which ``f_cdf(x, d1, d2) == prob``.
 
     Solves logit(f_cdf(e^u)) = logit(prob) for u = log x by ``_root`` over
     the fixed bracket [1e-300, 1e300], down to the float resolution of log
@@ -273,14 +259,16 @@ def f_quantile(prob: float, params: FParams) -> float:
     the CDF can be too coarse in floats to be inverted).
     """
     prob = _check_open_unit("prob", prob)
-    context = f"(prob={prob!r}, d1={params.d1!r}, d2={params.d2!r})"
-    cdf_lo, cdf_hi = f_cdf(_QUANTILE_LO, params), f_cdf(_QUANTILE_HI, params)
+    d1 = _check_finite("d1", d1, True)
+    d2 = _check_finite("d2", d2, True)
+    context = f"(prob={prob!r}, d1={d1!r}, d2={d2!r})"
+    cdf_lo, cdf_hi = f_cdf(_QUANTILE_LO, d1, d2), f_cdf(_QUANTILE_HI, d1, d2)
     if not cdf_lo < prob < cdf_hi:
         raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")
 
     target = _logit(prob)
     log_x, _ = _root(
-        lambda u: _logit(f_cdf(math.exp(u), params)) - target,
+        lambda u: _logit(f_cdf(math.exp(u), d1, d2)) - target,
         math.log(_QUANTILE_LO),
         math.log(_QUANTILE_HI),
         math.ulp(1.0),
@@ -288,7 +276,7 @@ def f_quantile(prob: float, params: FParams) -> float:
         _logit(cdf_hi) - target,
     )
     x = math.exp(log_x)
-    if abs(f_cdf(x, params) - prob) > _QUANTILE_CDF_TOL:
+    if abs(f_cdf(x, d1, d2) - prob) > _QUANTILE_CDF_TOL:
         raise ConvergenceError(f"quantile search ended off the root {context}")
     return x
 
@@ -302,12 +290,14 @@ def _philox_key(key_parts) -> np.ndarray:
 
 
 def _fresh_philox_state(*key_parts: object) -> dict:
-    """The state of a newly built Philox keyed as ``RandomStream(*key_parts)``.
+    """The state of a newly built Philox keyed by ``_philox_key(key_parts)``.
 
-    Assigning it to a Philox's ``state`` re-keys that generator, so it then
-    replays the stream from its start.  That costs about a third of building
-    a new Philox, which first seeds itself from OS entropy and only then
-    takes its key.
+    Streams keyed by the same parts replay the same sequence; streams keyed
+    by different parts are statistically independent.  Assigning the state
+    to a Philox's ``state`` re-keys that generator, so it then replays the
+    stream from its start.  That costs about a third of building a new
+    Philox, which first seeds itself from OS entropy and only then takes its
+    key.
     """
     return {
         "bit_generator": "Philox",
@@ -317,32 +307,3 @@ def _fresh_philox_state(*key_parts: object) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-class RandomStream:
-    """Single-owner stream of standard normal variates.
-
-    A stream is identified by an arbitrary tuple of key parts (integers,
-    strings, ...).  The parts are hashed into a 128-bit Philox key, so
-    streams built from the same parts replay the same sequence while streams
-    with different parts are statistically independent.  No sequential
-    seeding protocol is needed, which lets simulation replicates be keyed as
-    (master_seed, scenario_id, replicate) and evaluated in any order.
-
-    A stream must not be shared between concurrent workers; derive one
-    stream per unit of work instead.
-    """
-
-    def __init__(self, *key_parts: object):
-        if not key_parts:
-            raise DomainError("RandomStream requires at least one key part")
-        self.key_parts = key_parts
-        self._generator = np.random.Generator(np.random.Philox(key=_philox_key(key_parts)))
-
-    def standard_normal(self, size=None):
-        """Draw N(0, 1) variates; a plain float when ``size`` is None."""
-        draw = self._generator.standard_normal(size)
-        return float(draw) if size is None else draw
-
-    def __repr__(self) -> str:
-        return f"RandomStream{self.key_parts!r}"

@@ -7,7 +7,7 @@ failures exit 3, and an excessive Monte Carlo skip fraction exits 4.
 
 The ``_check_*`` helpers hold the package's input domain in one place:
 integer counts (never bools), the sample sizes N >= K + 2 with K >= 1,
-finite reals, and levels and margins strictly inside (0, 1).
+finite reals, numeric arrays, and levels and margins strictly inside (0, 1).
 """
 
 from __future__ import annotations
@@ -99,6 +99,15 @@ def _check_finite(name: str, value, positive: bool = False) -> float:
     if positive and value <= 0.0:
         raise DomainError(f"{name} must be > 0, got {value!r}")
     return value
+
+
+def _check_float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or DomainError when an entry is no number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        # ragged nesting lands here too; the value itself can be any size
+        raise DomainError(f"{name} must be an array of numbers") from None
 
 
 def _check_open_unit(name: str, value) -> float:

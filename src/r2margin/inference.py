@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import FParams, _logit, _root, f_cdf, f_quantile
+from .distributions import _logit, _root, f_cdf, f_quantile
 from .errors import DomainError, _check_finite, _check_open_unit, _check_sizes
 
 __all__ = [
@@ -151,7 +151,7 @@ def _tail_at(input: TestInput, z: float) -> tuple[float, float, float]:
     resid_df = input.residual_df
     f_stat = (resid_df * input.r2 * (1.0 - z)) / ((1.0 - input.r2) * (z * resid_df + input.k))
     v = _v_from_psq(z, input.n, input.k)
-    return f_cdf(f_stat, FParams(v, resid_df)), f_stat, v
+    return f_cdf(f_stat, v, resid_df), f_stat, v
 
 
 def _approx_root(input: TestInput, target: float, lo: float, hi: float) -> tuple[float, float]:
@@ -304,6 +304,6 @@ def critical_r2(n: int, k: int, delta: float, alpha: float) -> float:
     delta = _check_open_unit("delta", delta)
     alpha = _check_open_unit("alpha", alpha)
     resid_df = n - k - 1
-    f_alpha = f_quantile(alpha, FParams(_v_from_psq(delta, n, k), resid_df))
+    f_alpha = f_quantile(alpha, _v_from_psq(delta, n, k), resid_df)
     c = f_alpha * (delta * resid_df + k) / (resid_df * (1.0 - delta))
     return c / (1.0 + c)

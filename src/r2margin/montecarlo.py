@@ -23,16 +23,16 @@ is formed.  Replicates are decided in batches: each draws its normals into
 its own row of one buffer, and one set of stacked numpy calls forms, maps
 and factors the cross-products of the whole batch.  Only where those
 cross-products cannot be trusted (``regression._r2_from_gram`` returns NaN)
-does a replicate form x and y, exactly as ``generate_dataset`` does, and
+does a replicate form x = z L' and y = beta0 + x beta + e (``_design``) and
 take R2 from the QR fit.  A replicate is skipped only when that fit fails.
 Counts are those of the rejection region; they can differ from
 per-replicate p-values only for an R2 within about 1e-12 of a critical
 value, where either answer is a rounding artifact.
 
-Replicate ``j`` of scenario ``s`` draws the normals of a ``RandomStream``
-keyed by (master_seed, s.id, j), so results are independent of evaluation
-order and worker count; rejection counts reduce by plain integer addition,
-which keeps parallel runs bit-identical to serial ones.  Each unit of work
+Replicate ``j`` of scenario ``s`` draws its normals from a Philox generator
+keyed by a hash of (master_seed, s.id, j), so results are independent of
+evaluation order and worker count; rejection counts reduce by plain integer
+addition, which keeps parallel runs bit-identical to serial ones.  Each unit of work
 owns its buffers and one generator, which it re-keys for every replicate.
 
 The environment variable ``R2MARGIN_THREADS`` sets the default worker count
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import RandomStream, _fresh_philox_state
+from .distributions import _fresh_philox_state
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -58,6 +58,7 @@ from .errors import (
     NotPositiveDefiniteError,
     RankDeficiencyError,
     _check_finite,
+    _check_float_array,
     _check_int,
     _check_open_unit,
     _check_sizes,
@@ -72,10 +73,8 @@ __all__ = [
     "GRID_VARIANCES",
     "RejectionRecord",
     "Scenario",
-    "cholesky_factor",
     "default_delta_grid",
     "exchangeable_covariance",
-    "generate_dataset",
     "paper_grid",
     "run_scenario",
     "true_p2",
@@ -103,9 +102,10 @@ GRID_OFFDIAG = 0.05
 class Scenario:
     """One data-generating configuration of a simulation grid.
 
-    ``lower`` is the Cholesky factor of ``sigma_matrix``, computed when the
-    scenario is built, so a covariance that is not positive definite fails
-    before any replicate is drawn.
+    ``lower`` is the Cholesky factor of ``sigma_matrix``, computed by LAPACK
+    when the scenario is built, so a covariance that is not finite,
+    symmetric to 1e-12 and positive definite with every pivot L[j, j]^2
+    above 1e-12 fails before any replicate is drawn.
     """
 
     id: str
@@ -128,23 +128,38 @@ class Scenario:
                 f"scenario {self.id!r}: an n={n} by k+3={k + 3} float64 "
                 "draw buffer is beyond the addressable memory"
             )
-        beta = np.asarray(self.beta, dtype=float)
+        beta = _check_float_array("beta", self.beta)
         if beta.shape != (k,):
             raise DimensionMismatchError(f"beta must have length k={k}, got shape {beta.shape}")
-        sigma = np.asarray(self.sigma_matrix, dtype=float)
+        sigma = _check_float_array("sigma_matrix", self.sigma_matrix)
         if sigma.shape != (k, k):
             raise DimensionMismatchError(
                 f"sigma_matrix must be {k}x{k}, got shape {sigma.shape}"
             )
         if not np.isfinite(beta).all():
             raise DomainError("beta must be finite")
+        if not np.isfinite(sigma).all():
+            raise DomainError("sigma_matrix contains non-finite entries")
+        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
+            raise DomainError("sigma_matrix must be symmetric")
+        try:
+            lower = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError("sigma_matrix is not positive definite") from None
+        small = np.flatnonzero(np.diag(lower) ** 2 <= _CHOLESKY_PIVOT_TOL)
+        if small.size:
+            j = small[0]
+            raise NotPositiveDefiniteError(
+                f"Cholesky pivot {float(lower[j, j] ** 2)!r} at row {j}; "
+                "sigma_matrix is not positive definite"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma_matrix", sigma)
         object.__setattr__(self, "sigma2", _check_finite("sigma2", self.sigma2, True))
         object.__setattr__(self, "beta0", _check_finite("beta0", self.beta0))
-        object.__setattr__(self, "lower", cholesky_factor(sigma))
+        object.__setattr__(self, "lower", lower)
 
 
 @dataclass(frozen=True)
@@ -178,8 +193,8 @@ def true_p2(beta, sigma_matrix, sigma2: float) -> float:
     For y = b0 + X beta + eps with Var(X row) = Sigma and Var(eps) = sigma2,
     the explained share is beta' Sigma beta / (beta' Sigma beta + sigma2).
     """
-    beta = np.asarray(beta, dtype=float)
-    sigma = np.asarray(sigma_matrix, dtype=float)
+    beta = _check_float_array("beta", beta)
+    sigma = _check_float_array("sigma_matrix", sigma_matrix)
     if beta.ndim != 1:
         raise DimensionMismatchError(f"beta must be one-dimensional, got shape {beta.shape}")
     if sigma.shape != (beta.size, beta.size):
@@ -198,46 +213,11 @@ def true_p2(beta, sigma_matrix, sigma2: float) -> float:
     return signal / (signal + sigma2)
 
 
-def cholesky_factor(sigma_matrix) -> np.ndarray:
-    """Lower-triangular L with L L' equal to the given covariance matrix."""
-    sigma = np.asarray(sigma_matrix, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatchError(f"covariance must be square, got shape {sigma.shape}")
-    if not np.isfinite(sigma).all():
-        raise DomainError("covariance contains non-finite entries")
-    if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
-        raise DomainError("covariance must be symmetric")
-    k = sigma.shape[0]
-    lower = np.zeros_like(sigma)
-    for j in range(k):
-        pivot = sigma[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= _CHOLESKY_PIVOT_TOL:
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {float(pivot)!r} at row {j}; matrix is not positive definite"
-            )
-        lower[j, j] = math.sqrt(pivot)
-        for i in range(j + 1, k):
-            lower[i, j] = (sigma[i, j] - lower[i, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
 def _design(scenario: Scenario, z: np.ndarray, noise: np.ndarray):
     """(x, y) of one dataset from its (N, K) covariate normals ``z`` and its
     noise, already scaled to standard deviation sqrt(sigma2)."""
     x = z @ scenario.lower.T
     return x, scenario.beta0 + x @ scenario.beta + noise
-
-
-def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
-    """Draw one dataset: MVN covariate rows, then the linear-model outcome.
-
-    Covariate rows are L z with z standard normal and L the Cholesky factor
-    of the scenario covariance; the noise is drawn independently of X.
-    """
-    z = stream.standard_normal((scenario.n, scenario.k))
-    noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
-    x, y = _design(scenario, z, noise)
-    return Dataset(y=y, x=x)
 
 
 # The closed-form critical value, cached per (n, k, delta, alpha).  A
@@ -246,8 +226,8 @@ _critical_r2 = functools.lru_cache(maxsize=4096)(critical_r2)
 
 
 def _draw_normals(generator: np.random.Generator, out: np.ndarray, *key_parts) -> None:
-    """Fill ``out`` with the first ``out.size`` normals of
-    ``RandomStream(*key_parts)``, re-keying ``generator`` in place."""
+    """Fill ``out`` with the first ``out.size`` normals of the stream keyed by
+    ``key_parts``, re-keying ``generator`` in place."""
     generator.bit_generator.state = _fresh_philox_state(*key_parts)
     generator.standard_normal(out=out)
 
@@ -258,10 +238,10 @@ def _replicate_counts(scenario, start, stop, master_seed, roots):
     ``roots`` holds each margin's critical R2.  A replicate rejects at every
     margin whose root exceeds its R2, and is skipped if its QR fit fails.
 
-    Each replicate's normals are those of ``generate_dataset``: z, shaped
-    (N, K), then the N noise normals.  R2 is invariant under invertible
-    linear maps of the covariates, so it is read from the centered
-    cross-products of [z noise], mapped to those of [x y] by M:
+    Each replicate's normals come in one draw: z, shaped (N, K), then the N
+    noise normals.  R2 is invariant under invertible linear maps of the
+    covariates, so it is read from the centered cross-products of
+    [z noise], mapped to those of [x y] by M:
     [x_c y_c] = [z_c noise_c] M with M = [[L', L' beta], [0, 1]], as
     x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).
 
@@ -433,7 +413,7 @@ def exchangeable_covariance(k: int, offdiag: float = GRID_OFFDIAG) -> np.ndarray
     Positive definite exactly when -1/(k-1) < offdiag < 1.
     """
     k = _check_int("k", k, 1)
-    offdiag = float(offdiag)
+    offdiag = _check_finite("offdiag", offdiag)
     if k > 1 and not -1.0 / (k - 1) < offdiag < 1.0:
         raise DomainError(
             f"offdiag must lie in (-1/(k-1), 1) for positive definiteness, got {offdiag!r}"

@@ -10,7 +10,9 @@ equation with an external CDF over its own bracket, and the full-bracket
 oracle runs the bound's own root search without its approximate starting
 point; the critical-R2 oracle takes its F quantile from scipy; the Monte
 Carlo oracle evaluates every replicate's p-values instead of comparing R2
-with cached critical values.
+with cached critical values; and the dataset oracle draws each replicate
+from its own freshly built generator and forms x and y, where the replicate
+kernel re-keys one generator and reads R2 from cross-products.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import numpy as np
 from scipy import integrate, stats
 
 from r2margin import inference
-from r2margin.distributions import RandomStream, _logit, _root
+from r2margin.distributions import _logit, _philox_key, _root
 from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
 from r2margin.inference import TestInput, noninferiority_pvalue
-from r2margin.montecarlo import generate_dataset
-from r2margin.regression import r_squared
+from r2margin.montecarlo import Scenario, _design
+from r2margin.regression import Dataset, r_squared
 
 
 def f_density(x: float, d1: float, d2: float) -> float:
@@ -187,6 +189,43 @@ def pvalue_fixed_point(r2: float, n: int, k: int, delta: float) -> tuple[float, 
         v = (resid * clamped + k) ** 2 / (n - 1 - resid * (1.0 - clamped) ** 2)
         psq = (resid * r2 - (1.0 - r2) * k * f_stat) / (resid * (r2 + (1.0 - r2) * f_stat))
     return float(stats.f.cdf(f_stat, v, resid)), psq
+
+
+class RandomStream:
+    """Single-owner stream of standard normal variates.
+
+    A stream is identified by an arbitrary tuple of key parts (integers,
+    strings, ...).  The parts are hashed into a 128-bit Philox key by the
+    package's own ``_philox_key``, so streams built from the same parts
+    replay the same sequence while streams with different parts are
+    statistically independent.  Each stream builds its own generator.
+    """
+
+    def __init__(self, *key_parts: object):
+        if not key_parts:
+            raise DomainError("RandomStream requires at least one key part")
+        self.key_parts = key_parts
+        self._generator = np.random.Generator(np.random.Philox(key=_philox_key(key_parts)))
+
+    def standard_normal(self, size=None):
+        """Draw N(0, 1) variates; a plain float when ``size`` is None."""
+        draw = self._generator.standard_normal(size)
+        return float(draw) if size is None else draw
+
+    def __repr__(self) -> str:
+        return f"RandomStream{self.key_parts!r}"
+
+
+def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
+    """Draw one dataset: MVN covariate rows, then the linear-model outcome.
+
+    Covariate rows are L z with z standard normal and L the Cholesky factor
+    of the scenario covariance; the noise is drawn independently of X.
+    """
+    z = stream.standard_normal((scenario.n, scenario.k))
+    noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
+    x, y = _design(scenario, z, noise)
+    return Dataset(y=y, x=x)
 
 
 def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed, start=0):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from r2margin.cli import main
-from r2margin.distributions import FParams, f_cdf, f_quantile
+from r2margin.distributions import f_cdf, f_quantile
 from r2margin.inference import TestInput, noninferiority_pvalue, upper_ci_p2
 from r2margin.montecarlo import paper_grid, run_scenario, true_p2
 from r2margin.regression import Dataset, fit_ols
@@ -136,15 +136,13 @@ def test_criterion_7_distribution_oracle():
         d1 = float(rng.uniform(0.5, 200.0))
         d2 = float(rng.uniform(1.0, 2000.0))
         x = float(rng.uniform(0.02, 8.0))
-        worst_cdf = max(
-            worst_cdf, abs(f_cdf(x, FParams(d1, d2)) - f_cdf_quadrature(x, d1, d2))
-        )
+        worst_cdf = max(worst_cdf, abs(f_cdf(x, d1, d2) - f_cdf_quadrature(x, d1, d2)))
     worst_round_trip = 0.0
     for _ in range(100):
-        params = FParams(float(rng.uniform(0.5, 5000.0)), float(rng.uniform(0.5, 5000.0)))
+        d1, d2 = float(rng.uniform(0.5, 5000.0)), float(rng.uniform(0.5, 5000.0))
         prob = float(rng.uniform(0.001, 0.999))
         worst_round_trip = max(
-            worst_round_trip, abs(f_cdf(f_quantile(prob, params), params) - prob)
+            worst_round_trip, abs(f_cdf(f_quantile(prob, d1, d2), d1, d2) - prob)
         )
     ok = worst_cdf <= 1e-8 and worst_round_trip <= 1e-8
     report(

@@ -14,19 +14,12 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from r2margin import distributions
-from r2margin.distributions import (
-    FParams,
-    RandomStream,
-    _root,
-    f_cdf,
-    f_quantile,
-    reg_inc_beta,
-)
+from r2margin.distributions import _root, f_cdf, f_quantile, reg_inc_beta
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import _v_from_psq
 from r2margin.montecarlo import default_delta_grid, paper_grid
 
-from oracles import f_cdf_quadrature
+from oracles import RandomStream, f_cdf_quadrature
 
 # Frozen from the quadrature oracle (and cross-checked at 40 digits).
 F_CDF_AT_2P5_3_12 = 0.8908452876049937
@@ -98,29 +91,41 @@ class TestRegIncBeta:
             reg_inc_beta(a, b, x)
 
 
-class TestFParams:
-    @pytest.mark.parametrize("d1,d2", [(0.0, 5.0), (5.0, 0.0), (-1.0, 2.0), (math.nan, 2.0)])
-    def test_rejects_invalid_degrees_of_freedom(self, d1, d2):
-        with pytest.raises(DomainError):
-            FParams(d1, d2)
+BAD_DEGREES = [0.0, -1.0, math.nan, math.inf, -math.inf, None, "x"]
+
+
+class TestDegreesOfFreedom:
+    # at x = 2, d1 = inf makes d1 * x infinite, where the CDF returns 1
+    @pytest.mark.parametrize(
+        "function,first", [(f_cdf, 2.0), (f_quantile, 0.5)], ids=["f_cdf", "f_quantile"]
+    )
+    @pytest.mark.parametrize(
+        "d1,d2", [(bad, 5.0) for bad in BAD_DEGREES] + [(5.0, bad) for bad in BAD_DEGREES]
+    )
+    def test_rejects_invalid_degrees_of_freedom(self, function, first, d1, d2):
+        with pytest.raises(DomainError) as caught:
+            function(first, d1, d2)
+        assert len(str(caught.value)) < 200
 
     def test_accepts_fractional_degrees_of_freedom(self):
-        params = FParams(6.3, 1243.0)
-        assert params.d1 == 6.3
+        d1, d2, x = 6.3, 1243.5, 1.1
+        assert math.isclose(
+            f_cdf(x, d1, d2), betainc(0.5 * d1, 0.5 * d2, d1 * x / (d1 * x + d2)), abs_tol=1e-12
+        )
+        assert math.isclose(f_quantile(f_cdf(x, d1, d2), d1, d2), x, rel_tol=1e-9)
 
 
 class TestFCdf:
     def test_zero_at_and_below_support(self):
-        params = FParams(3.0, 12.0)
-        assert f_cdf(0.0, params) == 0.0
-        assert f_cdf(-2.5, params) == 0.0
+        assert f_cdf(0.0, 3.0, 12.0) == 0.0
+        assert f_cdf(-2.5, 3.0, 12.0) == 0.0
 
     def test_equal_df_median_at_one(self):
         # F and 1/F share a distribution when d1 = d2, so the median is 1.
-        assert math.isclose(f_cdf(1.0, FParams(7.0, 7.0)), 0.5, abs_tol=1e-12)
+        assert math.isclose(f_cdf(1.0, 7.0, 7.0), 0.5, abs_tol=1e-12)
 
     def test_frozen_quadrature_value(self):
-        assert math.isclose(f_cdf(2.5, FParams(3.0, 12.0)), F_CDF_AT_2P5_3_12, abs_tol=1e-9)
+        assert math.isclose(f_cdf(2.5, 3.0, 12.0), F_CDF_AT_2P5_3_12, abs_tol=1e-9)
 
     def test_against_quadrature_oracle(self):
         rng = np.random.default_rng(11)
@@ -129,66 +134,65 @@ class TestFCdf:
             d2 = float(rng.uniform(1.0, 500.0))
             x = float(rng.uniform(0.05, 6.0))
             assert math.isclose(
-                f_cdf(x, FParams(d1, d2)), f_cdf_quadrature(x, d1, d2), abs_tol=1e-9
+                f_cdf(x, d1, d2), f_cdf_quadrature(x, d1, d2), abs_tol=1e-9
             )
 
     def test_monotone_in_x(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            params = FParams(float(rng.uniform(0.5, 300.0)), float(rng.uniform(0.5, 300.0)))
+            d1, d2 = float(rng.uniform(0.5, 300.0)), float(rng.uniform(0.5, 300.0))
             xs = np.sort(rng.uniform(0.0, 10.0, size=25))
-            values = [f_cdf(float(x), params) for x in xs]
+            values = [f_cdf(float(x), d1, d2) for x in xs]
             assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
     def test_approaches_one(self):
-        assert f_cdf(1e8, FParams(4.0, 40.0)) > 1.0 - 1e-9
+        assert f_cdf(1e8, 4.0, 40.0) > 1.0 - 1e-9
 
     def test_one_where_d1_x_overflows(self):
         # 2.6e8 * 1e300 is beyond the float range
-        assert f_cdf(1e300, FParams(2.6e8, 1e10)) == 1.0
+        assert f_cdf(1e300, 2.6e8, 1e10) == 1.0
 
     def test_pure_function(self):
-        params = FParams(6.3, 1243.0)
-        assert f_cdf(2.5, params) == f_cdf(2.5, params)
+        assert f_cdf(2.5, 6.3, 1243.0) == f_cdf(2.5, 6.3, 1243.0)
 
     def test_rejects_non_finite_x(self):
         with pytest.raises(DomainError):
-            f_cdf(math.nan, FParams(3.0, 12.0))
+            f_cdf(math.nan, 3.0, 12.0)
 
 
 class TestFQuantile:
     def test_equal_df_median_is_one(self):
-        assert math.isclose(f_quantile(0.5, FParams(7.0, 7.0)), 1.0, abs_tol=1e-9)
+        assert math.isclose(f_quantile(0.5, 7.0, 7.0), 1.0, abs_tol=1e-9)
 
     @pytest.mark.parametrize("prob", [0.01, 0.05, 0.5, 0.95, 0.99])
     def test_round_trip_named_probabilities(self, prob):
-        params = FParams(6.3, 1243.0)
-        assert math.isclose(f_cdf(f_quantile(prob, params), params), prob, abs_tol=1e-10)
+        x = f_quantile(prob, 6.3, 1243.0)
+        assert math.isclose(f_cdf(x, 6.3, 1243.0), prob, abs_tol=1e-10)
 
     def test_frozen_oracle_value(self):
         assert math.isclose(
-            f_quantile(0.05, FParams(6.3, 1243.0)), F_QUANTILE_AT_05_6P3_1243, abs_tol=1e-8
+            f_quantile(0.05, 6.3, 1243.0), F_QUANTILE_AT_05_6P3_1243, abs_tol=1e-8
         )
 
     def test_mutual_inverse_over_df_range(self):
         rng = np.random.default_rng(19)
         for _ in range(120):
-            params = FParams(float(rng.uniform(0.5, 5000.0)), float(rng.uniform(0.5, 5000.0)))
+            d1, d2 = float(rng.uniform(0.5, 5000.0)), float(rng.uniform(0.5, 5000.0))
             prob = float(rng.uniform(0.001, 0.999))
-            x = f_quantile(prob, params)
-            assert abs(f_cdf(x, params) - prob) <= 1e-8
-            again = f_quantile(f_cdf(x, params), params)
+            x = f_quantile(prob, d1, d2)
+            assert abs(f_cdf(x, d1, d2) - prob) <= 1e-8
+            again = f_quantile(f_cdf(x, d1, d2), d1, d2)
             assert abs(again - x) <= 1e-8 * max(1.0, x)
 
     @pytest.mark.parametrize("prob", [0.0, 1.0, -0.2, 1.3, math.nan])
     def test_rejects_out_of_domain_probability(self, prob):
         with pytest.raises(DomainError):
-            f_quantile(prob, FParams(3.0, 12.0))
+            f_quantile(prob, 3.0, 12.0)
 
     def test_small_probability_round_trip_is_relatively_accurate(self):
         # An absolute CDF stop of 1e-12 would leave this 1.8% off.
-        params = FParams(0.5, 3.0)
-        assert math.isclose(f_cdf(f_quantile(1e-12, params), params), 1e-12, rel_tol=1e-9)
+        x = f_quantile(1e-12, 0.5, 3.0)
+        assert math.isclose(f_cdf(x, 0.5, 3.0), 1e-12, rel_tol=1e-9)
 
     @pytest.mark.parametrize(
         "prob,d1,d2",
@@ -199,21 +203,21 @@ class TestFQuantile:
     )
     def test_uninvertible_probability_raises(self, prob, d1, d2):
         with pytest.raises(ConvergenceError):
-            f_quantile(prob, FParams(d1, d2))
+            f_quantile(prob, d1, d2)
 
     def test_few_cdf_calls_per_paper_grid_key(self, monkeypatch):
         # Two range checks, the root search's steps and the final check.
         calls = []
 
-        def counting_cdf(x, params):
+        def counting_cdf(x, d1, d2):
             calls.append(x)
-            return f_cdf(x, params)
+            return f_cdf(x, d1, d2)
 
         monkeypatch.setattr(distributions, "f_cdf", counting_cdf)
         keys = {(s.n, s.k, delta) for s in paper_grid() for delta in default_delta_grid()}
         for n, k, delta in sorted(keys):
             calls.clear()
-            f_quantile(0.05, FParams(_v_from_psq(delta, n, k), n - k - 1))
+            f_quantile(0.05, _v_from_psq(delta, n, k), n - k - 1)
             assert len(calls) <= 25, (n, k, delta)
 
 

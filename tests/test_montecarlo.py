@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 import r2margin.montecarlo as mc
-from r2margin.distributions import RandomStream
 from r2margin.errors import (
     DimensionMismatchError,
     DomainError,
@@ -16,10 +15,8 @@ from r2margin.errors import (
 from r2margin.montecarlo import (
     GRID_BETAS,
     Scenario,
-    cholesky_factor,
     default_delta_grid,
     exchangeable_covariance,
-    generate_dataset,
     paper_grid,
     run_scenario,
     true_p2,
@@ -27,7 +24,7 @@ from r2margin.montecarlo import (
 from r2margin.inference import TestInput, noninferiority_pvalue
 from r2margin.regression import Dataset, _r2_from_gram, fit_ols, r_squared
 
-from oracles import replicate_counts_exact
+from oracles import RandomStream, generate_dataset, replicate_counts_exact
 
 
 def _small_scenario(n=120, k=2, sigma2=1.0):
@@ -65,28 +62,36 @@ class TestTrueP2:
             true_p2(np.zeros(2), np.eye(2), 0.0)
 
 
+def _factor(sigma):
+    """The Cholesky factor that a scenario with covariance ``sigma`` keeps."""
+    k = len(sigma)
+    return Scenario(id="factor", n=k + 2, k=k, beta=np.zeros(k), sigma2=1.0,
+                    sigma_matrix=sigma).lower
+
+
 class TestCholeskyFactor:
     def test_identity_is_fixed_point(self):
-        np.testing.assert_array_equal(cholesky_factor(np.eye(3)), np.eye(3))
+        np.testing.assert_array_equal(_factor(np.eye(3)), np.eye(3))
 
     def test_round_trip_two_by_two(self):
         sigma = np.array([[1.0, 0.05], [0.05, 1.0]])
-        lower = cholesky_factor(sigma)
+        lower = _factor(sigma)
         assert np.abs(lower @ lower.T - sigma).max() < 1e-14
         assert np.abs(np.triu(lower, 1)).max() == 0.0
 
     def test_round_trip_grid_covariance(self):
-        sigma = exchangeable_covariance(4)
-        lower = cholesky_factor(sigma)
-        assert np.abs(lower @ lower.T - sigma).max() < 1e-14
+        for scenario in paper_grid():
+            lower = scenario.lower
+            assert np.abs(np.triu(lower, 1)).max() == 0.0 and (np.diag(lower) > 0.0).all()
+            assert np.abs(lower @ lower.T - scenario.sigma_matrix).max() < 1e-14
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _factor([[1.0, 2.0], [2.0, 1.0]])
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(DomainError):
-            cholesky_factor(np.array([[1.0, 0.3], [0.0, 1.0]]))
+            _factor([[1.0, 0.3], [0.0, 1.0]])
 
 
 class TestGenerateDataset:
@@ -489,12 +494,14 @@ class TestGridConstruction:
             )
 
     def test_covariance_is_factored_when_built(self):
-        scenario = _small_scenario(k=2)
-        np.testing.assert_array_equal(scenario.lower, cholesky_factor(scenario.sigma_matrix))
         for sigma, error in [
             ([[1.0, 2.0], [2.0, 1.0]], NotPositiveDefiniteError),
             ([[1.0, 0.3], [0.0, 1.0]], DomainError),
             ([[1.0, np.nan], [np.nan, 1.0]], DomainError),
+            ([[1.0, np.inf], [np.inf, 1.0]], DomainError),
+            ([[1.0, 1.0], [1.0, 1.0]], NotPositiveDefiniteError),
+            # positive definite, but its last pivot is 1e-13, below 1e-12
+            ([[1.0, 1.0], [1.0, 1.0 + 1e-13]], NotPositiveDefiniteError),
         ]:
             with pytest.raises(error):
                 Scenario(id="bad", n=50, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,

@@ -105,7 +105,7 @@ def _scenario(n=60):
         lambda: r2margin.run_scenario(_scenario(), [0.05], 10, 0.05, 1.0),
         lambda: r2margin.exchangeable_covariance(True),
         lambda: _scenario(n=60.0),
-        lambda: r2margin.f_quantile(float("nan"), r2margin.FParams(2.0, 10.0)),
+        lambda: r2margin.f_quantile(float("nan"), 2.0, 10.0),
         # ints past the float range overflow inside float()
         lambda: r2margin.TestInput(10**400, 100, 2),
         lambda: r2margin.critical_r2(100, 2, 0.1, 10**400),
@@ -114,12 +114,22 @@ def _scenario(n=60):
         lambda: r2margin.critical_r2(10**400, 2, 0.1, 0.05),
         lambda: r2margin.upper_ci_p2(r2margin.TestInput(0.1, 10**400, 2), 0.05),
         lambda: r2margin.TestInput(0.1, 100, -(10**400)),
+        lambda: r2margin.exchangeable_covariance(2, "x"),
+        lambda: r2margin.exchangeable_covariance(2, None),
+        lambda: r2margin.exchangeable_covariance(2, 10**400),
+        # numpy's own conversion error would name neither argument
+        lambda: r2margin.Scenario(id="a", n=60, k=1, beta=["a"], sigma2=1.0, sigma_matrix=[[1.0]]),
+        lambda: r2margin.Scenario(id="a", n=60, k=1, beta=[0.1], sigma2=1.0, sigma_matrix=[["a"]]),
+        lambda: r2margin.true_p2(["a"], [[1.0]], 1.0),
+        lambda: r2margin.true_p2([0.1], [[{}]], 1.0),
     ],
     ids=[
         "zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha",
         "bool-sims", "float-seed", "bool-k", "float-n", "nan-prob",
         "huge-int-r2", "huge-int-alpha", "huge-int-margin", "huge-int-sigma2",
         "huge-int-n-critical", "huge-int-n-bound", "huge-negative-int-k",
+        "text-offdiag", "none-offdiag", "huge-int-offdiag",
+        "text-beta-scenario", "text-sigma-scenario", "text-beta-true-p2", "dict-sigma-true-p2",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):
