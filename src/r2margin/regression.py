@@ -1,16 +1,16 @@
 """Ordinary least squares with an always-included intercept.
 
-The fit goes through a QR factorization of the intercept-augmented design
-matrix rather than the normal equations, for numerical stability; rank
-problems are detected from the R factor's diagonal.  R2 is computed against
-the centered total sum of squares.
+``fit_ols`` reads the whole fit off the R factor of one QR factorization of
+[1 X y] (Bjorck 1996, *Numerical Methods for Least Squares Problems*):
+the coefficients' triangular system, the rank test on [1 X]'s diagonal, and
+R2 = |w|^2 / SST from the last column, so small R2 keeps its digits.
 
-``_r2_from_gram`` reads R2 from (K+1)-square centered cross-product
-matrices of covariates and outcome instead, a stack of them at a time, where
-that can be trusted.  The Monte Carlo harness builds one such matrix from
-each replicate's normals without forming X or y (see ``montecarlo``), and
-falls back to ``fit_ols`` on the formed data where ``_r2_from_gram``
-returns NaN.
+``_r2_from_gram`` reads R2 the same way off the Cholesky factor of
+(K+1)-square centered cross-product matrices of covariates and outcome, a
+stack of them at a time, where that can be trusted.  The Monte Carlo harness
+builds one such matrix from each replicate's normals without forming X or y
+(see ``montecarlo``), and falls back to ``fit_ols`` on the formed data where
+``_r2_from_gram`` returns NaN.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class Dataset:
 class OlsFit:
     """Summary of a least-squares fit.
 
-    ``constant_outcome`` marks the degenerate case of a zero-variance
-    outcome, for which r2 is defined as 0.
+    ``r2`` lies in [0, 1].  ``constant_outcome`` marks the degenerate case of
+    a zero-variance outcome, for which r2 is defined as 0.
     """
 
     intercept: float
@@ -95,55 +95,51 @@ class OlsFit:
 def fit_ols(data: Dataset) -> OlsFit:
     """Fit y = b0 + X b by least squares and report the fit's R2.
 
-    The intercept is always included.  Raises RankDeficiencyError when the
-    augmented design matrix is numerically collinear (an R-factor diagonal
-    entry at or below 1e-10 times the largest), with the offending column
-    index attached to the exception, and DomainError when a sum of squares overflows.
+    The intercept is always included.  One QR factorization of [1 X y], with
+    no Q formed, gives R; its leading block is [1 X]'s R, so the coefficients
+    solve R11 b = R[:K+1, K+1].  With w = R[1:K+1, K+1], SSE = R[K+1, K+1]^2,
+    SST = |w|^2 + SSE and R2 = |w|^2 / SST, with no cancelling subtraction.
+    y is first shifted by y[0] in place, exactly where its offset dwarfs its
+    spread; the intercept's reflection would round that offset into every
+    row.  Raises RankDeficiencyError when [1 X] is numerically collinear (an
+    R-factor diagonal entry at or below 1e-10 times the largest), with the
+    offending column index attached, and DomainError when a sum of squares
+    overflows.
     """
-    n = data.n_obs
-    k = data.n_covariates
-    design = np.column_stack([np.ones(n), data.x])
-    q, r = np.linalg.qr(design, mode="reduced")
-    diagonal = np.abs(np.diag(r))
-    small = np.flatnonzero(diagonal <= _RANK_TOL * diagonal.max())
-    if small.size:
-        column = int(small[0])
-        label = "intercept" if column == 0 else f"covariate {column}"
-        raise RankDeficiencyError(
-            f"design matrix is rank deficient at column {column} ({label})",
-            column_index=column,
-        )
+    n, k = data.x.shape
+    augmented = np.column_stack([np.ones(n), data.x, data.y])
     with np.errstate(over="ignore", invalid="ignore"):
-        coefficients = np.linalg.solve(r, q.T @ data.y)
-        residuals = data.y - design @ coefficients
-        sse = float(residuals @ residuals)
-        centered = data.y - data.y.mean()
-        sst = float(centered @ centered)
-    if not (math.isfinite(sse) and math.isfinite(sst)):
+        augmented[:, k + 1] -= data.y[0]
+        r = np.linalg.qr(augmented, mode="r")
+        diagonal = np.abs(np.diag(r)[: k + 1])
+        small = np.flatnonzero(diagonal <= _RANK_TOL * diagonal.max())
+        if small.size:
+            column = int(small[0])
+            label = "intercept" if column == 0 else f"covariate {column}"
+            raise RankDeficiencyError(
+                f"design matrix is rank deficient at column {column} ({label})",
+                column_index=column,
+            )
+        coefficients = np.linalg.solve(r[: k + 1, : k + 1], r[: k + 1, k + 1])
+        w = r[1 : k + 1, k + 1]
+        explained, sse = float(w @ w), float(r[k + 1, k + 1] ** 2)
+    sst = explained + sse
+    if not math.isfinite(sst):
         raise DomainError("the outcome's sums of squares overflow the float range")
-    residual_variance = sse / (n - k - 1)
-    # A constant outcome rarely gives an exact zero here: mean subtraction
-    # leaves rounding residue of order eps * |y|, so compare against that
-    # scale rather than zero.
+    # An outcome that varies only in its last bits, as one computed by rounded
+    # arithmetic can, has nothing to explain: r2 := 0 and the fit is flagged.
+    # SST up to about N (eps |y|)^2 is rounding, so compare against that scale.
     y_scale = max(1.0, float(np.abs(data.y).max()))
     try:
         constant = sst <= n * (1e-14 * y_scale) ** 2
     except OverflowError:  # a scale whose square overflows exceeds any finite sst
         constant = True
-    if constant:
-        # Nothing to explain; r2 := 0 and the fit is flagged.
-        return OlsFit(
-            intercept=float(coefficients[0]),
-            coefficients=coefficients[1:].copy(),
-            r2=0.0,
-            residual_variance_hat=residual_variance,
-            constant_outcome=True,
-        )
     return OlsFit(
-        intercept=float(coefficients[0]),
+        intercept=float(coefficients[0] + data.y[0]),
         coefficients=coefficients[1:].copy(),
-        r2=1.0 - sse / sst,
-        residual_variance_hat=residual_variance,
+        r2=0.0 if constant else explained / sst,
+        residual_variance_hat=sse / (n - k - 1),
+        constant_outcome=constant,
     )
 
 
@@ -157,9 +153,10 @@ def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
     each column's mean is subtracted.  ``y_max`` holds each max|y| over the
     uncentered outcome.  Each Cholesky factor holds the factor L of Xc'Xc in
     its leading block and w = L^-1 Xc'yc in its last row, so R2 = |w|^2 /
-    SST with no Q factor formed.  One Cholesky call factors the whole stack;
-    if it fails, each matrix is factored alone.  NaN, which leaves the
-    decision to the QR fit, when:
+    SST with no Q factor formed.  Up to signs, L' is the trailing block of
+    the R factor that ``fit_ols`` reads, so both use one formula.  One
+    Cholesky call factors the whole stack; if it fails, each matrix is
+    factored alone.  NaN, which leaves the decision to the QR fit, when:
 
     - the Cholesky factorization fails;
     - the pivots, with sqrt(N) for the intercept, spread more than 1e6-fold,
@@ -171,8 +168,9 @@ def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
     - R2 exceeds 1 - 1e-9;
     - any of these is NaN, as non-finite or overflowing input makes them.
 
-    Elsewhere the value agrees with ``fit_ols(...).r2`` to 1e-12 (measured
-    at most 6.4e-13 next to these limits, about 1e-15 well inside them).
+    Elsewhere the value agrees with ``fit_ols(...).r2`` to about 2e-12:
+    measured at most 1.8e-12 next to the collinearity limit, where the error
+    is this route's, and at most 2e-15 next to the other limits and inside.
     """
     k = grams.shape[-1] - 1
     try:
@@ -207,9 +205,9 @@ def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
 
 
 def r_squared(data: Dataset) -> float:
-    """R2 of the intercept-included least-squares fit of ``data``, clamped
-    into ``TestInput``'s range [0, 1 - 1e-12]: a perfect fit rounds to 1.0,
+    """R2 of the intercept-included least-squares fit of ``data``, capped at
+    the top of ``TestInput``'s range, 1 - 1e-12: a perfect fit rounds to 1.0,
     which is nudged to the largest admissible value (p-value ~ 1).
-    ``fit_ols(data).r2`` keeps the unclamped value.
+    ``fit_ols(data).r2`` keeps the uncapped value.
     """
-    return min(max(fit_ols(data).r2, 0.0), _R2_MAX)
+    return min(fit_ols(data).r2, _R2_MAX)

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it validates: the F CDF oracle
 integrates the density numerically instead of going through the incomplete
 beta; the least-squares oracle solves the normal equations with a hand-rolled
-Gauss-Jordan inversion instead of a QR factorization; the p-value oracle runs
+Gauss-Jordan inversion instead of a QR factorization, and the exact one solves
+them in rational arithmetic on the doubles given; the p-value oracle runs
 the original fixed-point construction with an external CDF instead of the
 closed form; the confidence-bound oracle root-solves the defining tail
 equation with an external CDF over its own bracket, and the full-bracket
@@ -18,6 +19,7 @@ kernel re-keys one generator and reads R2 from cross-products.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, stats
@@ -107,6 +109,52 @@ def ols_normal_equations(y, x) -> tuple[np.ndarray, float]:
     sse = float(((y - fitted) ** 2).sum())
     sst = float(((y - y.mean()) ** 2).sum())
     return coefficients, 1.0 - sse / sst
+
+
+def r2_exact(y, x) -> Fraction:
+    """R2 of the intercept-included least-squares fit of the doubles given,
+    with no rounding.
+
+    Each double is read as the rational it is.  The centered cross-products
+    are formed as sum(a b) - sum(a) sum(b) / N, and the centered normal
+    equations Sxx b = Sxy are solved by Gaussian elimination, all in
+    ``Fraction``: R2 = Sxy'b / Syy, with no numpy linear algebra.
+    """
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(t)]
+        for row, t in zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist())
+    ]
+    n, width = len(rows), len(rows[0])
+    sums = [sum(row[a] for row in rows) for a in range(width)]
+    cross = [
+        [sum(row[a] * row[b] for row in rows) - sums[a] * sums[b] / n for b in range(width)]
+        for a in range(width)
+    ]
+    k = width - 1
+    system = [cross[a][:k] + [cross[a][k]] for a in range(k)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(k):
+            if r != col and system[r][col] != 0:
+                factor = system[r][col] / system[col][col]
+                system[r] = [v - factor * w for v, w in zip(system[r], system[col])]
+    explained = sum(system[a][k] / system[a][a] * cross[a][k] for a in range(k))
+    return explained / cross[k][k]
+
+
+def small_r2_dataset(r2, seed, n=400, k=2):
+    """(y, x) whose least-squares R2 is about ``r2``: x standard normal and
+    y = 50 + e + s x1, with e standard normal noise residualized against
+    [1 X] and s chosen for the R2 asked."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k))
+    design = np.column_stack([np.ones(n), x])
+    noise = rng.normal(size=n)
+    noise -= design @ np.linalg.lstsq(design, noise, rcond=None)[0]
+    centered = x[:, 0] - x[:, 0].mean()
+    s = math.sqrt(r2 / (1.0 - r2) * (noise @ noise) / (centered @ centered))
+    return 50.0 + noise + s * x[:, 0], x
 
 
 def ci_upper_bisection(r2: float, n: int, k: int, alpha: float) -> float:

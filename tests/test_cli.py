@@ -24,6 +24,8 @@ from r2margin import errors
 from r2margin.errors import ConvergenceError, ExcessiveSkipsError, R2MarginError
 from r2margin.cli import main
 
+from oracles import r2_exact, small_r2_dataset
+
 
 def run_cli(capsys, *argv):
     """Invoke the CLI and return (exit_code, report_dict, stdout + stderr)."""
@@ -202,6 +204,15 @@ class TestFitCommand:
         assert float(report["r2"]) > 0.999999
         assert float(report["p_value"]) > 0.99
         assert report["decision"].startswith("fail to reject")
+
+    def test_tiny_r2_prints_the_exact_digits(self, capsys, tmp_path):
+        y, x = small_r2_dataset(1e-12, seed=0)
+        path = tmp_path / "tiny.csv"
+        rows = [",".join(map(repr, [yi, *row])) for yi, row in zip(y.tolist(), x.tolist())]
+        path.write_text("\n".join(["y,x1,x2", *rows]) + "\n", encoding="utf-8")
+        code, report, _ = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.05")
+        assert code == 0
+        assert report["r2"] == format(float(r2_exact(y, x)), ".7g")
 
     def test_too_few_rows_exits_2(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"

@@ -1,6 +1,7 @@
 """Tests for the least-squares layer."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from r2margin.errors import (
 )
 from r2margin.regression import Dataset, _r2_from_gram, fit_ols, r_squared
 
-from oracles import ols_normal_equations
+from oracles import ols_normal_equations, r2_exact, small_r2_dataset
 
 
 def _gram_r_squared(x, y):
@@ -102,6 +103,26 @@ class TestFitOls:
             fit_ols(Dataset(y=rng.normal(size=40), x=x))
         # duplicate of covariate 1 sits at design column 3
         assert excinfo.value.column_index == 3
+
+    @pytest.mark.parametrize("r2", [1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_small_r2_matches_exact_fit(self, r2, seed):
+        # showing negligible R2 is the point of the test; 1 - SSE/SST cancels there
+        data = Dataset(*small_r2_dataset(r2, seed))
+        exact = r2_exact(data.y, data.x)
+        assert abs(float(exact) / r2 - 1.0) <= 1e-6
+        for value in (fit_ols(data).r2, _gram_r_squared(data.x, data.y)):
+            assert abs(float(Fraction(value) / exact) - 1.0) <= 1e-7
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8, 1e10])
+    def test_offset_far_beyond_spread_matches_exact_fit(self, offset):
+        # where the cross-product route defers to this fit
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(400, 2))
+        y = offset + 0.6 * x[:, 0] + rng.normal(size=400)
+        assert math.isnan(_gram_r_squared(x, y))
+        exact = r2_exact(y, x)
+        assert abs(float(Fraction(fit_ols(Dataset(y=y, x=x)).r2) / exact) - 1.0) <= 1e-12
 
     def test_residual_variance_is_nonnegative(self):
         rng = np.random.default_rng(2)
