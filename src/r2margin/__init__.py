@@ -4,13 +4,14 @@ Library layout:
 
 - ``distributions``: F distribution CDF/quantile at fractional degrees of
   freedom, ``f_cdf(x, d1, d2)`` and ``f_quantile(prob, d1, d2)``, built on a
-  continued-fraction incomplete beta.
+  continued-fraction incomplete beta; and the one Brent root search on the
+  log-odds scale, started next to the root of Paulson's closed-form
+  approximation to the F CDF, which the quantile and the bound share.
 - ``inference``: the non-inferiority p-value for the population variance
   share P2, a closed-form lower tail of a scaled central F approximation;
   the test's critical R2 in closed form, from one F quantile; and the
-  one-sided upper confidence bound that solves p = alpha/2 for it by a
-  Brent root search on the log-odds scale, started next to the root of
-  Paulson's closed-form approximation to p.
+  one-sided upper confidence bound that solves p = alpha/2 for it by that
+  root search.
 - ``regression``: intercept-included ordinary least squares and R2.
 - ``montecarlo``: the rejection-rate simulation harness, whose replicates
   draw from hash-keyed Philox streams, and the built-in 30-scenario study

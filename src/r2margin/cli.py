@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, R2MarginError, _check_int
+from .errors import DomainError, R2MarginError, _check_int, _check_open_unit
 from .figures import render_rejection_figure
 from .inference import TestInput, noninferiority_pvalue, upper_ci_p2
 from .montecarlo import (
@@ -303,7 +303,7 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
         )
     if len({s.id for s in scenarios}) != len(scenarios):
         raise DomainError("scenario ids must be unique")
-    deltas = [_number("config", "deltas", d) for d in raw_deltas]
+    deltas = [_check_open_unit("every margin", _number("config", "deltas", d)) for d in raw_deltas]
     return scenarios, deltas
 
 
@@ -446,6 +446,10 @@ def main(argv=None) -> int:
             raise DomainError(
                 f"--precision must lie in [1, {_MAX_PRECISION}], got {args.precision}"
             )
+        # before a handler opens a file: simulate truncates --out first
+        for name in ("alpha", "delta"):
+            if hasattr(args, name):
+                _check_open_unit(name, getattr(args, name))
         return args.handler(args)
     except R2MarginError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,10 @@ directly.  The incomplete beta uses the continued-fraction expansion
 x = (a+1)/(a+b+2)) on top of the platform's ``math.lgamma``; the quantile
 inverts the CDF by a root search over log x on the log-odds scale.
 ``_root`` (Brent's bracketing method) is the one root search of the
-package, and ``_logit`` its log-odds scale: the confidence bound in
-``inference`` runs on both as well.
+package and ``_logit`` its log-odds scale.  ``_seeded_root`` starts it next
+to the root of a cheap approximation; the quantile and the confidence bound
+in ``inference`` both take that approximation from ``_paulson_logit``,
+Paulson's closed-form normal approximation to the F CDF.
 
 ``_fresh_philox_state`` keys a counter-based generator (Philox) by hashing
 arbitrary labels, so independent, reproducible streams of normals can be
@@ -50,6 +52,12 @@ _LENTZ_TINY = 1e-300
 _QUANTILE_LO = 1e-300
 _QUANTILE_HI = 1e300
 _QUANTILE_CDF_TOL = 1e-10
+
+# Bracket width at which the search for the approximation's root stops, and
+# the half-width, as a share of the bracket, of the central difference
+# that takes the approximation's slope there.
+_GUESS_WIDTH = 1e-7
+_SLOPE_SHARE = 1e-6
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
@@ -177,6 +185,23 @@ def _logit(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
+def _paulson_logit(f: float, d1: float, d2: float) -> float:
+    """Log-odds of Paulson's closed-form approximation to ``f_cdf(f, d1, d2)``.
+
+    The cube root of an F(d1, d2) variate is close to normal (Paulson, E.
+    1942, "An approximate normalization of the analysis of variance
+    distribution", Ann. Math. Statist. 13: 233-235): with a1 = 2/(9 d1) and
+    a2 = 2/(9 d2), w = [(1 - a2) f^(1/3) - (1 - a1)] / sqrt(a1 + a2 f^(2/3))
+    is close to standard normal, and the CDF about erfc(-w/sqrt(2))/2.  It
+    costs no incomplete beta but only guides a root search: it is worst at
+    few degrees of freedom and in the far tails.
+    """
+    a1, a2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
+    cube = f ** (1.0 / 3.0)
+    w = ((1.0 - a2) * cube - (1.0 - a1)) / math.sqrt(a1 + a2 * cube * cube)
+    return _logit(0.5 * math.erfc(-w / math.sqrt(2.0)))
+
+
 def _root(
     excess,
     lo: float,
@@ -196,12 +221,12 @@ def _root(
     fast enough and by bisection otherwise (Brent 1973, ch. 4).  The first
     step bisects, since a stand-in says nothing about where the root is,
     unless ``ends_evaluated`` says both end values are ``excess`` itself;
-    then it interpolates between them.  A point with
-    ``excess`` > 0 closes the bracket from above and one with ``excess`` < 0
-    from below.  The search stops once the bracket is no wider than
-    ``width`` or a step no longer lands strictly inside it, and returns the
-    midpoint of that bracket; a point with ``excess`` == 0 is returned
-    as it is.  The second value returned is the number of ``excess`` calls.
+    then it interpolates between them.  A point with ``excess`` > 0 (or
+    NaN) closes the bracket from above and one with ``excess`` < 0 from
+    below.  The search stops once the bracket is no wider than ``width`` or
+    a step no longer lands strictly inside it, and returns the midpoint of
+    that bracket; a point with ``excess`` == 0 is returned as it is.  The
+    second value returned is the number of ``excess`` calls.
     """
     # b is the best point so far, c the other end of the bracket and a the
     # previous b; d is the step just taken and e the one before it.
@@ -217,7 +242,8 @@ def _root(
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             break
-        if abs(e) < tol or abs(fa) <= abs(fb):
+        # a NaN value bisects too: it says nothing about where the root is
+        if abs(e) < tol or not abs(fb) < abs(fa):
             d = e = m
         else:
             s = fb / fa
@@ -249,14 +275,56 @@ def _root(
     return 0.5 * (b + c), calls
 
 
+def _guess(approx, lo, hi, excess_lo, excess_hi) -> tuple[float, float]:
+    """Root of ``approx`` in [lo, hi] to the width 1e-7, and the slope of
+    ``approx`` there by central difference, NaN when the root is too close
+    to either end to take it.  The ends are handled as in ``_root``."""
+    x, _ = _root(approx, lo, hi, _GUESS_WIDTH, excess_lo, excess_hi)
+    step = _SLOPE_SHARE * (hi - lo)
+    if not lo < x - step < x + step < hi:
+        return x, math.nan
+    return x, (approx(x + step) - approx(x - step)) / (2.0 * step)
+
+
+def _seeded_root(excess, approx, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
+    """``_root``'s search and count, started next to the root of ``approx``,
+    a cheap approximation to ``excess``.
+
+    ``excess`` is evaluated at that root and then one Newton step further,
+    taken with the approximation's slope; each point strictly inside what
+    is left of the bracket replaces the end on its side.  When the two
+    straddle the root, ``_root`` interpolates between them from its first
+    step; otherwise it searches what is left of the bracket, all of it when
+    the guess is NaN or not strictly inside.
+    """
+    x, slope = _guess(approx, lo, hi, excess_lo, excess_hi)
+    calls, sides = 0, set()
+    while calls < 2 and lo < x < hi:
+        fx = excess(x)
+        calls += 1
+        if fx == 0.0:
+            return x, calls
+        if fx < 0.0:
+            lo, excess_lo = x, fx
+        else:
+            hi, excess_hi = x, fx
+        sides.add(fx < 0.0)
+        if not slope > 0.0:
+            break
+        x -= fx / slope
+    root, more = _root(excess, lo, hi, width, excess_lo, excess_hi, ends_evaluated=len(sides) == 2)
+    return root, calls + more
+
+
 def f_quantile(prob: float, d1: float, d2: float) -> float:
     """Lower-tail quantile: the x at which ``f_cdf(x, d1, d2) == prob``.
 
-    Solves logit(f_cdf(e^u)) = logit(prob) for u = log x by ``_root`` over
-    the fixed bracket [1e-300, 1e300], down to the float resolution of log
-    x.  Raises ConvergenceError when the root lies outside that bracket, or
-    when the CDF at the answer misses ``prob`` by more than 1e-10 (near 1
-    the CDF can be too coarse in floats to be inverted).
+    Solves logit(f_cdf(e^u)) = logit(prob) for u = log x by
+    ``_seeded_root`` over the fixed bracket [1e-300, 1e300], down to the
+    float resolution of log x, started from the root of Paulson's
+    approximation.  Raises ConvergenceError when the root lies outside that
+    bracket, or when the CDF at the answer misses ``prob`` by more than
+    1e-10 (near 1 the CDF can be too coarse in floats to be inverted).
     """
     prob = _check_open_unit("prob", prob)
     d1 = _check_finite("d1", d1, True)
@@ -267,13 +335,11 @@ def f_quantile(prob: float, d1: float, d2: float) -> float:
         raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")
 
     target = _logit(prob)
-    log_x, _ = _root(
+    log_x, _ = _seeded_root(
         lambda u: _logit(f_cdf(math.exp(u), d1, d2)) - target,
-        math.log(_QUANTILE_LO),
-        math.log(_QUANTILE_HI),
-        math.ulp(1.0),
-        _logit(cdf_lo) - target,
-        _logit(cdf_hi) - target,
+        lambda u: _paulson_logit(math.exp(u), d1, d2) - target,
+        math.log(_QUANTILE_LO), math.log(_QUANTILE_HI), math.ulp(1.0),
+        _logit(cdf_lo) - target, _logit(cdf_hi) - target,
     )
     x = math.exp(log_x)
     if abs(f_cdf(x, d1, d2) - prob) > _QUANTILE_CDF_TOL:

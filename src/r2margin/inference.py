@@ -20,11 +20,10 @@ from 1 to 0 as z runs from -k/(n-k-1) to 1.  Three entry points build on it:
 
 ``upper_ci_p2``
     Upper limit of a one-sided confidence interval for P2: the root of
-    p(z) = alpha/2, found by a Brent root search on the log-odds of p.  The
-    search starts next to the root of Paulson's closed-form normal
-    approximation to p, which costs no F CDF, and keeps the whole bracket
-    as its fallback.  The test inverts this interval, so the p-value at the
-    bound recovers the bound's tail probability.
+    p(z) = alpha/2 on the log-odds scale, found by the root search that
+    starts next to the root of Paulson's approximation, as the F quantile's
+    does.  The test inverts this interval, so the p-value at the bound
+    recovers the bound's tail probability.
 
 ``critical_r2``
     The test's rejection region on the R2 scale.  For fixed (n, k, delta)
@@ -43,10 +42,9 @@ the golden values in the test suite were generated under.  Pass
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .distributions import _logit, _root, f_cdf, f_quantile
+from .distributions import _logit, _paulson_logit, _root, _seeded_root, f_cdf, f_quantile
 from .errors import DomainError, _check_finite, _check_open_unit, _check_sizes
 
 __all__ = [
@@ -63,11 +61,6 @@ __all__ = [
 _PSQ_CEILING = 1.0 - 1e-12
 # Bracket width at which the bound's root search stops.
 _BOUND_WIDTH = 1e-12
-# Bracket width at which the search for the approximate root stops, and
-# the half-width, as a share of the bracket, of the central difference
-# that takes the approximation's slope there.
-_GUESS_WIDTH = 1e-7
-_SLOPE_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -154,57 +147,11 @@ def _tail_at(input: TestInput, z: float) -> tuple[float, float, float]:
     return f_cdf(f_stat, v, resid_df), f_stat, v
 
 
-def _approx_root(input: TestInput, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Root in (lo, hi) of Paulson's closed-form approximation to
-    logit(p(z)) = ``target``, to a bracket width of 1e-7, and the slope of
-    target - logit(approximate p) there, NaN when the root is too close to
-    either end to take it.
-
-    The cube root of an F(d1, d2) variate is close to normal (Paulson, E.
-    1942, "An approximate normalization of the analysis of variance
-    distribution", Ann. Math. Statist. 13: 233-235), so with f = F(z),
-    a1 = 2/(9 v(z)) and a2 = 2/(9 (n-k-1)),
-
-        w = [(1 - a2) f^(1/3) - (1 - a1)] / sqrt(a1 + a2 f^(2/3))
-
-    is close to standard normal and p(z) is about erfc(-w/sqrt(2))/2.  That
-    costs no F CDF, but its root is only a guess at the exact one: on
-    inputs like the benchmark's it is off by at most 3e-4 of the bracket in
-    9 cases of 10 and 5e-3 at worst, and it can be further off at few
-    residual degrees of freedom or in the far tails.
-    """
-    resid_df, k, n = input.residual_df, input.k, input.n
-    ratio = resid_df * input.r2 / (1.0 - input.r2)
-    a2 = 2.0 / (9.0 * resid_df)
-
-    def excess(z):
-        cube = (ratio * (1.0 - z) / (z * resid_df + k)) ** (1.0 / 3.0)
-        a1 = 2.0 / (9.0 * _v_from_psq(z, n, k))
-        w = ((1.0 - a2) * cube - (1.0 - a1)) / math.sqrt(a1 + a2 * cube * cube)
-        return target - _logit(0.5 * math.erfc(-w / math.sqrt(2.0)))
-
-    root, _ = _root(
-        excess, lo, hi, _GUESS_WIDTH, target - _logit(1.0), target - _logit(0.0)
-    )
-    step = _SLOPE_SHARE * (hi - lo)
-    if not lo < root - step < root + step < hi:
-        return root, math.nan
-    return root, (excess(root + step) - excess(root - step)) / (2.0 * step)
-
-
 def _bound_root(input: TestInput, prob: float) -> tuple[float, int]:
     """Root of p(z) = prob over [-k/(n-k-1), 1 - 1e-12] and the number of F
-    CDFs spent on it.
-
-    The exact excess logit(prob) - logit(p) is evaluated at the root of
-    Paulson's approximation and then one Newton step further, taken with
-    the approximation's slope; each point must lie strictly inside what is
-    left of the bracket and replaces the end on its side.  When the two
-    straddle the root, Brent's search interpolates between them from its
-    first step; otherwise it runs on what is left of the full bracket,
-    which is also the whole search at r2 = 0 (p is 0 throughout) or when
-    the guess is NaN or not strictly inside the bracket.
-    """
+    CDFs spent on it, from Paulson's approximation to p at (F(z), v(z),
+    n-k-1); at r2 = 0, where p is 0 throughout, from the whole bracket."""
+    resid_df, n, k = input.residual_df, input.n, input.k
     target = _logit(prob)
 
     def excess(z):
@@ -212,27 +159,17 @@ def _bound_root(input: TestInput, prob: float) -> tuple[float, int]:
 
     # p is 1 at the lower end, where F is infinite, and next to 0 at the
     # upper end; neither is evaluated.
-    lo, hi = -input.k / input.residual_df, _PSQ_CEILING
-    excess_lo, excess_hi = target - _logit(1.0), target - _logit(0.0)
-    x, slope = _approx_root(input, target, lo, hi) if input.r2 > 0.0 else (math.nan, math.nan)
-    calls, sides = 0, set()
-    while calls < 2 and lo < x < hi:
-        fx = excess(x)
-        calls += 1
-        if fx == 0.0:
-            return x, calls
-        if fx < 0.0:
-            lo, excess_lo = x, fx
-        else:
-            hi, excess_hi = x, fx
-        sides.add(fx < 0.0)
-        if not slope > 0.0:
-            break
-        x -= fx / slope
-    root, more = _root(
-        excess, lo, hi, _BOUND_WIDTH, excess_lo, excess_hi, ends_evaluated=len(sides) == 2
-    )
-    return root, calls + more
+    lo, hi = -k / resid_df, _PSQ_CEILING
+    ends = (target - _logit(1.0), target - _logit(0.0))
+    if input.r2 == 0.0:
+        return _root(excess, lo, hi, _BOUND_WIDTH, *ends)
+    ratio = resid_df * input.r2 / (1.0 - input.r2)
+
+    def approx(z):
+        f_stat = ratio * (1.0 - z) / (z * resid_df + k)
+        return target - _paulson_logit(f_stat, _v_from_psq(z, n, k), resid_df)
+
+    return _seeded_root(excess, approx, lo, hi, _BOUND_WIDTH, *ends)
 
 
 def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> ConfidenceBound:
@@ -240,17 +177,11 @@ def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> 
 
     The bound is the root of p(z) = alpha/2 (or alpha when
     ``halve_alpha=False``), where p(z) is the non-inferiority p-value at
-    margin z.  p decreases over the bracket [-k/(n-k-1), 1 - 1e-12], so the
-    root is found by Brent's bracketing search on logit(prob) - logit(p(z)),
-    one F CDF per step; on the log-odds scale p(z) is close to linear in z,
-    where on its own scale it is flat in both tails.  The search starts
-    from the root of Paulson's closed-form approximation to p and a Newton
-    step off it, and falls back on the rest of the full bracket when those
-    two do not straddle the root.  p is evaluated only strictly inside the
-    bracket, never at the lower end where F is infinite (at r2 = 0, p is 0
-    throughout and the search closes on that end).  The search stops once
-    the bracket is no wider than 1e-12 or a step no longer falls strictly
-    inside it, and the bound is the midpoint of that bracket.  The reported
+    margin z.  p decreases over the bracket [-k/(n-k-1), 1 - 1e-12], and
+    on the log-odds scale it is close to linear in z, where on its own
+    scale it is flat in both tails.  So ``_seeded_root`` solves
+    logit(prob) = logit(p(z)), one F CDF per step, evaluating p only
+    strictly inside the bracket, to a bracket width of 1e-12.  The reported
     bound is clamped into [0, 1); the root itself is kept in ``upper_raw``.
     """
     alpha = _check_open_unit("alpha", alpha)

@@ -4,16 +4,17 @@ Each oracle deliberately avoids the code path it validates: the F CDF oracle
 integrates the density numerically instead of going through the incomplete
 beta; the least-squares oracle solves the normal equations with a hand-rolled
 Gauss-Jordan inversion instead of a QR factorization, and the exact one solves
-them in rational arithmetic on the doubles given; the p-value oracle runs
-the original fixed-point construction with an external CDF instead of the
-closed form; the confidence-bound oracle root-solves the defining tail
-equation with an external CDF over its own bracket, and the full-bracket
-oracle runs the bound's own root search without its approximate starting
-point; the critical-R2 oracle takes its F quantile from scipy; the Monte
-Carlo oracle evaluates every replicate's p-values instead of comparing R2
-with cached critical values; and the dataset oracle draws each replicate
-from its own freshly built generator and forms x and y, where the replicate
-kernel re-keys one generator and reads R2 from cross-products.
+them in rational arithmetic on the doubles given; the p-value oracle runs the
+original fixed-point construction with an external CDF instead of the closed
+form; the confidence-bound oracle root-solves the defining tail equation with
+an external CDF over its own bracket, and the full-bracket oracle runs the
+bound's own root search without its approximate starting point, as the
+full-bracket quantile oracle does for the F quantile; the critical-R2 oracle
+takes its F quantile from scipy; the Monte Carlo oracle evaluates every
+replicate's p-values instead of comparing R2 with cached critical values; and
+the dataset oracle draws each replicate from its own freshly built generator
+and forms x and y, where the replicate kernel re-keys one generator and reads
+R2 from cross-products.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, stats
 
-from r2margin import inference
-from r2margin.distributions import _logit, _philox_key, _root
+from r2margin import distributions, inference
+from r2margin.distributions import _logit, _philox_key, _root, f_cdf
 from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
 from r2margin.inference import TestInput, noninferiority_pvalue
 from r2margin.montecarlo import Scenario, _design
@@ -202,6 +203,47 @@ def upper_raw_full_bracket(input: TestInput, prob: float) -> float:
         target - _logit(0.0),
     )
     return root
+
+
+def quantile_full_bracket(prob: float, d1: float, d2: float) -> float:
+    """F quantile by Brent's search over the whole bracket.
+
+    Solves logit(f_cdf(e^u)) = logit(prob) over [log 1e-300, log 1e300]
+    with the package's own F CDF and root search, from the CDF's values at
+    both ends, as ``f_quantile`` did before its search started from an
+    approximate root.
+    """
+    target = _logit(prob)
+    lo, hi = distributions._QUANTILE_LO, distributions._QUANTILE_HI
+    log_x, _ = _root(
+        lambda u: _logit(f_cdf(math.exp(u), d1, d2)) - target,
+        math.log(lo),
+        math.log(hi),
+        math.ulp(1.0),
+        _logit(f_cdf(lo, d1, d2)) - target,
+        _logit(f_cdf(hi, d1, d2)) - target,
+    )
+    return math.exp(log_x)
+
+
+# (guess, slope) pairs to hand a seeded root search in place of its
+# approximation's root and slope: no number, points outside the bracket or
+# on its ends, and the root itself with slopes of every sign and size.
+GUESS_CASES = [(end, math.nan) for end in ("nan", "below", "above", "lower-end", "upper-end")] + [
+    ("root", slope) for slope in (math.nan, -1.0, 0.0, 1e-300, 1.0, 1e300)
+]
+
+
+def guessing(guess: str, slope: float, root: float):
+    """A stand-in for ``distributions._guess`` that returns the point named
+    by ``guess`` (``root`` for "root") and ``slope``."""
+
+    def fake(approx, lo, hi, excess_lo, excess_hi):
+        points = {"nan": math.nan, "below": lo - 1.0, "above": hi + 1.0,
+                  "lower-end": lo, "upper-end": hi, "root": root}
+        return points[guess], slope
+
+    return fake
 
 
 def critical_r2_scipy(n: int, k: int, delta: float, alpha: float) -> float:

@@ -226,6 +226,14 @@ class TestFitCommand:
         code, _, _ = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--delta", "1.5"), ("--alpha", "0")])
+    def test_invalid_level_exits_2_before_the_data_is_read(self, capsys, tmp_path, flag, value):
+        levels = {"--delta": "0.1", "--alpha": "0.05", flag: value}
+        argv = [item for pair in levels.items() for item in pair]
+        code, _, text = run_cli(capsys, "fit", "--data", str(tmp_path / "missing.csv"), *argv)
+        assert code == 2
+        assert text == f"error: {flag[2:]} must lie strictly inside (0, 1), got {float(value)!r}\n"
+
     def test_error_names_physical_line(self, capsys, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text("y,x\n1,2\n\n\n\n3,4\noops,5\n", encoding="utf-8")
@@ -629,6 +637,26 @@ class TestSimulateCommand:
         assert code == 2
         assert text.startswith(f"error: cannot write {out!r}: ")
         assert text.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["alpha-flag", "config-margin"])
+    def test_invalid_level_keeps_an_existing_out_file(self, capsys, tmp_path, monkeypatch, source):
+        monkeypatch.setattr(cli, "run_scenario", _unexpected_run)
+        config = {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [1.5]}
+        config_path = tmp_path / "margin.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        grid = {
+            "alpha-flag": ["--paper-grid", "--alpha", "2"],
+            "config-margin": ["--config", str(config_path)],
+        }[source]
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"earlier results\n")
+        code, _, text = run_cli(
+            capsys, "simulate", *grid, "--sims", "2", "--seed", "1", "--out", str(out)
+        )
+        assert code == 2
+        assert "must lie strictly inside (0, 1)" in text
+        assert out.read_bytes() == b"earlier results\n"
 
     def test_excessive_skips_exit_4(self, capsys, tmp_path, monkeypatch):
         def all_skip(*args, **kwargs):

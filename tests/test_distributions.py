@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from r2margin import distributions
-from r2margin.distributions import _root, f_cdf, f_quantile, reg_inc_beta
+from r2margin.distributions import _root, _seeded_root, f_cdf, f_quantile, reg_inc_beta
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import _v_from_psq
-from r2margin.montecarlo import default_delta_grid, paper_grid
 
-from oracles import RandomStream, f_cdf_quadrature
+from oracles import GUESS_CASES, RandomStream, f_cdf_quadrature, guessing, quantile_full_bracket
+from test_inference import CRITICAL_R2_KEYS
 
 # Frozen from the quadrature oracle (and cross-checked at 40 digits).
 F_CDF_AT_2P5_3_12 = 0.8908452876049937
@@ -205,8 +205,9 @@ class TestFQuantile:
         with pytest.raises(ConvergenceError):
             f_quantile(prob, d1, d2)
 
-    def test_few_cdf_calls_per_paper_grid_key(self, monkeypatch):
-        # Two range checks, the root search's steps and the final check.
+    @staticmethod
+    def most_cdf_calls(monkeypatch, keys):
+        """The most F CDFs one critical R2 key's quantile evaluates, and that key."""
         calls = []
 
         def counting_cdf(x, d1, d2):
@@ -214,11 +215,40 @@ class TestFQuantile:
             return f_cdf(x, d1, d2)
 
         monkeypatch.setattr(distributions, "f_cdf", counting_cdf)
-        keys = {(s.n, s.k, delta) for s in paper_grid() for delta in default_delta_grid()}
-        for n, k, delta in sorted(keys):
+        counts = []
+        for n, k, delta, alpha in keys:
             calls.clear()
-            f_quantile(0.05, _v_from_psq(delta, n, k), n - k - 1)
-            assert len(calls) <= 25, (n, k, delta)
+            f_quantile(alpha, _v_from_psq(delta, n, k), n - k - 1)
+            counts.append((len(calls), (n, k, delta, alpha)))
+        return max(counts)
+
+    def test_few_cdf_calls_per_paper_grid_key(self, monkeypatch):
+        # Two range checks, the probes next to Paulson's root, the root
+        # search's steps and the final check: 15 at most (22 over the whole bracket).
+        most, key = self.most_cdf_calls(monkeypatch, CRITICAL_R2_KEYS["paper-grid"])
+        assert most <= 16, key
+
+    def test_few_cdf_calls_per_large_n_key(self, monkeypatch):
+        # 20 at most (24 over the whole bracket): the CDF loses digits at large N.
+        most, key = self.most_cdf_calls(monkeypatch, CRITICAL_R2_KEYS["large-n-grid"])
+        assert most <= 21, key
+
+    @pytest.mark.parametrize(
+        "prob,d1,d2",
+        [(0.05, 6.3, 1243.0), (1e-12, 0.5, 3.0), (0.05, _v_from_psq(0.01, 10**6, 2), 999_997)],
+    )
+    @pytest.mark.parametrize("guess,slope", GUESS_CASES)
+    def test_any_guess_falls_back_to_the_same_quantile(
+        self, monkeypatch, prob, d1, d2, guess, slope
+    ):
+        want = quantile_full_bracket(prob, d1, d2)
+        monkeypatch.setattr(distributions, "_guess", guessing(guess, slope, math.log(want)))
+        found = f_quantile(prob, d1, d2)
+        if guess == "root":
+            assert math.isclose(found, want, rel_tol=1e-13)
+        else:
+            # a guess not strictly inside the bracket leaves the full search
+            assert found == want
 
 
 @st.composite
@@ -274,6 +304,40 @@ class TestRoot:
         )
         assert calls == len(seen)
         assert all(lo < x < hi for x in seen)
+        slack = math.ulp(max(abs(lo), abs(hi)))
+        assert abs(found - root) <= 0.5 * width + slack, (found, root)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        problem=root_problems(),
+        kind=st.sampled_from(["exact", "shifted", "decreasing", "constant", "nan"]),
+        offset=st.floats(-1.0, 1.0),
+    )
+    def test_seeded_search_lands_within_half_a_width_without_touching_the_ends(
+        self, problem, kind, offset
+    ):
+        # However poor the approximation, it only moves where the search starts.
+        fn, lo, hi, root, width, excess_lo, excess_hi = problem
+        approximations = {
+            "exact": fn,
+            "shifted": lambda x: fn(x - offset * (hi - lo)),
+            "decreasing": lambda x: -fn(x),
+            "constant": lambda x: offset,
+            "nan": lambda x: math.nan,
+        }
+        seen, guided = [], []
+
+        def excess(x):
+            seen.append(x)
+            return fn(x)
+
+        def approx(x):
+            guided.append(x)
+            return approximations[kind](x)
+
+        found, calls = _seeded_root(excess, approx, lo, hi, width, excess_lo, excess_hi)
+        assert calls == len(seen)
+        assert all(lo < x < hi for x in seen + guided)
         slack = math.ulp(max(abs(lo), abs(hi)))
         assert abs(found - root) <= 0.5 * width + slack, (found, root)
 

@@ -18,15 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from r2margin import inference
+from r2margin import distributions, inference
 from r2margin.distributions import _logit
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import TestInput, critical_r2, noninferiority_pvalue, upper_ci_p2
 from r2margin.montecarlo import default_delta_grid, paper_grid
 
 from oracles import (
+    GUESS_CASES,
     ci_upper_bisection,
     critical_r2_scipy,
+    guessing,
     pvalue_fixed_point,
     upper_raw_full_bracket,
 )
@@ -232,25 +234,11 @@ class TestUpperCiP2:
         assert_matches_full_bracket(r2, n, k, alpha, halve_alpha)
 
     @pytest.mark.parametrize("r2,n,k", [(0.085, 1250, 6), (0.3, 4, 2), (1.0 - 1e-12, 10**6, 3)])
-    @pytest.mark.parametrize(
-        "guess,slope",
-        [(end, math.nan) for end in ("nan", "below", "above", "lower-end", "upper-end")]
-        + [("root", slope) for slope in (math.nan, -1.0, 0.0, 1e-300, 1.0, 1e300)],
-    )
+    @pytest.mark.parametrize("guess,slope", GUESS_CASES)
     def test_any_guess_falls_back_to_the_same_bound(self, monkeypatch, r2, n, k, guess, slope):
         observed = TestInput(r2=r2, n=n, k=k)
         want = upper_raw_full_bracket(observed, 0.025)
-        guesses = {
-            "nan": lambda lo, hi: math.nan,
-            "below": lambda lo, hi: lo - 1.0,
-            "above": lambda lo, hi: 2.0,
-            "lower-end": lambda lo, hi: lo,
-            "upper-end": lambda lo, hi: hi,
-            "root": lambda lo, hi: want,
-        }
-        monkeypatch.setattr(
-            inference, "_approx_root", lambda input, target, lo, hi: (guesses[guess](lo, hi), slope)
-        )
+        monkeypatch.setattr(distributions, "_guess", guessing(guess, slope, want))
         bound = upper_ci_p2(observed, 0.05)
         assert bound.iterations <= 64
         if guess == "root":
