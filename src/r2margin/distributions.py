@@ -1,5 +1,4 @@
-"""Central F distribution built from first principles, plus the keys of the
-simulation's normal streams.
+"""Central F distribution built from first principles.
 
 The inference layer evaluates the F CDF at real-valued (fractional)
 degrees of freedom, once per p-value and once per step of the confidence
@@ -16,19 +15,11 @@ package and ``_logit`` its log-odds scale.  ``_seeded_root`` starts it next
 to the root of a cheap approximation; the quantile and the confidence bound
 in ``inference`` both take that approximation from ``_paulson_logit``,
 Paulson's closed-form normal approximation to the F CDF.
-
-``_fresh_philox_state`` keys a counter-based generator (Philox) by hashing
-arbitrary labels, so independent, reproducible streams of normals can be
-derived from tuples such as (master_seed, scenario_id, replicate) without
-any sequential seeding discipline.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_open_unit
 
@@ -152,15 +143,21 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
     """CDF at ``x`` of the central F distribution with ``d1`` and ``d2``
     degrees of freedom.
 
-    Both degrees of freedom are real and > 0; fractional values are routine
-    here, since the test's numerator degrees of freedom come out of a
-    data-dependent approximation.  Zero for x <= 0; elsewhere computed
+    Both degrees of freedom are real and at least 1e-323, the least double
+    whose half, a shape of the incomplete beta, is > 0; fractional values
+    are routine here, since the test's numerator degrees of freedom come out
+    of a data-dependent approximation.  Zero for x <= 0; elsewhere computed
     through the incomplete beta via the substitution t = d1*x / (d1*x + d2),
     and one where d1*x overflows.
     """
     x = _check_finite("x", x)
     d1 = _check_finite("d1", d1, True)
     d2 = _check_finite("d2", d2, True)
+    for name, d in (("d1", d1), ("d2", d2)):
+        if 0.5 * d == 0.0:
+            raise DomainError(
+                f"{name} must be >= 1e-323, as half of it underflows to 0, got {d!r}"
+            )
     if x <= 0.0:
         return 0.0
     scaled = d1 * x
@@ -202,37 +199,28 @@ def _paulson_logit(f: float, d1: float, d2: float) -> float:
     return _logit(0.5 * math.erfc(-w / math.sqrt(2.0)))
 
 
-def _root(
-    excess,
-    lo: float,
-    hi: float,
-    width: float,
-    excess_lo: float,
-    excess_hi: float,
-    *,
-    ends_evaluated: bool = False,
-) -> tuple[float, int]:
+def _root(excess, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
     """Brent's bracketing search for the root of an increasing ``excess``.
 
     ``excess_lo`` < 0 <= ``excess_hi`` are the values (or stand-ins of the
     right sign) at ``lo`` and ``hi``, which are never evaluated.  Each step
     evaluates one point strictly inside the sign-change bracket, chosen by
     inverse quadratic or linear interpolation when that shrinks the bracket
-    fast enough and by bisection otherwise (Brent 1973, ch. 4).  The first
-    step bisects, since a stand-in says nothing about where the root is,
-    unless ``ends_evaluated`` says both end values are ``excess`` itself;
-    then it interpolates between them.  A point with ``excess`` > 0 (or
-    NaN) closes the bracket from above and one with ``excess`` < 0 from
-    below.  The search stops once the bracket is no wider than ``width`` or
-    a step no longer lands strictly inside it, and returns the midpoint of
-    that bracket; a point with ``excess`` == 0 is returned as it is.  The
-    second value returned is the number of ``excess`` calls.
+    fast enough and by bisection otherwise (Brent 1973, ch. 4); the first
+    step interpolates between the two end values.  Where a stand-in makes
+    that interpolation poor, the bracket shrinks too slowly and the steps
+    that follow bisect.  A point with ``excess`` > 0 (or NaN) closes the
+    bracket from above and one with ``excess`` < 0 from below.  The search
+    stops once the bracket is no wider than ``width`` or a step no longer
+    lands strictly inside it, and returns the midpoint of that bracket; a
+    point with ``excess`` == 0 is returned as it is.  The second value
+    returned is the number of ``excess`` calls.
     """
     # b is the best point so far, c the other end of the bracket and a the
     # previous b; d is the step just taken and e the one before it.
     a, fa, b, fb = lo, excess_lo, hi, excess_hi
     c, fc = a, fa
-    d = e = hi - lo if ends_evaluated else 0.0
+    d = e = hi - lo
     calls = 0
     while True:
         if abs(fc) < abs(fb):
@@ -292,13 +280,12 @@ def _seeded_root(excess, approx, lo, hi, width, excess_lo, excess_hi) -> tuple[f
 
     ``excess`` is evaluated at that root and then one Newton step further,
     taken with the approximation's slope; each point strictly inside what
-    is left of the bracket replaces the end on its side.  When the two
-    straddle the root, ``_root`` interpolates between them from its first
-    step; otherwise it searches what is left of the bracket, all of it when
-    the guess is NaN or not strictly inside.
+    is left of the bracket replaces the end on its side.  ``_root`` then
+    searches what is left of the bracket, all of it when the guess is NaN
+    or not strictly inside.
     """
     x, slope = _guess(approx, lo, hi, excess_lo, excess_hi)
-    calls, sides = 0, set()
+    calls = 0
     while calls < 2 and lo < x < hi:
         fx = excess(x)
         calls += 1
@@ -308,11 +295,10 @@ def _seeded_root(excess, approx, lo, hi, width, excess_lo, excess_hi) -> tuple[f
             lo, excess_lo = x, fx
         else:
             hi, excess_hi = x, fx
-        sides.add(fx < 0.0)
         if not slope > 0.0:
             break
         x -= fx / slope
-    root, more = _root(excess, lo, hi, width, excess_lo, excess_hi, ends_evaluated=len(sides) == 2)
+    root, more = _root(excess, lo, hi, width, excess_lo, excess_hi)
     return root, calls + more
 
 
@@ -345,31 +331,3 @@ def f_quantile(prob: float, d1: float, d2: float) -> float:
     if abs(f_cdf(x, d1, d2) - prob) > _QUANTILE_CDF_TOL:
         raise ConvergenceError(f"quantile search ended off the root {context}")
     return x
-
-
-def _philox_key(key_parts) -> np.ndarray:
-    """The 128-bit Philox key of a stream: a hash of its key parts, read as two
-    little-endian 64-bit words."""
-    material = "\x1f".join(repr(part) for part in key_parts)
-    digest = hashlib.blake2b(material.encode("utf-8"), digest_size=16).digest()
-    return np.frombuffer(digest, dtype="<u8").astype(np.uint64)
-
-
-def _fresh_philox_state(*key_parts: object) -> dict:
-    """The state of a newly built Philox keyed by ``_philox_key(key_parts)``.
-
-    Streams keyed by the same parts replay the same sequence; streams keyed
-    by different parts are statistically independent.  Assigning the state
-    to a Philox's ``state`` re-keys that generator, so it then replays the
-    stream from its start.  That costs about a third of building a new
-    Philox, which first seeds itself from OS entropy and only then takes its
-    key.
-    """
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(key_parts)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }

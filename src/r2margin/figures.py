@@ -1,11 +1,12 @@
 """Dependency-free SVG rendering of rejection-rate curves.
 
 One panel per covariate count, each plotting rejection rate against the
-non-inferiority margin: one polyline per (sample size, noise variance) cell
-and a horizontal reference line at the test level.  Polyline points are
-written in data coordinates inside a scaled group, so the restricted-axis
-variant changes only the viewport mapping, never the point data, and the
-output stays diffable.
+non-inferiority margin: one polyline per scenario, ordered by (sample size,
+noise variance, scenario id), and a horizontal reference line at the test
+level, which all rows must share.  Polyline points are written in data
+coordinates inside a scaled group, so the restricted-axis variant changes
+only the viewport mapping, never the point data, and the output stays
+diffable.
 """
 
 from __future__ import annotations
@@ -37,13 +38,18 @@ def _num(value: float) -> str:
 
 
 def _parse_rows(rows):
+    """The rows as entries; DomainError names the first row that lacks a
+    column, holds a bad number, has another test level than row 0 or
+    repeats a (scenario_id, delta) pair."""
     parsed = []
+    seen = set()
     for index, row in enumerate(rows):
         for column in REQUIRED_COLUMNS:
             if column not in row or row[column] in (None, ""):
                 raise DomainError(f"results row {index} is missing column {column!r}")
         try:
             entry = {
+                "scenario_id": row["scenario_id"],
                 "n": int(row["n"]),
                 "k": int(row["k"]),
                 "sigma2": float(row["sigma2"]),
@@ -56,6 +62,15 @@ def _parse_rows(rows):
         for column in ("sigma2", "delta", "rejection_rate", "alpha"):
             if not math.isfinite(float(row[column])):
                 raise DomainError(f"results row {index} has a non-finite {column!r}: {row[column]!r}")
+        if parsed and entry["alpha"] != parsed[0]["alpha"]:
+            raise DomainError(
+                f"results row {index} has alpha {entry['alpha']!r}, row 0 {parsed[0]['alpha']!r}: "
+                "one figure shows one test level"
+            )
+        key = (entry["scenario_id"], entry["delta"])
+        if key in seen:
+            raise DomainError(f"results row {index} repeats scenario {key[0]!r} at delta {key[1]!r}")
+        seen.add(key)
         parsed.append(entry)
     return parsed
 
@@ -161,13 +176,11 @@ def render_rejection_figure(rows, *, restricted_axis: bool = False) -> str:
         for entry in data:
             if entry["k"] != k:
                 continue
-            series.setdefault((entry["n"], entry["sigma2"]), []).append(
+            series.setdefault((entry["n"], entry["sigma2"], entry["scenario_id"]), []).append(
                 (entry["delta"], entry["rate"])
             )
-        for (n, sigma2) in sorted(series):
-            points = " ".join(
-                f"{_num(delta)},{_num(rate)}" for delta, rate in sorted(series[(n, sigma2)])
-            )
+        for (n, sigma2, _), curve in sorted(series.items()):
+            points = " ".join(f"{_num(delta)},{_num(rate)}" for delta, rate in sorted(curve))
             parts.append(
                 f'<polyline class="series" fill="none" stroke="{color_of[n]}" '
                 f'stroke-width="{width_of[sigma2]}" vector-effect="non-scaling-stroke" '

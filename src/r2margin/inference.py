@@ -33,18 +33,20 @@ from 1 to 0 as z runs from -k/(n-k-1) to 1.  Three entry points build on it:
     the alpha quantile of F(v(delta), n-k-1).
 
 Quantile convention: by default the confidence bound solves for the tail
-probability ``alpha/2``, which makes the one-sided bound coincide with the
-upper limit of a two-sided ``1 - 2*alpha`` interval; this is the convention
-the golden values in the test suite were generated under.  Pass
-``halve_alpha=False`` for the literal one-sided reading (tail probability
-``alpha``).
+probability ``alpha/2``, which makes it the upper limit of a two-sided
+``1 - alpha`` interval, that is, a one-sided ``1 - alpha/2`` bound; this is
+the convention the golden values in the test suite were generated under.
+Pass ``halve_alpha=False`` for the literal one-sided ``1 - alpha`` bound
+(tail probability ``alpha``), the upper limit of a two-sided
+``1 - 2*alpha`` interval.  ``ConfidenceBound.level`` reports ``1 - alpha``
+under both conventions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import _logit, _paulson_logit, _root, _seeded_root, f_cdf, f_quantile
+from .distributions import _logit, _paulson_logit, _seeded_root, f_cdf, f_quantile
 from .errors import DomainError, _check_finite, _check_open_unit, _check_sizes
 
 __all__ = [
@@ -105,11 +107,13 @@ class ConfidenceBound:
     """Upper limit of the one-sided confidence interval for P2.
 
     ``upper_raw`` is the root of p(z) = tail probability, which lies below 0
-    when even z = 0 leaves too little tail (e.g. r2 = 0, where it is
-    -k/(n-k-1)); ``upper`` is that root clamped into [0, 1) and ``clamped``
-    says whether the clamp moved it.  ``v_final`` is v(upper_raw) and
-    ``iterations`` counts the F CDFs the search evaluated, those that
-    bracket the root next to its approximation included.
+    when even z = 0 leaves too little tail; ``upper`` is that root clamped
+    into [0, 1) and ``clamped`` says whether the clamp moved it.
+    ``v_final`` is v(upper_raw) and ``iterations`` counts the F CDFs the
+    search evaluated, those that bracket the root next to its approximation
+    included.  At r2 = 0 the root is -k/(n-k-1) in closed form: no F CDF
+    is evaluated, ``iterations`` is 0 and ``v_final`` is k.  ``level`` is
+    1 - alpha whichever tail convention was used.
     """
 
     upper: float
@@ -150,30 +154,31 @@ def _tail_at(input: TestInput, z: float) -> tuple[float, float, float]:
 def _bound_root(input: TestInput, prob: float) -> tuple[float, int]:
     """Root of p(z) = prob over [-k/(n-k-1), 1 - 1e-12] and the number of F
     CDFs spent on it, from Paulson's approximation to p at (F(z), v(z),
-    n-k-1); at r2 = 0, where p is 0 throughout, from the whole bracket."""
+    n-k-1).  At r2 = 0, F and so p are 0 on the whole open bracket, and the
+    root is its lower end, returned with no F CDF spent."""
     resid_df, n, k = input.residual_df, input.n, input.k
+    lo, hi = -k / resid_df, _PSQ_CEILING
+    if input.r2 == 0.0:
+        return lo, 0
     target = _logit(prob)
+    ratio = resid_df * input.r2 / (1.0 - input.r2)
 
     def excess(z):
         return target - _logit(_tail_at(input, z)[0])
-
-    # p is 1 at the lower end, where F is infinite, and next to 0 at the
-    # upper end; neither is evaluated.
-    lo, hi = -k / resid_df, _PSQ_CEILING
-    ends = (target - _logit(1.0), target - _logit(0.0))
-    if input.r2 == 0.0:
-        return _root(excess, lo, hi, _BOUND_WIDTH, *ends)
-    ratio = resid_df * input.r2 / (1.0 - input.r2)
 
     def approx(z):
         f_stat = ratio * (1.0 - z) / (z * resid_df + k)
         return target - _paulson_logit(f_stat, _v_from_psq(z, n, k), resid_df)
 
+    # p is 1 at the lower end, where F is infinite, and next to 0 at the
+    # upper end; neither is evaluated.
+    ends = (target - _logit(1.0), target - _logit(0.0))
     return _seeded_root(excess, approx, lo, hi, _BOUND_WIDTH, *ends)
 
 
 def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> ConfidenceBound:
-    """Upper limit of the one-sided (1 - alpha) confidence interval for P2.
+    """Upper limit of a one-sided confidence interval for P2: a one-sided
+    (1 - alpha/2) bound, or (1 - alpha) when ``halve_alpha=False``.
 
     The bound is the root of p(z) = alpha/2 (or alpha when
     ``halve_alpha=False``), where p(z) is the non-inferiority p-value at
@@ -181,7 +186,8 @@ def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> 
     on the log-odds scale it is close to linear in z, where on its own
     scale it is flat in both tails.  So ``_seeded_root`` solves
     logit(prob) = logit(p(z)), one F CDF per step, evaluating p only
-    strictly inside the bracket, to a bracket width of 1e-12.  The reported
+    strictly inside the bracket, to a bracket width of 1e-12; at r2 = 0 the
+    root is the bracket's lower end and no search runs.  The reported
     bound is clamped into [0, 1); the root itself is kept in ``upper_raw``.
     """
     alpha = _check_open_unit("alpha", alpha)

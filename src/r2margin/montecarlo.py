@@ -18,22 +18,23 @@ every margin whose critical value exceeds its R2.
 R2 is invariant under invertible linear maps of the covariates, so a
 replicate takes it from the centered (K+1)-square cross-products of its own
 standard normals (covariates z, noise e), mapped to those of (x, y) by the
-scenario's Cholesky factor and coefficients; no N-row x, y or centered copy
-is formed.  Replicates are decided in batches: each draws its normals into
-its own row of one buffer, and one set of stacked numpy calls forms, maps
-and factors the cross-products of the whole batch.  Only where those
-cross-products cannot be trusted (``regression._r2_from_gram`` returns NaN)
-does a replicate form x = z L' and y = beta0 + x beta + e (``_design``) and
-take R2 from the QR fit.  A replicate is skipped only when that fit fails.
+scenario's Cholesky factor and coefficients; no N-row x or centered copy is
+formed, and of y only y - beta0, for max|y|.  Replicates are decided in
+batches: each draws its normals into its own row of one buffer, and one set
+of stacked numpy calls forms, maps and factors the cross-products of the
+whole batch.  Only where those cross-products cannot be trusted
+(``regression._r2_from_gram`` returns NaN) does a replicate form x = z L'
+and y = beta0 + x beta + e (``_design``) and take R2 from the QR fit.  A replicate is skipped only when that fit fails.
 Counts are those of the rejection region; they can differ from
 per-replicate p-values only for an R2 within about 1e-12 of a critical
 value, where either answer is a rounding artifact.
 
 Replicate ``j`` of scenario ``s`` draws its normals from a Philox generator
-keyed by a hash of (master_seed, s.id, j), so results are independent of
-evaluation order and worker count; rejection counts reduce by plain integer
-addition, which keeps parallel runs bit-identical to serial ones.  Each unit of work
-owns its buffers and one generator, which it re-keys for every replicate.
+keyed by a hash of (master_seed, s.id, j), ``_philox_key``, so results are
+independent of evaluation order and worker count; rejection counts reduce by
+plain integer addition, which keeps parallel runs bit-identical to serial
+ones.  Each unit of work owns its buffers and one generator, which
+``_draw_normals`` re-keys for every replicate.
 
 The environment variable ``R2MARGIN_THREADS`` sets the default worker count
 (0 = one per CPU); runs are serial unless it is set or ``workers`` is passed
@@ -43,6 +44,7 @@ explicitly.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -50,7 +52,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _fresh_philox_state
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -225,10 +226,33 @@ def _design(scenario: Scenario, z: np.ndarray, noise: np.ndarray):
 _critical_r2 = functools.lru_cache(maxsize=4096)(critical_r2)
 
 
+def _philox_key(key_parts) -> np.ndarray:
+    """The 128-bit Philox key of a stream: a hash of its key parts, read as two
+    little-endian 64-bit words."""
+    material = "\x1f".join(repr(part) for part in key_parts)
+    digest = hashlib.blake2b(material.encode("utf-8"), digest_size=16).digest()
+    return np.frombuffer(digest, dtype="<u8").astype(np.uint64)
+
+
 def _draw_normals(generator: np.random.Generator, out: np.ndarray, *key_parts) -> None:
     """Fill ``out`` with the first ``out.size`` normals of the stream keyed by
-    ``key_parts``, re-keying ``generator`` in place."""
-    generator.bit_generator.state = _fresh_philox_state(*key_parts)
+    ``_philox_key(key_parts)``, re-keying ``generator``, a Philox generator,
+    in place.
+
+    Streams keyed by the same parts replay the same sequence; streams keyed
+    by different parts are statistically independent.  Assigning a fresh
+    state re-keys the generator and restarts it from the stream's start.
+    That costs about a third of building a new Philox, which first seeds
+    itself from OS entropy and only then takes its key.
+    """
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(key_parts)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     generator.standard_normal(out=out)
 
 

@@ -26,10 +26,10 @@ import numpy as np
 from scipy import integrate, stats
 
 from r2margin import distributions, inference
-from r2margin.distributions import _logit, _philox_key, _root, f_cdf
+from r2margin.distributions import _logit, _root, f_cdf
 from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
 from r2margin.inference import TestInput, noninferiority_pvalue
-from r2margin.montecarlo import Scenario, _design
+from r2margin.montecarlo import Scenario, _design, _philox_key
 from r2margin.regression import Dataset, r_squared
 
 

@@ -101,6 +101,7 @@ class TestCiCommand:
         assert code == 0
         assert float(report["upper"]) == 0.0
         assert report["clamped"] == "yes"
+        assert report["iterations"] == "0"
 
     def test_invariant_violation_exits_2(self, capsys):
         # n = 9 < k + 2 leaves no residual degrees of freedom
@@ -883,6 +884,71 @@ class TestPlotCommand:
         ET.fromstring(content)  # well-formed XML
         assert content.count("<polyline") == 30
         assert content.count('class="alpha-ref"') == 2
+
+    def test_paper_grid_figure_bytes_are_pinned(self, capsys, results_csv, tmp_path):
+        out = tmp_path / "figure.svg"
+        code, _, _ = run_cli(capsys, "plot", "--results", str(results_csv), "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e3f805f5ef5d027b9f47ff1b4510dd65323136ed2a8f40342d747ba02e82347d"
+        )
+
+    def test_scenarios_sharing_a_cell_get_one_line_each(self, capsys, tmp_path):
+        # same (n, k, sigma2), different beta
+        config = {
+            "scenarios": [
+                {"id": id_, "n": 60, "k": 2, "beta": beta, "sigma2": 1.0, "sigma_offdiag": 0.05}
+                for id_, beta in (("weak", [0.05, 0.0]), ("strong", [0.6, 0.4]))
+            ],
+            "deltas": [0.02, 0.05, 0.3],
+        }
+        config_path = tmp_path / "pair.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        results = tmp_path / "pair.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "50",
+            "--seed", "1", "--out", str(results),
+        )
+        assert code == 0
+        figure = tmp_path / "pair.svg"
+        code, _, _ = run_cli(capsys, "plot", "--results", str(results), "--out", str(figure))
+        assert code == 0
+        root = ET.fromstring(figure.read_text(encoding="utf-8"))
+        lines = [
+            [tuple(map(float, point.split(","))) for point in el.attrib["points"].split()]
+            for el in root.iter("{http://www.w3.org/2000/svg}polyline")
+        ]
+        with open(results, encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+        # "strong" sorts before "weak": one line per scenario, its margins in order
+        assert lines == [
+            [(float(row["delta"]), float(row["rejection_rate"]))
+             for row in rows if row["scenario_id"] == id_]
+            for id_ in ("strong", "weak")
+        ]
+        assert lines[0] != lines[1]
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            ({"alpha": "0.1"}, "results row 1 has alpha 0.1, row 0 0.05"),
+            ({"rejection_rate": "0.5"}, "results row 1 repeats scenario 's' at delta 0.03"),
+        ],
+        ids=["mixed-levels", "repeated-margin"],
+    )
+    def test_rows_that_cannot_share_a_figure_exit_2(self, capsys, tmp_path, second, message):
+        cells = dict(zip(cli.RESULT_COLUMNS, "s,60,2,1.0,0.03,0.03,0.05,2,0,0.0,0,1".split(",")))
+        results = tmp_path / "results.csv"
+        results.write_text(
+            ",".join(cli.RESULT_COLUMNS) + "\n"
+            + "".join(",".join(row.values()) + "\n" for row in (cells, cells | second)),
+            encoding="utf-8",
+        )
+        code, _, text = run_cli(
+            capsys, "plot", "--results", str(results), "--out", str(tmp_path / "x.svg")
+        )
+        assert code == 2
+        assert text.startswith(f"error: {message}")
 
     def test_restricted_axis_keeps_polyline_data(self, capsys, results_csv, tmp_path):
         full = tmp_path / "full.svg"

@@ -134,12 +134,18 @@ class TestUpperCiP2:
         assert bound.v_final > 0.0
         assert not bound.clamped
 
-    def test_zero_r2_clamps_to_zero(self):
-        bound = upper_ci_p2(TestInput(r2=0.0, n=100, k=3), 0.10)
+    @pytest.mark.parametrize("halve_alpha", [True, False])
+    @pytest.mark.parametrize("alpha", [1e-300, 0.05, 0.999])
+    @pytest.mark.parametrize("n,k", [(4, 1), (100, 3), (10**7, 10)])
+    def test_zero_r2_clamps_to_zero(self, n, k, alpha, halve_alpha):
+        bound = upper_ci_p2(TestInput(r2=0.0, n=n, k=k), alpha, halve_alpha=halve_alpha)
+        # p(z) is 0 above -k / (n - k - 1), so that end is the root, in
+        # closed form
+        assert bound.upper_raw == -k / (n - k - 1)
+        assert bound.iterations == 0
         assert bound.upper == 0.0
         assert bound.clamped
-        # raw endpoint is -k / (n - k - 1) at a zero observed r2
-        assert bound.upper_raw == pytest.approx(-3.0 / 96.0, abs=1e-12)
+        assert bound.v_final == k
 
     @pytest.mark.parametrize(
         "r2,n,k",

@@ -384,6 +384,20 @@ class TestReplicateKernel:
             e = stream.standard_normal(scenario.n)
             np.testing.assert_array_equal(normals, np.concatenate([z.ravel(), e]))
 
+    def test_stream_key_and_first_normals_are_pinned(self):
+        # Re-keying would change every draw that the acceptance criteria were
+        # validated on, so one paper-grid replicate's Philox key and first
+        # normals are literals.  The key is read back from the re-keyed state.
+        generator = np.random.Generator(np.random.Philox())
+        normals = np.empty(4)
+        mc._draw_normals(generator, normals, 1, "k2_n0060_v0.4", 0)
+        key = generator.bit_generator.state["state"]["key"]
+        assert [int(word) for word in key] == [0x01FB77697CB35615, 0x85F4F5393795DF67]
+        assert normals.tolist() == [
+            -0.5205411160272022, 0.7753610244618323, -0.5042049033390128, -0.14578264853868705
+        ]
+        assert RandomStream(1, "k2_n0060_v0.4", 0).standard_normal(4).tolist() == normals.tolist()
+
     @pytest.mark.parametrize(
         "scenario,n_sims",
         [(s, 20) for s in paper_grid()]
