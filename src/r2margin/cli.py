@@ -304,6 +304,10 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
     if len({s.id for s in scenarios}) != len(scenarios):
         raise DomainError("scenario ids must be unique")
     deltas = [_check_open_unit("every margin", _number("config", "deltas", d)) for d in raw_deltas]
+    # a repeated margin would write rows that `plot` rejects
+    for i, d in enumerate(deltas):
+        if d in deltas[:i]:
+            raise DomainError(f"config key 'deltas' repeats the margin {d!r}")
     return scenarios, deltas
 
 

@@ -18,13 +18,14 @@ every margin whose critical value exceeds its R2.
 R2 is invariant under invertible linear maps of the covariates, so a
 replicate takes it from the centered (K+1)-square cross-products of its own
 standard normals (covariates z, noise e), mapped to those of (x, y) by the
-scenario's Cholesky factor and coefficients; no N-row x or centered copy is
-formed, and of y only y - beta0, for max|y|.  Replicates are decided in
-batches: each draws its normals into its own row of one buffer, and one set
-of stacked numpy calls forms, maps and factors the cross-products of the
-whole batch.  Only where those cross-products cannot be trusted
-(``regression._r2_from_gram`` returns NaN) does a replicate form x = z L'
-and y = beta0 + x beta + e (``_design``) and take R2 from the QR fit.  A replicate is skipped only when that fit fails.
+scenario's Cholesky factor and coefficients; no N-row x, y or centered copy
+is formed, and the near-constant-outcome guard reads |mean y| off the
+column sums.  Replicates are decided in batches: each draws its normals
+into its own row of one buffer, and one set of stacked numpy calls forms,
+maps and factors the cross-products of the whole batch.  Only where those
+cross-products cannot be trusted (``regression._r2_from_gram`` returns NaN)
+does a replicate form x = z L' and y = beta0 + x beta + e (``_design``) and
+take R2 from the QR fit.  A replicate is skipped only when that fit fails.
 Counts are those of the rejection region; they can differ from
 per-replicate p-values only for an R2 within about 1e-12 of a critical
 value, where either answer is a rounding artifact.
@@ -88,8 +89,8 @@ SKIP_FAILURE_FRACTION = 0.001
 _CHOLESKY_PIVOT_TOL = 1e-12
 
 # Float64s in one batch of the replicate kernel's draw buffer (2 MiB): at the
-# paper grid's N a batch holds dozens to hundreds of replicates, and from
-# N (K+3) > 2^18 it holds one.
+# paper grid's N a batch holds 6 to 1456 replicates, and from
+# N (K+1) > 2^18 it holds one.
 _BATCH_FLOATS = 2**18
 
 # Standard 30-cell grid.
@@ -97,6 +98,12 @@ GRID_SAMPLE_SIZES = (60, 180, 540, 1000, 8000)
 GRID_VARIANCES = (0.4, 0.5, 1.0)
 GRID_BETAS = {2: (0.11, -0.15), 4: (0.11, 0.10, -0.05, -0.10)}
 GRID_OFFDIAG = 0.05
+
+
+def _replicate_floats(n: int, k: int) -> int:
+    """Float64s in one replicate's row of the kernel's draw buffer: its
+    (N, K) covariate normals, then its N noise normals."""
+    return n * (k + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +130,9 @@ class Scenario:
         if not isinstance(self.id, str) or not self.id or not self.id.isprintable():
             raise DomainError(f"scenario id must be a non-empty printable string, got {self.id!r}")
         n, k = _check_sizes(self.n, self.k)
-        # the replicate kernel's buffer: covariate and noise normals, ones, y
-        if n * (k + 3) * 8 > np.iinfo(np.intp).max:
+        if _replicate_floats(n, k) * 8 > np.iinfo(np.intp).max:
             raise DomainError(
-                f"scenario {self.id!r}: an n={n} by k+3={k + 3} float64 "
+                f"scenario {self.id!r}: an n={n} by k+1={k + 1} float64 "
                 "draw buffer is beyond the addressable memory"
             )
         beta = _check_float_array("beta", self.beta)
@@ -267,38 +273,38 @@ def _replicate_counts(scenario, start, stop, master_seed, roots):
     covariates, so it is read from the centered cross-products of
     [z noise], mapped to those of [x y] by M:
     [x_c y_c] = [z_c noise_c] M with M = [[L', L' beta], [0, 1]], as
-    x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).
+    x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).  The
+    near-constant guard's scale, |mean y| = |beta0 + (sum z . L' beta +
+    sum noise) / N|, comes from the same column sums.
 
-    Replicates are decided in batches of up to _BATCH_FLOATS / (N (K+3)).
+    Replicates are decided in batches of up to _BATCH_FLOATS / (N (K+1)).
     Each replicate of a batch is drawn into its own row of one buffer; then
     one set of stacked numpy calls forms the batch's cross-products, maps
     them by M and reads their R2 through ``_r2_from_gram``.  x and y are
     formed only for the replicates where it returns NaN, for the QR fit.
     """
     n, k = scenario.n, scenario.k
-    width = n * (k + 3)
+    width = _replicate_floats(n, k)
     batch = max(1, min(stop - start, _BATCH_FLOATS // width))
     # One buffer per span, never shared between threads, one row per
-    # replicate of a batch: [z | noise | ones | y - beta0].  One draw fills
-    # z and the noise, and [noise; ones] times z or the noise gives the
-    # noise cross-products and the column sums.  One allocation rather than
-    # several: glibc maps blocks beyond 32 MiB and unmaps them when freed,
-    # where smaller N-length arrays would stay behind in the heap and raise
-    # the peak RSS of later, larger scenarios.
+    # replicate of a batch: [z | noise], filled by one draw.  One allocation
+    # rather than one per region: glibc maps blocks beyond 32 MiB and unmaps
+    # them when freed, where smaller N-length arrays would stay behind in the
+    # heap and raise the peak RSS of later, larger scenarios.  The ones that
+    # sum the columns are a separate N-vector on purpose: folded into the
+    # buffer, they would make its block as large as a buffer of K+2 columns,
+    # which raised that peak.
     buffer = np.empty((batch, width))
-    normals = buffer[:, : n * (k + 1)]
     z = buffer[:, : n * k].reshape(batch, n, k)
-    noise = buffer[:, n * k : n * (k + 1)]
-    noise_ones = buffer[:, n * k : n * (k + 2)].reshape(batch, 2, n)
-    noise_ones[:, 1] = 1.0
-    y_part = buffer[:, n * (k + 2) :]
+    noise = buffer[:, n * k :]
+    ones = np.ones(n)
     sigma = math.sqrt(scenario.sigma2)
     gamma = scenario.lower.T @ scenario.beta
     to_xy = np.eye(k + 1)
     to_xy[:k, :k] = scenario.lower.T
     to_xy[:k, k] = gamma
     grams = np.empty((batch, k + 1, k + 1))
-    sums = np.empty((batch, k + 1))
+    column_sums = np.empty((batch, k + 1))
     generator = np.random.Generator(np.random.Philox())
 
     counts = np.zeros(len(roots), dtype=np.int64)
@@ -309,24 +315,18 @@ def _replicate_counts(scenario, start, stop, master_seed, roots):
         for lo in range(start, stop, batch):
             size = min(batch, stop - lo)
             for row, j in enumerate(range(lo, lo + size)):
-                _draw_normals(generator, normals[row], master_seed, scenario.id, j)
-            zs, es, gram = z[:size], noise[:size], grams[:size]
+                _draw_normals(generator, buffer[row], master_seed, scenario.id, j)
+            zs, es, gram, sums = z[:size], noise[:size], grams[:size], column_sums[:size]
             es *= sigma
-            cross = noise_ones[:size] @ zs
-            tail = noise_ones[:size] @ es[:, :, None]
             np.matmul(zs.transpose(0, 2, 1), zs, out=gram[:, :k, :k])
-            gram[:, k, :k] = gram[:, :k, k] = cross[:, 0]
-            gram[:, k, k] = tail[:, 0, 0]
-            sums[:size, :k] = cross[:, 1]
-            sums[:size, k] = tail[:, 1, 0]
-            gram -= sums[:size, :, None] * (sums[:size, None, :] / n)
-            # y less beta0, for max|y|
-            ys = y_part[:size]
-            np.matmul(zs, gamma, out=ys)
-            ys += es
-            top = scenario.beta0 + ys.max(axis=1)
-            bottom = scenario.beta0 + ys.min(axis=1)
-            r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, np.maximum(top, -bottom))
+            np.matmul(es[:, None, :], zs, out=gram[:, k:, :k])
+            gram[:, :k, k] = gram[:, k, :k]
+            np.matmul(es[:, None, :], es[:, :, None], out=gram[:, k:, k:])
+            np.matmul(ones, zs, out=sums[:, :k])
+            np.matmul(es, ones, out=sums[:, k])
+            gram -= sums[:, :, None] * (sums[:, None, :] / n)
+            y_mean = np.abs(scenario.beta0 + (sums[:, :k] @ gamma + sums[:, k]) / n)
+            r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, y_mean)
             for row in np.flatnonzero(np.isnan(r2)):
                 x, y = _design(scenario, zs[row], es[row])
                 try:

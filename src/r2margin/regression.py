@@ -143,14 +143,14 @@ def fit_ols(data: Dataset) -> OlsFit:
     )
 
 
-def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
+def _r2_from_gram(grams: np.ndarray, n: int, y_mean: np.ndarray) -> np.ndarray:
     """R2 of the intercept-included fit of each of a stack of datasets from
     its centered cross-products, NaN where only ``fit_ols`` can be trusted to
     give it.
 
     ``grams`` holds, shaped (B, K+1, K+1), [Xc yc]'[Xc yc] of each dataset:
     the cross-product matrix of its N rows of covariates and outcome after
-    each column's mean is subtracted.  ``y_max`` holds each max|y| over the
+    each column's mean is subtracted.  ``y_mean`` holds each |mean y| of the
     uncentered outcome.  Each Cholesky factor holds the factor L of Xc'Xc in
     its leading block and w = L^-1 Xc'yc in its last row, so R2 = |w|^2 /
     SST with no Q factor formed.  Up to signs, L' is the trailing block of
@@ -163,8 +163,11 @@ def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
       10^4 inside the QR rank test, so rounding cannot flip that test;
     - a covariate's squared multiple correlation with the ones before it
       reaches 1 - 1e-4, where the two routes' rounding drifts apart;
-    - the outcome is nearly constant: SST at or below N (1e-4 max|y|)^2,
-      where centering loses digits, or near ``fit_ols``'s own cut-off;
+    - the outcome is nearly constant: SST at or below N (1e-4 |mean y|)^2,
+      where centering loses digits in proportion to the mean, or at or
+      below N 1e-26.  As max|y| <= |mean y| + sqrt(SST), this defers
+      wherever ``fit_ols`` flags ``constant_outcome`` (SST at or below
+      N (1e-14 max(1, max|y|))^2), for any N below 1e26;
     - R2 exceeds 1 - 1e-9;
     - any of these is NaN, as non-finite or overflowing input makes them.
 
@@ -179,7 +182,7 @@ def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
         if len(grams) == 1:
             return np.full(1, np.nan)
         return np.concatenate(
-            [_r2_from_gram(grams[i : i + 1], n, y_max[i : i + 1]) for i in range(len(grams))]
+            [_r2_from_gram(grams[i : i + 1], n, y_mean[i : i + 1]) for i in range(len(grams))]
         )
     # Every test is written so that a NaN fails it.
     pivots = lower.diagonal(0, 1, 2)[:, :k]
@@ -197,7 +200,7 @@ def _r2_from_gram(grams: np.ndarray, n: int, y_max: np.ndarray) -> np.ndarray:
             .all(axis=1)
             & (intercept > floor)
             & (sst > n * 1e-26)
-            & (sst > n * (1e-4 * y_max) ** 2)
+            & (sst > n * (1e-4 * y_mean) ** 2)
             & (r2 <= _GRAM_R2_MAX)
         )
     r2[~trusted] = np.nan

@@ -659,6 +659,24 @@ class TestSimulateCommand:
         assert "must lie strictly inside (0, 1)" in text
         assert out.read_bytes() == b"earlier results\n"
 
+    def test_repeated_margin_keeps_an_existing_out_file(self, capsys, tmp_path, monkeypatch):
+        # simulate would write scenario a at 0.05 twice, which plot rejects
+        monkeypatch.setattr(cli, "run_scenario", _unexpected_run)
+        config = {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}],
+                  "deltas": [0.05, 0.05, 0.02]}
+        config_path = tmp_path / "repeat.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"earlier results\n")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "2", "--seed", "1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert text == "error: config key 'deltas' repeats the margin 0.05\n"
+        assert out.read_bytes() == b"earlier results\n"
+
     def test_excessive_skips_exit_4(self, capsys, tmp_path, monkeypatch):
         def all_skip(*args, **kwargs):
             raise ExcessiveSkipsError("forced")

@@ -176,7 +176,7 @@ class TestRunScenario:
 
         scenario = _small_scenario()
         # Every replicate takes the QR route, where the forced failure is a skip.
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_max: np.full(len(grams), np.nan))
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_mean: np.full(len(grams), np.nan))
         monkeypatch.setattr(mc, "r_squared", explode)
         with pytest.raises(ExcessiveSkipsError):
             run_scenario(scenario, [0.05], 40, 0.05, 1)
@@ -204,8 +204,8 @@ def _record_gram_r2(monkeypatch):
     float per replicate; the list it records into."""
     values = []
 
-    def recorded(grams, n, y_max):
-        r2 = _r2_from_gram(grams, n, y_max)
+    def recorded(grams, n, y_mean):
+        r2 = _r2_from_gram(grams, n, y_mean)
         values.extend(r2.tolist())
         return r2
 
@@ -234,7 +234,7 @@ class TestCriticalR2Decisions:
             assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
 
     def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_max: np.full(len(grams), np.nan))
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_mean: np.full(len(grams), np.nan))
         fits = []
 
         def counted_r_squared(data):
@@ -300,7 +300,7 @@ class TestCriticalR2Decisions:
         deltas = default_delta_grid()
         roots = [mc._critical_r2(scenario.n, scenario.k, d, 0.05) for d in deltas]
         r2 = roots[9] + offset
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_max: np.full(len(grams), r2))
+        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_mean: np.full(len(grams), r2))
         records = run_scenario(scenario, deltas, 3, 0.05, 1)
         assert _counts(records) == ([3 if root > r2 else 0 for root in roots], 0)
         assert records[9].rejections == (3 if offset < 0 else 0)
@@ -353,6 +353,35 @@ class TestCriticalR2Decisions:
         counts, skipped, gram_r2 = self._patched_counts(monkeypatch, constant, scenario)
         assert len(gram_r2) == 5 and np.isnan(gram_r2).all()
         assert counts == [5] * 19 and skipped == 0
+
+    # SST is about N (1.05 per row) whatever the offsets, so the guard hands a
+    # replicate over exactly when |mean y| exceeds about 1e4, and the kernel
+    # reads that mean off beta0 and the column sums of z and the noise
+    @pytest.mark.parametrize(
+        "beta0,z_shift,noise_shift,handed_over",
+        [
+            (0.0, 0.0, 0.0, False),
+            (1e6, 0.0, 0.0, True),
+            (-1e6, 0.0, 0.0, True),
+            (0.0, 0.0, 1e6, True),
+            (-1e6, 0.0, 1e6, False),
+            (0.0, 1e6, 0.0, True),
+        ],
+    )
+    def test_near_constant_guard_reads_the_outcome_mean(
+        self, monkeypatch, beta0, z_shift, noise_shift, handed_over
+    ):
+        scenario = Scenario(id="offset", n=60, k=2, beta=np.array([0.2, -0.1]), sigma2=1.0,
+                            sigma_matrix=exchangeable_covariance(2), beta0=beta0)
+
+        def shifted(generator, out, *key_parts):
+            out[:] = RandomStream(*key_parts).standard_normal(out.size)
+            out[: -scenario.n] += z_shift
+            out[-scenario.n :] += noise_shift
+
+        _, skipped, gram_r2 = self._patched_counts(monkeypatch, shifted, scenario)
+        assert len(gram_r2) == 5 and skipped == 0
+        assert np.isnan(gram_r2).tolist() == [handed_over] * 5
 
 
 class TestReplicateKernel:
@@ -416,7 +445,7 @@ class TestReplicateKernel:
     def test_span_in_small_batches_equals_exact_evaluation(self, monkeypatch):
         scenario = [s for s in paper_grid() if s.n == 60 and s.k == 2][0]
         # batches of three replicates: the span [5, 22) ends in a batch of two
-        monkeypatch.setattr(mc, "_BATCH_FLOATS", 3 * scenario.n * (scenario.k + 3) + 1)
+        monkeypatch.setattr(mc, "_BATCH_FLOATS", 3 * scenario.n * (scenario.k + 1) + 1)
         draws = []
         draw_normals = mc._draw_normals
 
@@ -521,12 +550,20 @@ class TestGridConstruction:
                 Scenario(id="bad", n=50, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
                          sigma_matrix=np.array(sigma))
 
-    # 3e17 rows of k + 1 = 3 doubles fit the index range, but the replicate
-    # kernel's buffer of k + 3 columns does not
-    @pytest.mark.parametrize("n", [10**30, 2**62, 3 * 10**17])
+    # the most rows whose k + 1 = 3 doubles each, the replicate kernel's
+    # buffer row, fit the index range
+    _MOST_ADDRESSABLE_ROWS = np.iinfo(np.intp).max // (8 * 3)
+
+    @pytest.mark.parametrize("n", [10**30, 2**62, _MOST_ADDRESSABLE_ROWS + 1])
     def test_unaddressable_design_is_rejected(self, n):
         with pytest.raises(DomainError, match="'huge'"):
             Scenario(
                 id="huge", n=n, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
                 sigma_matrix=np.eye(2),
             )
+
+    def test_design_at_the_addressable_limit_is_accepted(self):
+        n = self._MOST_ADDRESSABLE_ROWS
+        scenario = Scenario(id="huge", n=n, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
+                            sigma_matrix=np.eye(2))
+        assert scenario.n == n

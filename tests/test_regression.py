@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from r2margin.errors import (
     DimensionMismatchError,
@@ -24,8 +26,8 @@ def _gram_r_squared(x, y):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
         centered = columns - columns.mean(axis=0)
         gram = centered.T @ centered
-    y_max = max(float(y.max()), -float(y.min()))
-    return float(_r2_from_gram(gram[None], x.shape[0], np.array([y_max]))[0])
+    y_mean = abs(float(y.mean()))
+    return float(_r2_from_gram(gram[None], x.shape[0], np.array([y_mean]))[0])
 
 
 def _random_dataset(rng, n=60, k=3, noise=1.0):
@@ -181,33 +183,33 @@ class TestGramRSquared:
 
     @staticmethod
     def _stack(rng, size, n=80, k=3):
-        """Centered cross-products and max|y| of ``size`` random datasets."""
-        grams, y_max = [], []
+        """Centered cross-products and |mean y| of ``size`` random datasets."""
+        grams, y_mean = [], []
         for _ in range(size):
             data = _random_dataset(rng, n=n, k=k)
             centered = np.column_stack([data.x, data.y])
             centered = centered - centered.mean(axis=0)
             grams.append(centered.T @ centered)
-            y_max.append(float(np.abs(data.y).max()))
-        return np.array(grams), np.array(y_max)
+            y_mean.append(abs(float(data.y.mean())))
+        return np.array(grams), np.array(y_mean)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_stack_equals_each_gram_alone(self, k):
         rng = np.random.default_rng(20 + k)
-        grams, y_max = self._stack(rng, 37, k=k)
-        stacked = _r2_from_gram(grams, 80, y_max)
-        alone = [_r2_from_gram(grams[i : i + 1], 80, y_max[i : i + 1])[0] for i in range(37)]
+        grams, y_mean = self._stack(rng, 37, k=k)
+        stacked = _r2_from_gram(grams, 80, y_mean)
+        alone = [_r2_from_gram(grams[i : i + 1], 80, y_mean[i : i + 1])[0] for i in range(37)]
         assert not np.isnan(stacked).any()
         assert stacked.tolist() == alone
 
     def test_failed_grams_give_nan_and_leave_the_rest(self):
         rng = np.random.default_rng(31)
-        grams, y_max = self._stack(rng, 6)
-        expected = _r2_from_gram(grams, 80, y_max)
+        grams, y_mean = self._stack(rng, 6)
+        expected = _r2_from_gram(grams, 80, y_mean)
         broken = grams.copy()
         broken[1, 2, 2] = -1.0  # not positive definite: Cholesky fails
         broken[4, 0, 3] = broken[4, 3, 0] = np.nan
-        r2 = _r2_from_gram(broken, 80, y_max)
+        r2 = _r2_from_gram(broken, 80, y_mean)
         assert np.isnan(r2[[1, 4]]).all()
         keep = [0, 2, 3, 5]
         assert r2[keep].tolist() == expected[keep].tolist()
@@ -231,6 +233,33 @@ class TestGramRSquared:
     def test_constant_outcome_defers_to_qr(self, level):
         x = np.random.default_rng(10).normal(size=(40, 2))
         assert math.isnan(_gram_r_squared(x, np.full(40, level)))
+
+    # offsets 0 and +-[1, 1e150], spreads 0.5x to 2x of fit_ols's cut-off
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.integers(1, 4).flatmap(
+            lambda k: st.tuples(st.integers(k + 2, 100_000), st.just(k))
+        ),
+        offset=st.one_of(
+            st.just(0.0),
+            st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                      st.floats(0.0, 150.0)),
+        ),
+        spread=st.floats(0.5, 2.0),
+    )
+    @example(seed=0, shape=(4, 2), offset=0.0, spread=0.5)
+    @example(seed=1, shape=(100_000, 1), offset=-1e150, spread=0.5)
+    @example(seed=2, shape=(500, 4), offset=1.0, spread=0.5)
+    def test_defers_wherever_fit_ols_flags_a_constant_outcome(self, seed, shape, offset, spread):
+        # max|y| <= |mean y| + sqrt(SST), so fit_ols's cut-off on the scale
+        # max|y| implies the guard's on |mean y|
+        n, k = shape
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, k))
+        y = offset + spread * 1e-14 * max(1.0, abs(offset)) * rng.normal(size=n)
+        if fit_ols(Dataset(y=y, x=x)).constant_outcome:
+            assert math.isnan(_gram_r_squared(x, y))
 
     def test_outcome_offset_far_beyond_its_spread_defers_to_qr(self):
         rng = np.random.default_rng(11)
