@@ -12,7 +12,7 @@ Exit codes: 0 success, otherwise the ``exit_code`` of the error class
 raised (see ``errors``): 2 validation failure (an input too large for the
 memory available exits 2 as well), 3 convergence failure, 4 excessive Monte
 Carlo skips.  ``R2MARGIN_THREADS`` sets the simulate worker count (0 = one per
-CPU).
+CPU), capped at one per CPU.
 """
 
 from __future__ import annotations
@@ -211,6 +211,9 @@ def _cmd_fit(args) -> int:
     r2 = r_squared(data)
     observed = TestInput(r2=r2, n=data.n_obs, k=data.n_covariates)
     bound = upper_ci_p2(observed, args.alpha)
+    # the one-sided 1 - alpha bound, which lies below the margin exactly when
+    # the level-alpha test rejects
+    test_bound = upper_ci_p2(observed, args.alpha, halve_alpha=False)
     result = noninferiority_pvalue(observed, args.delta)
     if result.p_value < args.alpha:
         decision = f"reject H0: P2 >= {args.delta:g} (model explains less than the margin)"
@@ -227,6 +230,7 @@ def _cmd_fit(args) -> int:
             ("r2", _fmt(r2, args.precision)),
             ("ci_upper", _fmt(bound.upper, args.precision)),
             ("ci_level", _fmt(bound.level, args.precision)),
+            ("test_upper", _fmt(test_bound.upper, args.precision)),
             ("p_value", _fmt(result.p_value, args.precision)),
             ("decision", decision),
         ],

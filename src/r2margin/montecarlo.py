@@ -20,30 +20,32 @@ replicate takes it from the centered (K+1)-square cross-products of its own
 standard normals (covariates z, noise e), mapped to those of (x, y) by the
 scenario's Cholesky factor and coefficients; no N-row x, y or centered copy
 is formed, and the near-constant-outcome guard reads |mean y| off the
-column sums.  Replicates are decided in batches: each draws its normals
-into its own row of one buffer, and one set of stacked numpy calls forms,
-maps and factors the cross-products of the whole batch.  Only where those
-cross-products cannot be trusted (``regression._r2_from_gram`` returns NaN)
-does a replicate form x = z L' and y = beta0 + x beta + e (``_design``) and
-take R2 from the QR fit.  A replicate is skipped only when that fit fails.
-Counts are those of the rejection region; they can differ from
-per-replicate p-values only for an R2 within about 1e-12 of a critical
-value, where either answer is a rounding artifact.
+column sums.  Replicates are decided in batches, the one unit of work: each
+replicate draws its normals into its own row of the batch's buffer, and one
+set of stacked numpy calls forms, maps and factors the cross-products of the
+whole batch.  Only where those cross-products cannot be trusted
+(``regression._r2_from_gram`` returns NaN) does a replicate form x = z L'
+and y = beta0 + x beta + e (``_design``) and take R2 from the QR fit.  A
+replicate is skipped only when that fit fails.  Counts are those of the
+rejection region; they can differ from per-replicate p-values only for an
+R2 within about 1e-12 of a critical value, where either answer is a
+rounding artifact.
 
 Replicate ``j`` of scenario ``s`` draws its normals from a Philox generator
 keyed by a hash of (master_seed, s.id, j), ``_philox_key``, so results are
 independent of evaluation order and worker count; rejection counts reduce by
 plain integer addition, which keeps parallel runs bit-identical to serial
-ones.  Each unit of work owns its buffers and one generator, which
-``_draw_normals`` re-keys for every replicate.
+ones.  Each batch owns its buffers and one generator, which ``_draw_normals``
+re-keys for every replicate.
 
-The environment variable ``R2MARGIN_THREADS`` sets the default worker count
-(0 = one per CPU); runs are serial unless it is set or ``workers`` is passed
-explicitly.
+The environment variable ``R2MARGIN_THREADS`` sets the worker count, capped
+at one per CPU (0 = one per CPU); runs are serial while it is unset.  Serial
+runs decide the batches in order; others map them over a pool of threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -263,93 +265,82 @@ def _draw_normals(generator: np.random.Generator, out: np.ndarray, *key_parts) -
 
 
 def _replicate_counts(scenario, start, stop, master_seed, roots):
-    """Rejection counts over replicates [start, stop); one unit of work.
+    """Rejection counts and skips of replicates [start, stop), decided as one
+    batch; ``run_scenario`` sizes the batches.
 
     ``roots`` holds each margin's critical R2.  A replicate rejects at every
     margin whose root exceeds its R2, and is skipped if its QR fit fails.
 
-    Each replicate's normals come in one draw: z, shaped (N, K), then the N
-    noise normals.  R2 is invariant under invertible linear maps of the
-    covariates, so it is read from the centered cross-products of
-    [z noise], mapped to those of [x y] by M:
+    Each replicate's normals come in one draw into its own row of one buffer:
+    z, shaped (N, K), then the N noise normals.  R2 is invariant under
+    invertible linear maps of the covariates, so it is read from the centered
+    cross-products of [z noise], mapped to those of [x y] by M:
     [x_c y_c] = [z_c noise_c] M with M = [[L', L' beta], [0, 1]], as
     x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).  The
     near-constant guard's scale, |mean y| = |beta0 + (sum z . L' beta +
-    sum noise) / N|, comes from the same column sums.
-
-    Replicates are decided in batches of up to _BATCH_FLOATS / (N (K+1)).
-    Each replicate of a batch is drawn into its own row of one buffer; then
-    one set of stacked numpy calls forms the batch's cross-products, maps
-    them by M and reads their R2 through ``_r2_from_gram``.  x and y are
-    formed only for the replicates where it returns NaN, for the QR fit.
+    sum noise) / N|, comes from the same column sums.  One set of stacked
+    numpy calls forms the batch's cross-products, maps them by M and reads
+    their R2 through ``_r2_from_gram``; x and y are formed only for the
+    replicates where it returns NaN, for the QR fit.
     """
     n, k = scenario.n, scenario.k
-    width = _replicate_floats(n, k)
-    batch = max(1, min(stop - start, _BATCH_FLOATS // width))
-    # One buffer per span, never shared between threads, one row per
-    # replicate of a batch: [z | noise], filled by one draw.  One allocation
-    # rather than one per region: glibc maps blocks beyond 32 MiB and unmaps
-    # them when freed, where smaller N-length arrays would stay behind in the
-    # heap and raise the peak RSS of later, larger scenarios.  The ones that
-    # sum the columns are a separate N-vector on purpose: folded into the
-    # buffer, they would make its block as large as a buffer of K+2 columns,
-    # which raised that peak.
-    buffer = np.empty((batch, width))
-    z = buffer[:, : n * k].reshape(batch, n, k)
-    noise = buffer[:, n * k :]
+    size = stop - start
+    # The batch's own buffer, one row per replicate: [z | noise], filled by one
+    # draw.  One allocation rather than one per region: glibc maps blocks
+    # beyond 32 MiB and unmaps them when freed, where smaller N-length arrays
+    # would stay behind in the heap and raise the peak RSS of later, larger
+    # scenarios.  The ones that sum the columns are a separate N-vector on
+    # purpose: folded into the buffer, they would make its block as large as
+    # a buffer of K+2 columns, which raised that peak.
+    buffer = np.empty((size, _replicate_floats(n, k)))
+    generator = np.random.Generator(np.random.Philox())
+    for row, j in enumerate(range(start, stop)):
+        _draw_normals(generator, buffer[row], master_seed, scenario.id, j)
+    zs = buffer[:, : n * k].reshape(size, n, k)
+    es = buffer[:, n * k :]
     ones = np.ones(n)
-    sigma = math.sqrt(scenario.sigma2)
     gamma = scenario.lower.T @ scenario.beta
     to_xy = np.eye(k + 1)
     to_xy[:k, :k] = scenario.lower.T
     to_xy[:k, k] = gamma
-    grams = np.empty((batch, k + 1, k + 1))
-    column_sums = np.empty((batch, k + 1))
-    generator = np.random.Generator(np.random.Philox())
-
-    counts = np.zeros(len(roots), dtype=np.int64)
+    gram = np.empty((size, k + 1, k + 1))
+    sums = np.empty((size, k + 1))
     skipped = 0
     # overflow from huge coefficients leaves NaNs, which _r2_from_gram and
     # Dataset catch
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(start, stop, batch):
-            size = min(batch, stop - lo)
-            for row, j in enumerate(range(lo, lo + size)):
-                _draw_normals(generator, buffer[row], master_seed, scenario.id, j)
-            zs, es, gram, sums = z[:size], noise[:size], grams[:size], column_sums[:size]
-            es *= sigma
-            np.matmul(zs.transpose(0, 2, 1), zs, out=gram[:, :k, :k])
-            np.matmul(es[:, None, :], zs, out=gram[:, k:, :k])
-            gram[:, :k, k] = gram[:, k, :k]
-            np.matmul(es[:, None, :], es[:, :, None], out=gram[:, k:, k:])
-            np.matmul(ones, zs, out=sums[:, :k])
-            np.matmul(es, ones, out=sums[:, k])
-            gram -= sums[:, :, None] * (sums[:, None, :] / n)
-            y_mean = np.abs(scenario.beta0 + (sums[:, :k] @ gamma + sums[:, k]) / n)
-            r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, y_mean)
-            for row in np.flatnonzero(np.isnan(r2)):
-                x, y = _design(scenario, zs[row], es[row])
-                try:
-                    r2[row] = r_squared(Dataset(y=y, x=x))
-                except (RankDeficiencyError, DomainError):
-                    skipped += 1  # its NaN R2 rejects nowhere
-            counts += (r2[:, None] < roots).sum(axis=0)
-    return counts.tolist(), skipped
+        es *= math.sqrt(scenario.sigma2)
+        np.matmul(zs.transpose(0, 2, 1), zs, out=gram[:, :k, :k])
+        np.matmul(es[:, None, :], zs, out=gram[:, k:, :k])
+        gram[:, :k, k] = gram[:, k, :k]
+        np.matmul(es[:, None, :], es[:, :, None], out=gram[:, k:, k:])
+        np.matmul(ones, zs, out=sums[:, :k])
+        np.matmul(es, ones, out=sums[:, k])
+        gram -= sums[:, :, None] * (sums[:, None, :] / n)
+        y_mean = np.abs(scenario.beta0 + (sums[:, :k] @ gamma + sums[:, k]) / n)
+        r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, y_mean)
+        for row in np.flatnonzero(np.isnan(r2)):
+            x, y = _design(scenario, zs[row], es[row])
+            try:
+                r2[row] = r_squared(Dataset(y=y, x=x))
+            except (RankDeficiencyError, DomainError):
+                skipped += 1  # its NaN R2 rejects nowhere
+    return (r2[:, None] < roots).sum(axis=0).tolist(), skipped
 
 
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        raw = os.environ.get("R2MARGIN_THREADS", "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise DomainError(f"R2MARGIN_THREADS must be an integer, got {raw!r}") from None
-    workers = _check_int("worker count (0 means one per CPU)", workers, 0)
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
+def _resolve_workers() -> int:
+    """The worker count that ``R2MARGIN_THREADS`` sets: 1 when unset, one per
+    CPU at 0, and never more than one per CPU."""
+    raw = os.environ.get("R2MARGIN_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise DomainError(f"R2MARGIN_THREADS must be an integer, got {raw!r}") from None
+    workers = _check_int("R2MARGIN_THREADS (0 means one per CPU)", workers, 0)
+    cpus = os.cpu_count() or 1
+    return min(workers, cpus) if workers else cpus
 
 
 def run_scenario(
@@ -358,8 +349,6 @@ def run_scenario(
     n_sims: int,
     alpha: float,
     master_seed: int,
-    *,
-    workers: int | None = None,
 ) -> list[RejectionRecord]:
     """Estimate rejection rates for one scenario across a margin grid.
 
@@ -373,10 +362,16 @@ def run_scenario(
     before any replicate is drawn.  A replicate's R2 comes from the centered
     cross-products of its normals, or from the QR fit where those are not
     trusted (near-collinear covariates, near-constant outcome,
-    R2 > 1 - 1e-9), and
-    is compared with every critical value.  Counts can differ from those of
-    per-replicate p-values only for an R2 within about 1e-12 of a critical
-    value.  A critical value whose quantile fails raises ConvergenceError.
+    R2 > 1 - 1e-9), and is compared with every critical value.  Counts can
+    differ from those of per-replicate p-values only for an R2 within about
+    1e-12 of a critical value.  A critical value whose quantile fails raises
+    ConvergenceError.
+
+    Replicates [0, n_sims) are cut into batches of as many as fit in
+    _BATCH_FLOATS doubles at N (K+1) each, at least one, and each batch is
+    one call of ``_replicate_counts``: in order in the calling thread when
+    ``R2MARGIN_THREADS`` resolves to one worker, else over a pool of that
+    many threads.
 
     A replicate whose QR fit fails (rank-deficient design, overflowing sums
     of squares) is counted as skipped; if more than SKIP_FAILURE_FRACTION of
@@ -388,25 +383,18 @@ def run_scenario(
     n_sims = _check_int("n_sims", n_sims, 1)
     alpha = _check_open_unit("alpha", alpha)
     master_seed = _check_int("master_seed", master_seed)
-    workers = _resolve_workers(workers)
+    workers = _resolve_workers()
     roots = np.array([_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas])
 
-    if workers == 1:
-        counts, skipped = _replicate_counts(scenario, 0, n_sims, master_seed, roots)
-    else:
-        chunk = max(1, math.ceil(n_sims / (workers * 4)))
-        spans = [(lo, min(lo + chunk, n_sims)) for lo in range(0, n_sims, chunk)]
-        counts = [0] * len(deltas)
-        skipped = 0
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_replicate_counts, scenario, lo, hi, master_seed, roots)
-                for lo, hi in spans
-            ]
-            for future in futures:
-                span_counts, span_skipped = future.result()
-                counts = [a + b for a, b in zip(counts, span_counts)]
-                skipped += span_skipped
+    step = max(1, _BATCH_FLOATS // _replicate_floats(scenario.n, scenario.k))
+
+    def batch(lo):
+        return _replicate_counts(scenario, lo, min(lo + step, n_sims), master_seed, roots)
+
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        batches = list((pool.map if pool else map)(batch, range(0, n_sims, step)))
+    counts = [sum(column) for column in zip(*(c for c, _ in batches))]
+    skipped = sum(s for _, s in batches)
 
     if skipped > SKIP_FAILURE_FRACTION * n_sims:
         raise ExcessiveSkipsError(

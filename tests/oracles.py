@@ -318,9 +318,8 @@ def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     return Dataset(y=y, x=x)
 
 
-def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed, start=0):
-    """Rejection counts and skips of ``run_scenario`` by brute force, over
-    replicates [start, n_sims).
+def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed):
+    """Rejection counts and skips of ``run_scenario`` by brute force.
 
     Every replicate draws its dataset, fits it by QR and evaluates the
     p-value at every margin; a replicate whose inference fails is skipped.
@@ -328,7 +327,7 @@ def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed, start=0
     """
     counts = [0] * len(deltas)
     skipped = 0
-    for j in range(start, n_sims):
+    for j in range(n_sims):
         stream = RandomStream(master_seed, scenario.id, j)
         data = generate_dataset(scenario, stream)
         try:

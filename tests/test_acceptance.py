@@ -35,11 +35,16 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} | {detail}")
 
 
+@pytest.fixture
+def serial(monkeypatch):
+    """One worker thread for the Monte Carlo criteria, whatever the
+    environment sets."""
+    monkeypatch.setenv("R2MARGIN_THREADS", "1")
+
+
 def boundary_rate(scenario) -> float:
     margin = true_p2(scenario.beta, scenario.sigma_matrix, scenario.sigma2)
-    record = run_scenario(
-        scenario, [margin], N_SIMS, ALPHA, MASTER_SEED, workers=1
-    )[0]
+    record = run_scenario(scenario, [margin], N_SIMS, ALPHA, MASTER_SEED)[0]
     return record.rejection_rate
 
 
@@ -82,6 +87,7 @@ def test_criterion_3_duality_suite():
     assert ok
 
 
+@pytest.mark.usefixtures("serial")
 def test_criterion_4_boundary_calibration_n1000():
     cells = [s for s in paper_grid() if s.n == 1000]
     assert len(cells) == 6
@@ -94,6 +100,7 @@ def test_criterion_4_boundary_calibration_n1000():
     assert ok
 
 
+@pytest.mark.usefixtures("serial")
 def test_criterion_5_small_n_not_below_level():
     cells = [s for s in paper_grid() if s.n == 60]
     assert len(cells) == 6
@@ -105,6 +112,7 @@ def test_criterion_5_small_n_not_below_level():
     assert ok
 
 
+@pytest.mark.usefixtures("serial")
 def test_criterion_6_power_increases_with_sample_size():
     cells = {
         s.n: s
@@ -113,7 +121,7 @@ def test_criterion_6_power_increases_with_sample_size():
     }
     rates = {}
     for n in (60, 180, 540, 1000):
-        record = run_scenario(cells[n], [0.10], N_SIMS, ALPHA, MASTER_SEED, workers=1)[0]
+        record = run_scenario(cells[n], [0.10], N_SIMS, ALPHA, MASTER_SEED)[0]
         rates[n] = record.rejection_rate
     ok = True
     for smaller, larger in zip((60, 180, 540), (180, 540, 1000)):

@@ -215,6 +215,21 @@ class TestFitCommand:
         assert code == 0
         assert report["r2"] == format(float(r2_exact(y, x)), ".7g")
 
+    def test_test_bound_agrees_with_the_decision_where_the_ci_bound_does_not(
+        self, capsys, tmp_path
+    ):
+        # R2 = 0.01963 at N = 300, K = 2: p lies in [alpha/2, alpha), so the
+        # test rejects while the alpha/2 bound lies above the margin
+        y, x = small_r2_dataset(0.01963, seed=3, n=300)
+        path = tmp_path / "between.csv"
+        write_csv(path, y, x)
+        code, report, _ = run_cli(capsys, "fit", "--data", str(path), "--delta", "0.05")
+        assert code == 0
+        assert 0.025 <= float(report["p_value"]) < 0.05
+        assert report["decision"].startswith("reject")
+        assert float(report["ci_upper"]) > 0.05 > float(report["test_upper"])
+        assert report["ci_level"] == "0.95"
+
     def test_too_few_rows_exits_2(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("y,x1,x2\n1,2,3\n4,5,6\n5,6,7\n", encoding="utf-8")
@@ -846,7 +861,7 @@ class TestPathEcho:
         lines = text.splitlines()
         assert lines[0] == f"# r2margin fit --data {data!r} --delta 0.1 --alpha 0.05"
         assert [line.split()[0] for line in lines[1:]] == [
-            "n", "k", "r2", "ci_upper", "ci_level", "p_value", "decision"
+            "n", "k", "r2", "ci_upper", "ci_level", "test_upper", "p_value", "decision"
         ]
 
     def test_undecodable_data_path_prints_on_strict_stdout(self, tmp_path):

@@ -305,6 +305,25 @@ class TestNonInferiorityPvalue:
             assert abs(p - alpha / 2.0) <= 1e-6
             checked += 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_inputs(), data=st.data())
+    def test_full_alpha_bound_is_below_the_margin_exactly_when_the_test_rejects(
+        self, case, data
+    ):
+        r2, n, k, alpha, _ = case
+        observed = TestInput(r2=r2, n=n, k=k)
+        bound = upper_ci_p2(observed, alpha, halve_alpha=False).upper
+        # a margin anywhere, or 1e-9 to 1e-3 to either side of the bound
+        near = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-9.0, -3.0))
+        delta = data.draw(
+            st.floats(1e-6, 1.0 - 1e-6)
+            | near.map(lambda c: bound + c[0] * 10.0 ** c[1]).filter(lambda d: 0.0 < d < 1.0)
+        )
+        p = noninferiority_pvalue(observed, delta).p_value
+        if abs(bound - delta) <= 1e-12 or abs(p - alpha) <= 1e-12:
+            return  # a tie, decided by rounding
+        assert (bound < delta) == (p < alpha)
+
     def test_duality_at_rounded_golden_bound(self):
         result = noninferiority_pvalue(TestInput(r2=0.085, n=1250, k=6), GOLDEN_CI)
         assert abs(result.p_value - 0.05) <= 1e-4

@@ -1,5 +1,8 @@
 """Tests for the simulation harness: generation, seeding, and rejection rates."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -141,10 +144,12 @@ class TestRunScenario:
             (r.delta, r.rejections) for r in second
         ]
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         scenario = _small_scenario()
-        serial = run_scenario(scenario, [0.03, 0.06], 240, 0.05, 11, workers=1)
-        threaded = run_scenario(scenario, [0.03, 0.06], 240, 0.05, 11, workers=3)
+        monkeypatch.setenv("R2MARGIN_THREADS", "1")
+        serial = run_scenario(scenario, [0.03, 0.06], 240, 0.05, 11)
+        monkeypatch.setenv("R2MARGIN_THREADS", "3")
+        threaded = run_scenario(scenario, [0.03, 0.06], 240, 0.05, 11)
         assert [(r.delta, r.rejections, r.skipped) for r in serial] == [
             (r.delta, r.rejections, r.skipped) for r in threaded
         ]
@@ -195,8 +200,36 @@ class TestRunScenario:
             run_scenario(_small_scenario(), [0.05], 5, 0.05, 1)
         monkeypatch.setenv("R2MARGIN_THREADS", "2")
         records = run_scenario(_small_scenario(), [0.05], 30, 0.05, 1)
-        serial = run_scenario(_small_scenario(), [0.05], 30, 0.05, 1, workers=1)
+        monkeypatch.setenv("R2MARGIN_THREADS", "1")
+        serial = run_scenario(_small_scenario(), [0.05], 30, 0.05, 1)
         assert records[0].rejections == serial[0].rejections
+
+    def test_thread_count_is_capped_at_the_cpu_count(self, monkeypatch):
+        # only the resolver runs: no simulation is started at this setting
+        monkeypatch.setenv("R2MARGIN_THREADS", str(10**6))
+        assert mc._resolve_workers() <= os.cpu_count()
+        monkeypatch.setenv("R2MARGIN_THREADS", "0")
+        assert mc._resolve_workers() == os.cpu_count()
+        monkeypatch.setenv("R2MARGIN_THREADS", "-1")
+        with pytest.raises(DomainError):
+            mc._resolve_workers()
+
+    @pytest.mark.parametrize("threads", [None, "1"], ids=["unset", "one"])
+    def test_serial_run_starts_no_thread(self, monkeypatch, threads):
+        scenario = _small_scenario()
+        if threads is None:
+            monkeypatch.delenv("R2MARGIN_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("R2MARGIN_THREADS", threads)
+        # batches of two replicates, so that the run maps several
+        monkeypatch.setattr(mc, "_BATCH_FLOATS", 2 * scenario.n * (scenario.k + 1))
+
+        def refuse(thread):
+            raise AssertionError(f"a serial run started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        records = run_scenario(scenario, [0.05], 10, 0.05, 1)
+        assert records[0].n_sims == 10
 
 
 def _record_gram_r2(monkeypatch):
@@ -444,38 +477,47 @@ class TestReplicateKernel:
 
     def test_span_in_small_batches_equals_exact_evaluation(self, monkeypatch):
         scenario = [s for s in paper_grid() if s.n == 60 and s.k == 2][0]
-        # batches of three replicates: the span [5, 22) ends in a batch of two
+        monkeypatch.delenv("R2MARGIN_THREADS", raising=False)
+        # batches of three replicates: a run of 22 ends in a batch of one
         monkeypatch.setattr(mc, "_BATCH_FLOATS", 3 * scenario.n * (scenario.k + 1) + 1)
-        draws = []
-        draw_normals = mc._draw_normals
+        draws, spans = [], []
+        draw_normals, replicate_counts = mc._draw_normals, mc._replicate_counts
 
-        def recorded(generator, out, *key_parts):
+        def recorded_draw(generator, out, *key_parts):
             draws.append(key_parts[-1])
             draw_normals(generator, out, *key_parts)
 
-        monkeypatch.setattr(mc, "_draw_normals", recorded)
-        counts = mc._replicate_counts(scenario, 5, 22, 9, self._roots(scenario))
-        assert draws == list(range(5, 22))
-        assert counts == replicate_counts_exact(
-            scenario, default_delta_grid(), 22, 0.05, 9, start=5
-        )
-        assert 0 < sum(counts[0]) < 19 * 17
+        def recorded_batch(scenario, start, stop, *args):
+            spans.append((start, stop))
+            return replicate_counts(scenario, start, stop, *args)
+
+        monkeypatch.setattr(mc, "_draw_normals", recorded_draw)
+        monkeypatch.setattr(mc, "_replicate_counts", recorded_batch)
+        counts = _counts(run_scenario(scenario, default_delta_grid(), 22, 0.05, 9))
+        assert spans == [(lo, min(lo + 3, 22)) for lo in range(0, 22, 3)]
+        assert draws == list(range(22))
+        assert counts == replicate_counts_exact(scenario, default_delta_grid(), 22, 0.05, 9)
+        assert 0 < sum(counts[0]) < 19 * 22
 
     @pytest.mark.parametrize(
         "n,k,deltas,n_sims",
         [
-            # three workers take spans of five, shorter than one batch
-            (60, 2, [0.1, 0.2, 0.3], 60),
+            # batches of 1456, 6 and 1 replicates
+            (60, 2, [0.1, 0.2, 0.3], 6 * 1456),
             (8000, 4, [0.034, 0.038, 0.042], 60),
             (10**6, 2, [0.0322, 0.0325, 0.0328], 6),
         ],
         ids=["k2_n60", "k4_n8000", "k2_n1e6"],
     )
-    def test_thread_count_does_not_change_counts(self, n, k, deltas, n_sims):
+    def test_thread_count_does_not_change_counts(self, monkeypatch, n, k, deltas, n_sims):
         scenario = Scenario(id=f"threads_k{k}_n{n}", n=n, k=k, beta=np.array(GRID_BETAS[k]),
                             sigma2=1.0, sigma_matrix=exchangeable_covariance(k))
-        serial = run_scenario(scenario, deltas, n_sims, 0.05, 23, workers=1)
-        threaded = run_scenario(scenario, deltas, n_sims, 0.05, 23, workers=3)
+        # at least two batches for each of three workers
+        assert n_sims >= 2 * 3 * max(1, mc._BATCH_FLOATS // (n * (k + 1)))
+        monkeypatch.setenv("R2MARGIN_THREADS", "1")
+        serial = run_scenario(scenario, deltas, n_sims, 0.05, 23)
+        monkeypatch.setenv("R2MARGIN_THREADS", "3")
+        threaded = run_scenario(scenario, deltas, n_sims, 0.05, 23)
         assert _counts(serial) == _counts(threaded)
         # margins next to the true share, so the counts say something
         assert 0 < sum(_counts(serial)[0]) < len(deltas) * n_sims
