@@ -8,6 +8,12 @@ fit       run both on a CSV dataset (first column outcome, rest covariates)
 simulate  rejection-rate study over a scenario grid, written as CSV
 plot      per-K SVG panels of rejection-rate curves from a simulate CSV
 
+``fit`` reads its CSV in blocks of at most 2^18 doubles, through loadtxt or,
+where loadtxt declines a block, the per-row parser, and merges them into one
+centered cross-product matrix of [X y] from which ``regression._r2_from_gram``
+reads R2; so its memory does not grow with N.  Only where that matrix cannot
+be trusted does it read the whole table again and run the QR fit.
+
 Exit codes: 0 success, otherwise the ``exit_code`` of the error class
 raised (see ``errors``): 2 validation failure (an input too large for the
 memory available exits 2 as well), 3 convergence failure, 4 excessive Monte
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -37,7 +44,7 @@ from .montecarlo import (
     paper_grid,
     run_scenario,
 )
-from .regression import Dataset, r_squared
+from .regression import Dataset, _r2_from_gram, r_squared
 
 EXIT_OK = 0
 
@@ -124,92 +131,171 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _read_dataset_csv(path: str) -> Dataset:
-    """The dataset of a ``fit`` CSV: column 1 outcome, the rest covariates.
-
-    The numeric body is parsed in one ``np.loadtxt`` call when that is known
-    to give what the per-row parser gives; otherwise (every malformed file,
-    and the rare valid spellings loadtxt refuses) the per-row parser runs,
-    so the accepted grammar, the doubles and the error messages are its own.
-    """
-    table = _read_table_fast(path)
-    if table is None:
-        return _read_dataset_csv_exact(path)
-    return Dataset(y=np.ascontiguousarray(table[:, 0]), x=np.ascontiguousarray(table[:, 1:]))
-
-
+# Float64s in one block of ``fit``'s CSV reader (2 MiB): a block holds
+# max(1, 2^18 // width) rows, 52428 at the header width of 5.
+_BLOCK_FLOATS = 2**18
 # ASCII separators that loadtxt strips around a number as whitespace but
 # ``float()`` does not; every other character is treated alike by both.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 _SCAN_CHARS = 1 << 20
 
 
-def _read_table_fast(path: str) -> np.ndarray | None:
-    """The CSV's numeric body as one float table, or None to decline.
+class _Declined(Exception):
+    """The loadtxt reader cannot vouch for a block; the per-row parser reads
+    the file instead."""
 
-    Declines unless the header is a non-empty row of at least two fields and
-    loadtxt reads the body, without quotes or comments, into at least one
-    row of exactly that many finite values.
+
+def _block_rows(width: int) -> int:
+    return max(1, _BLOCK_FLOATS // width)
+
+
+def _loadtxt_blocks(path: str):
+    """The CSV's numeric body, outcome first, in blocks of ``_block_rows``
+    rows, each one ``np.loadtxt`` call on the open file.
+
+    Raises _Declined unless the file holds none of ``_LOADTXT_ONLY_SPACE``,
+    the header is a non-empty row of at least two fields, and loadtxt reads
+    the body, without quotes or comments, into at least one row of exactly
+    that many finite values.  Each call starts a new pass over the file.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             while chunk := handle.read(_SCAN_CHARS):
                 if any(char in chunk for char in _LOADTXT_ONLY_SPACE):
-                    return None
+                    raise _Declined
             handle.seek(0)
             header = next((row for row in csv.reader(handle) if row), [])
             if len(header) < 2:
-                return None
-            with warnings.catch_warnings():
-                # a header-only file: the per-row parser reports it
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+                raise _Declined
+            rows = _block_rows(len(header))
+            empty = True
+            # until a call reads no row: a short block is not known to be the
+            # last, since numpy before 1.23 counts blank lines toward max_rows
+            while True:
+                with warnings.catch_warnings():
+                    # end of file, and blank lines, which max_rows skips
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
+                    block = np.loadtxt(
+                        handle, delimiter=",", comments=None, ndmin=2, max_rows=rows
+                    )
+                if len(block) == 0:
+                    if empty:  # a header-only file
+                        raise _Declined
+                    return
+                if block.shape[1] != len(header) or not np.isfinite(block).all():
+                    raise _Declined
+                yield block
+                empty = False
     except (OSError, ValueError, csv.Error):
-        return None
-    if table.shape[0] == 0 or table.shape[1] != len(header):
-        return None
-    if not np.isfinite(table).all():
-        return None
-    return table
+        raise _Declined from None
 
 
-def _read_dataset_csv_exact(path: str) -> Dataset:
-    """The per-row parser: csv fields, one ``float()`` per cell.  Errors
-    name the physical line of the offending row."""
+def _row_blocks(path: str):
+    """The per-row parser: csv fields, one ``float()`` per cell, in the
+    blocks of ``_loadtxt_blocks``.  Raises DomainError at the first fault,
+    naming the physical line of the offending row."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            rows = [(reader.line_num, row) for row in reader if row]
+            rows = ((reader.line_num, row) for row in reader if row)
+            _, header = next(rows, (0, []))
+            first = next(rows, None)
+            if first is None:
+                raise DomainError("CSV must contain a header row followed by data rows")
+            if len(header) < 2:
+                raise DomainError("CSV needs an outcome column plus at least one covariate column")
+            width, size = len(header), _block_rows(len(header))
+            block = []
+            for line_number, row in itertools.chain([first], rows):
+                if len(row) != width:
+                    raise DomainError(f"line {line_number} has {len(row)} fields, expected {width}")
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    raise DomainError(f"line {line_number} contains a non-numeric cell") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise DomainError(f"line {line_number} contains a non-finite value")
+                block.append(values)
+                if len(block) == size:
+                    yield np.array(block)
+                    block = []
+            if block:
+                yield np.array(block)
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
     except csv.Error as exc:  # e.g. a quoted cell beyond csv's field size limit
         raise DomainError(f"line {reader.line_num}: {exc}") from None
-    if len(rows) < 2:
-        raise DomainError("CSV must contain a header row followed by data rows")
-    _, header = rows[0]
-    if len(header) < 2:
-        raise DomainError("CSV needs an outcome column plus at least one covariate column")
-    width = len(header)
-    outcome = []
-    covariates = []
-    for line_number, row in rows[1:]:
-        if len(row) != width:
-            raise DomainError(f"line {line_number} has {len(row)} fields, expected {width}")
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            raise DomainError(f"line {line_number} contains a non-numeric cell") from None
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError(f"line {line_number} contains a non-finite value")
-        outcome.append(values[0])
-        covariates.append(values[1:])
-    return Dataset(y=np.array(outcome), x=np.array(covariates))
+
+
+def _read_csv(path: str, reduce):
+    """``reduce`` over the blocks of ``path``: loadtxt's, or the per-row
+    parser's where loadtxt declines any block.  Both readers cut the same
+    blocks and give the same doubles, so the result is the same."""
+    try:
+        return reduce(_loadtxt_blocks(path))
+    except _Declined:
+        return reduce(_row_blocks(path))
+
+
+def _moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row count, column means and centered cross-product matrix of the rows
+    of ``blocks``, which are overwritten.
+
+    Each block is shifted by the first block's mean, so that block means stay
+    small next to the data and keep their digits; it is centered on its own
+    mean and merged by the pairwise update of Chan, Golub & LeVeque (1983,
+    *Am. Stat.* 37: 242-247).  The first block is thus centered twice.
+    """
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
+        for block in blocks:
+            if n == 0:
+                shift = block.mean(axis=0)
+                mean = np.zeros_like(shift)
+                gram = np.zeros((len(shift), len(shift)))
+            block -= shift
+            block_mean = block.mean(axis=0)
+            block -= block_mean
+            total = n + len(block)
+            delta = block_mean - mean
+            gram += block.T @ block + (n * len(block) / total) * np.outer(delta, delta)
+            mean += delta * (len(block) / total)
+            n = total
+        return n, shift + mean, gram
+
+
+def _block_r2(blocks) -> tuple[float, int, int]:
+    """R2, N and K of the rows of ``blocks`` (column 1 outcome, the rest
+    covariates) from their centered cross-products; R2 is NaN where only
+    ``fit_ols`` can be trusted to give it."""
+    n, mean, gram = _moments(blocks)
+    k = len(mean) - 1
+    if n < k + 2:
+        return math.nan, n, k
+    # _r2_from_gram takes the outcome last
+    r2 = _r2_from_gram(np.roll(gram, -1, (0, 1))[None], n, np.abs(mean[:1]))
+    return float(r2[0]), n, k
+
+
+def _csv_r2(path: str) -> tuple[float, int, int]:
+    """R2, N and K of a ``fit`` CSV: column 1 outcome, the rest covariates.
+
+    One pass over the file's blocks gives R2 from the centered
+    cross-products; where those cannot be trusted, a second pass reads the
+    whole table, and ``r_squared`` (the QR fit) gives R2 or the error.
+    """
+    r2, n, k = _read_csv(path, _block_r2)
+    if math.isnan(r2):
+        table = _read_csv(path, lambda blocks: np.concatenate(list(blocks)))
+        data = Dataset(y=table[:, 0], x=table[:, 1:])
+        r2, n, k = r_squared(data), data.n_obs, data.n_covariates
+    return r2, n, k
 
 
 def _cmd_fit(args) -> int:
-    data = _read_dataset_csv(args.data)
-    r2 = r_squared(data)
-    observed = TestInput(r2=r2, n=data.n_obs, k=data.n_covariates)
+    r2, n, k = _csv_r2(args.data)
+    observed = TestInput(r2=r2, n=n, k=k)
     bound = upper_ci_p2(observed, args.alpha)
     # the one-sided 1 - alpha bound, which lies below the margin exactly when
     # the level-alpha test rejects
@@ -225,8 +311,8 @@ def _cmd_fit(args) -> int:
     _print_report(
         meta,
         [
-            ("n", str(data.n_obs)),
-            ("k", str(data.n_covariates)),
+            ("n", str(n)),
+            ("k", str(k)),
             ("r2", _fmt(r2, args.precision)),
             ("ci_upper", _fmt(bound.upper, args.precision)),
             ("ci_level", _fmt(bound.level, args.precision)),

@@ -10,7 +10,9 @@ R2 = |w|^2 / SST from the last column, so small R2 keeps its digits.
 stack of them at a time, where that can be trusted.  The Monte Carlo harness
 builds one such matrix from each replicate's normals without forming X or y
 (see ``montecarlo``), and falls back to ``fit_ols`` on the formed data where
-``_r2_from_gram`` returns NaN.
+``_r2_from_gram`` returns NaN.  The ``fit`` command builds one from a CSV's
+row blocks (see ``cli``), and likewise reads the whole table for ``fit_ols``
+where it returns NaN.
 """
 
 from __future__ import annotations

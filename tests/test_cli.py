@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -23,6 +23,7 @@ import r2margin.montecarlo as montecarlo
 from r2margin import errors
 from r2margin.errors import ConvergenceError, ExcessiveSkipsError, R2MarginError
 from r2margin.cli import main
+from r2margin.regression import Dataset, fit_ols, r_squared
 
 from oracles import r2_exact, small_r2_dataset
 
@@ -350,15 +351,58 @@ class TestFitCommand:
         )
         assert first["p_value"] == second["p_value"]
 
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            lambda x, noise: 1.0 + x @ [0.5, -2.0] + 1e-6 * noise,
+            lambda x, noise: 5.0 + 1e-12 * noise,
+            lambda x, noise: 0.1 + 2.0**-56 * (noise > 0),
+        ],
+        ids=["r2-above-1-1e-9", "near-constant-outcome", "constant-but-last-bits"],
+    )
+    def test_untrusted_cross_products_print_what_the_qr_fit_prints(
+        self, capsys, tmp_path, monkeypatch, outcome
+    ):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(200, 2))
+        y = outcome(x, rng.normal(size=200))
+        path = tmp_path / "untrusted.csv"
+        write_csv(path, y, x)
+        assert math.isnan(cli._read_csv(str(path), cli._block_r2)[0])
+        argv = ["fit", "--data", str(path), "--delta", "0.1", "--precision", "17"]
+        code, report, text = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["r2"] == format(r_squared(Dataset(y=y, x=x)), ".17g")
+        monkeypatch.setattr(cli, "_block_r2", lambda blocks: (math.nan, 0, 0))
+        assert run_cli(capsys, *argv) == (code, report, text)
 
-def parse_outcome(read, path):
-    """What a CSV reader makes of ``path``: the exact bytes of y and x, or
-    the error it raises."""
+
+def _decline(path):
+    raise cli._Declined
+
+
+def fit_outcome(path, rows_only=False):
+    """What ``fit`` makes of ``path``: (n, k, R2), or the message and exit
+    code of the error it raises.  With ``rows_only`` the per-row parser reads
+    every pass."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_only:
+            patch.setattr(cli, "_loadtxt_blocks", _decline)
+        try:
+            r2, n, k = cli._csv_r2(str(path))
+        except R2MarginError as exc:
+            return str(exc), exc.exit_code
+    return n, k, r2
+
+
+def loadtxt_reads(path) -> bool:
+    """Whether the loadtxt reader reads every block of ``path``."""
     try:
-        data = read(str(path))
-    except R2MarginError as exc:
-        return type(exc).__name__, str(exc)
-    return data.y.tobytes(), data.x.tobytes(), data.x.shape
+        for _ in cli._loadtxt_blocks(str(path)):
+            pass
+    except cli._Declined:
+        return False
+    return True
 
 
 _CSV_CHARS = list("0123456789.eE+-_,\"# \t\r\n\x0c\x1c") + ["inf", "nan"]
@@ -400,8 +444,8 @@ def csv_texts(draw):
 
 
 class TestCsvParsePaths:
-    """``fit`` reads a CSV through loadtxt when it can and through the
-    per-row parser otherwise; both must give identical results."""
+    """``fit`` reads a CSV in blocks through loadtxt when it can and through
+    the per-row parser otherwise; both must give identical results."""
 
     @pytest.mark.parametrize(
         "text, fast, expected",
@@ -436,13 +480,13 @@ class TestCsvParsePaths:
     def test_table_of_spellings(self, tmp_path, text, fast, expected):
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
-        outcome = parse_outcome(cli._read_dataset_csv, path)
-        assert outcome == parse_outcome(cli._read_dataset_csv_exact, path)
-        assert (cli._read_table_fast(str(path)) is not None) == fast
+        outcome = fit_outcome(path)
+        assert outcome == fit_outcome(path, rows_only=True)
+        assert loadtxt_reads(path) == fast
         if expected is None:
-            assert outcome[2] == (3, 1)
+            assert outcome[:2] == (3, 1)
         else:
-            assert outcome[1] == expected
+            assert outcome == (expected, 2)
 
     def test_loadtxt_doubles_equal_float_of_each_spelling(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -464,10 +508,12 @@ class TestCsvParsePaths:
             ) + ",1")
         path = tmp_path / "spellings.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert cli._read_table_fast(str(path)) is not None
-        outcome = parse_outcome(cli._read_dataset_csv, path)
-        assert outcome == parse_outcome(cli._read_dataset_csv_exact, path)
-        assert outcome[2] == (len(values), 5)
+        assert loadtxt_reads(path)
+        fast = np.concatenate(list(cli._loadtxt_blocks(str(path))))
+        exact = np.concatenate(list(cli._row_blocks(str(path))))
+        assert fast.shape == (len(values), 6)
+        assert fast.tobytes() == exact.tobytes()
+        assert fit_outcome(path) == fit_outcome(path, rows_only=True)
 
     @settings(
         max_examples=400,
@@ -478,9 +524,125 @@ class TestCsvParsePaths:
     def test_fast_path_agrees_with_exact_path(self, tmp_path, text):
         path = tmp_path / "generated.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert parse_outcome(cli._read_dataset_csv, path) == parse_outcome(
-            cli._read_dataset_csv_exact, path
-        )
+        assert fit_outcome(path) == fit_outcome(path, rows_only=True)
+
+
+# The loadtxt reader's block size at the header width of 3.
+_SIZE = cli._block_rows(3)
+
+
+@pytest.fixture(scope="module")
+def boundary_rows():
+    """A random table of B + 1 rows of (y, x1, x2) and its CSV lines."""
+    table = np.random.default_rng(0).normal(size=(_SIZE + 1, 3))
+    return table, [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def boundary_csv(path, lines, size):
+    """Writes ``lines`` under a header, those around the boundary after data
+    row ``size`` ending in \\r\\n, a lone \\r and blank lines; returns the text."""
+    endings = {size - 2: "\r\n", size - 1: "\r\n\n", size: "\r\r", size + 1: "\n\r\n"}
+    text = "y,x1,x2\n" + "".join(
+        line + endings.get(row, "\n") for row, line in enumerate(lines, 1)
+    )
+    path.write_bytes(text.encode("utf-8"))
+    return text
+
+
+class TestBlockReader:
+    """``fit`` streams its CSV in blocks of ``cli._block_rows(width)`` rows
+    into one centered cross-product matrix."""
+
+    @pytest.mark.parametrize(
+        "rows, sizes",
+        [(1, [1]), (_SIZE - 1, [_SIZE - 1]), (_SIZE, [_SIZE]), (_SIZE + 1, [_SIZE, 1])],
+        ids=["1", "B-1", "B", "B+1"],
+    )
+    def test_files_around_the_block_size(self, tmp_path, boundary_rows, rows, sizes):
+        table, lines = boundary_rows
+        table = table[:rows]
+        path = tmp_path / "boundary.csv"
+        boundary_csv(path, lines[:rows], _SIZE)
+        for read in (cli._loadtxt_blocks, cli._row_blocks):
+            blocks = list(read(str(path)))
+            assert [len(block) for block in blocks] == sizes
+            assert np.concatenate(blocks).tobytes() == table.tobytes()
+        outcome = fit_outcome(path)
+        if rows == 1:
+            assert outcome == ("need n >= k + 2 observations, got n=1, k=2", 2)
+        else:
+            n, k, r2 = outcome
+            assert (n, k) == (rows, 2)
+            assert abs(r2 - fit_ols(Dataset(y=table[:, 0], x=table[:, 1:])).r2) <= 2e-12
+
+    @pytest.mark.parametrize("bad", [10, 11])
+    def test_error_after_a_block_names_its_physical_line(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(cli, "_BLOCK_FLOATS", 30)  # 10 rows a block
+        lines = [f"{row},{row % 3},{row % 5}" for row in range(1, 12)]
+        lines[bad - 1] = "oops" + lines[bad - 1][lines[bad - 1].index(","):]
+        path = tmp_path / "boundary.csv"
+        text = boundary_csv(path, lines, 10)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith("oops"))
+        assert line > bad + 1  # blank lines came before it
+        expected = (f"line {line} contains a non-numeric cell", 2)
+        assert fit_outcome(path) == fit_outcome(path, rows_only=True) == expected
+
+    @staticmethod
+    def _table(seed, n, k, far):
+        """(y, x1, ..., xk) of ``n`` random rows, the first row moved by
+        ``10**far`` in y and x1 (in every covariate it would make them
+        collinear) unless ``far`` is None."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, k))
+        table = np.column_stack([x @ rng.uniform(-1.0, 1.0, k) + rng.normal(size=n), x])
+        if far is not None:
+            table[0, :2] += rng.choice([-1.0, 1.0], 2) * 10.0**far
+        return table, rng
+
+    # N from K + 2 to 3 blocks; spreads from 1e-3 to 1e5, every column up to
+    # 1e3 spreads from zero, and the first row up to 1e3 spreads from the
+    # rest, where sums shifted by the first row alone lose digits
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        blocks=st.floats(0.0, 3.0),
+        spread=st.floats(-3.0, 5.0),
+        offset=st.floats(0.0, 3.0),
+        far=st.one_of(st.none(), st.floats(0.0, 3.0)),
+    )
+    @example(seed=0, k=2, blocks=1.0, spread=0.0, offset=3.0, far=3.0)
+    @example(seed=1, k=4, blocks=2.0, spread=5.0, offset=0.0, far=None)
+    def test_block_r2_agrees_with_fit_ols(self, seed, k, blocks, spread, offset, far):
+        size = cli._block_rows(k + 1)
+        n = max(k + 2, int(blocks * size))
+        table, rng = self._table(seed, n, k, far)
+        table *= 10.0**spread
+        table += rng.choice([-1.0, 1.0], k + 1) * 10.0 ** (spread + offset)
+        r2, got_n, got_k = cli._block_r2(table[i : i + size].copy() for i in range(0, n, size))
+        assert (got_n, got_k) == (n, k)
+        assume(not math.isnan(r2))
+        assert abs(r2 - fit_ols(Dataset(y=table[:, 0], x=table[:, 1:])).r2) <= 2e-12
+
+    # covariates up to 1e12 from zero at unit spread, where fit_ols, which
+    # shifts only y, is off by up to about 1e-4, so the exact R2 of the
+    # doubles is the reference; blocks of 1 to 10 rows
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.integers(1, 4).flatmap(lambda k: st.tuples(st.integers(k + 2, 40), st.just(k))),
+        size=st.integers(1, 10),
+        offset=st.floats(0.0, 12.0),
+        far=st.one_of(st.none(), st.floats(0.0, 3.0)),
+    )
+    @example(seed=2, shape=(40, 2), size=8, offset=12.0, far=3.0)
+    def test_block_r2_equals_the_exact_r2_far_from_zero(self, seed, shape, size, offset, far):
+        n, k = shape
+        table, rng = self._table(seed, n, k, far)
+        table[:, 1:] += rng.choice([-1.0, 1.0], k) * 10.0**offset
+        r2, _, _ = cli._block_r2(table[i : i + size].copy() for i in range(0, n, size))
+        assume(not math.isnan(r2))
+        assert abs(r2 - float(r2_exact(table[:, 0], table[:, 1:]))) <= 2e-12
 
 
 class TestSimulateCommand:
