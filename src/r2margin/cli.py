@@ -9,10 +9,9 @@ simulate  rejection-rate study over a scenario grid, written as CSV
 plot      per-K SVG panels of rejection-rate curves from a simulate CSV
 
 ``fit`` reads its CSV in blocks of at most 2^18 doubles, through loadtxt or,
-where loadtxt declines a block, the per-row parser, and merges them into one
-centered cross-product matrix of [X y] from which ``regression._r2_from_gram``
-reads R2; so its memory does not grow with N.  Only where that matrix cannot
-be trusted does it read the whole table again and run the QR fit.
+where loadtxt declines a block, the per-row parser, and folds them into the
+QR fit's R factor (``regression._fit_blocks``), so its memory does not grow
+with N.
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the error class
 raised (see ``errors``): 2 validation failure (an input too large for the
@@ -44,7 +43,7 @@ from .montecarlo import (
     paper_grid,
     run_scenario,
 )
-from .regression import Dataset, _r2_from_gram, r_squared
+from .regression import _R2_MAX, _fit_blocks
 
 EXIT_OK = 0
 
@@ -238,59 +237,14 @@ def _read_csv(path: str, reduce):
         return reduce(_row_blocks(path))
 
 
-def _moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
-    """Row count, column means and centered cross-product matrix of the rows
-    of ``blocks``, which are overwritten.
-
-    Each block is shifted by the first block's mean, so that block means stay
-    small next to the data and keep their digits; it is centered on its own
-    mean and merged by the pairwise update of Chan, Golub & LeVeque (1983,
-    *Am. Stat.* 37: 242-247).  The first block is thus centered twice.
-    """
-    n = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
-        for block in blocks:
-            if n == 0:
-                shift = block.mean(axis=0)
-                mean = np.zeros_like(shift)
-                gram = np.zeros((len(shift), len(shift)))
-            block -= shift
-            block_mean = block.mean(axis=0)
-            block -= block_mean
-            total = n + len(block)
-            delta = block_mean - mean
-            gram += block.T @ block + (n * len(block) / total) * np.outer(delta, delta)
-            mean += delta * (len(block) / total)
-            n = total
-        return n, shift + mean, gram
-
-
-def _block_r2(blocks) -> tuple[float, int, int]:
-    """R2, N and K of the rows of ``blocks`` (column 1 outcome, the rest
-    covariates) from their centered cross-products; R2 is NaN where only
-    ``fit_ols`` can be trusted to give it."""
-    n, mean, gram = _moments(blocks)
-    k = len(mean) - 1
-    if n < k + 2:
-        return math.nan, n, k
-    # _r2_from_gram takes the outcome last
-    r2 = _r2_from_gram(np.roll(gram, -1, (0, 1))[None], n, np.abs(mean[:1]))
-    return float(r2[0]), n, k
-
-
 def _csv_r2(path: str) -> tuple[float, int, int]:
     """R2, N and K of a ``fit`` CSV: column 1 outcome, the rest covariates.
 
-    One pass over the file's blocks gives R2 from the centered
-    cross-products; where those cannot be trusted, a second pass reads the
-    whole table, and ``r_squared`` (the QR fit) gives R2 or the error.
+    One pass over the file's blocks folds them into the QR fit; R2 is capped
+    as ``r_squared`` caps it.
     """
-    r2, n, k = _read_csv(path, _block_r2)
-    if math.isnan(r2):
-        table = _read_csv(path, lambda blocks: np.concatenate(list(blocks)))
-        data = Dataset(y=table[:, 0], x=table[:, 1:])
-        r2, n, k = r_squared(data), data.n_obs, data.n_covariates
-    return r2, n, k
+    fit, n = _read_csv(path, _fit_blocks)
+    return min(fit.r2, _R2_MAX), n, len(fit.coefficients)
 
 
 def _cmd_fit(args) -> int:

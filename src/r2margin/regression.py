@@ -1,18 +1,19 @@
 """Ordinary least squares with an always-included intercept.
 
-``fit_ols`` reads the whole fit off the R factor of one QR factorization of
-[1 X y] (Bjorck 1996, *Numerical Methods for Least Squares Problems*):
-the coefficients' triangular system, the rank test on [1 X]'s diagonal, and
-R2 = |w|^2 / SST from the last column, so small R2 keeps its digits.
+Every least-squares fit reads the whole fit off the R factor of one QR
+factorization of [1 X y] (Bjorck 1996, *Numerical Methods for Least Squares
+Problems*): the coefficients' triangular system, the rank test on [1 X]'s
+diagonal, and R2 = |w|^2 / SST from the last column, so small R2 keeps its
+digits.  ``_fit_blocks`` builds that R from blocks of rows, one cache-sized
+piece at a time, so ``fit_ols`` (one block) and the ``fit`` command (a CSV's
+row blocks, see ``cli``) run one fold.
 
 ``_r2_from_gram`` reads R2 the same way off the Cholesky factor of
 (K+1)-square centered cross-product matrices of covariates and outcome, a
 stack of them at a time, where that can be trusted.  The Monte Carlo harness
 builds one such matrix from each replicate's normals without forming X or y
 (see ``montecarlo``), and falls back to ``fit_ols`` on the formed data where
-``_r2_from_gram`` returns NaN.  The ``fit`` command builds one from a CSV's
-row blocks (see ``cli``), and likewise reads the whole table for ``fit_ols``
-where it returns NaN.
+``_r2_from_gram`` returns NaN.
 """
 
 from __future__ import annotations
@@ -26,8 +27,13 @@ from .errors import DimensionMismatchError, DomainError, RankDeficiencyError
 
 __all__ = ["Dataset", "OlsFit", "fit_ols", "r_squared"]
 
-# Relative diagonal tolerance for declaring the design matrix rank deficient.
+# An R-factor diagonal entry at or below this share of its column's norm
+# declares the design matrix rank deficient.
 _RANK_TOL = 1e-10
+# Rows of [1 X y] that ``_fit_blocks`` factors at a time: a piece fits in a
+# core's cache, where one QR of a whole 52428-row block of K = 4 ran 5 to 7
+# times slower than its pieces (2-CPU Xeon, numpy 2.4).
+_QR_ROWS = 4096
 # Largest R2 that ``r_squared`` returns: the top of ``TestInput``'s range.
 _R2_MAX = 1.0 - 1e-12
 # Where ``_r2_from_gram`` hands over to the QR fit: pivot spread, least
@@ -97,24 +103,51 @@ class OlsFit:
 def fit_ols(data: Dataset) -> OlsFit:
     """Fit y = b0 + X b by least squares and report the fit's R2.
 
-    The intercept is always included.  One QR factorization of [1 X y], with
-    no Q formed, gives R; its leading block is [1 X]'s R, so the coefficients
-    solve R11 b = R[:K+1, K+1].  With w = R[1:K+1, K+1], SSE = R[K+1, K+1]^2,
-    SST = |w|^2 + SSE and R2 = |w|^2 / SST, with no cancelling subtraction.
-    y is first shifted by y[0] in place, exactly where its offset dwarfs its
-    spread; the intercept's reflection would round that offset into every
-    row.  Raises RankDeficiencyError when [1 X] is numerically collinear (an
-    R-factor diagonal entry at or below 1e-10 times the largest), with the
-    offending column index attached, and DomainError when a sum of squares
-    overflows.
+    The intercept is always included.  The fit is read off the R factor of
+    one QR factorization of [1 X y], with every data column first shifted by
+    its mean (see ``_fit_blocks``), so the coefficients solve
+    R11 b = R[:K+1, K+1], and with w = R[1:K+1, K+1] and SSE = R[K+1, K+1]^2,
+    R2 = |w|^2 / (|w|^2 + SSE), with no cancelling subtraction.  Raises
+    RankDeficiencyError when [1 X] is numerically collinear (an R-factor
+    diagonal entry at or below 1e-10 times the norm of its column, which is
+    the norm of the shifted data column, so the test does not depend on the
+    columns' scales), with the offending column index attached, and
+    DomainError when a sum of squares overflows.
     """
-    n, k = data.x.shape
-    augmented = np.column_stack([np.ones(n), data.x, data.y])
-    with np.errstate(over="ignore", invalid="ignore"):
-        augmented[:, k + 1] -= data.y[0]
-        r = np.linalg.qr(augmented, mode="r")
+    return _fit_blocks([np.column_stack([data.y, data.x])])[0]
+
+
+def _fit_blocks(blocks) -> tuple[OlsFit, int]:
+    """``fit_ols`` of the rows of ``blocks``, and their count N.
+
+    ``blocks`` yields at least one array of rows (y, x1, ..., xK), which are
+    overwritten.  Each block is shifted by the first block's mean, so that no
+    column's offset dwarfs its spread when the intercept's reflection mixes
+    it into the others, and the shifted [1 X y] is folded into a running R
+    factor in pieces of ``_QR_ROWS`` rows, R := qr([R; piece]) (the
+    sequential TSQR; Demmel, Grigori, Hoemmen & Langou 2012, *SIAM J. Sci.
+    Comput.* 34: A206-A239), so memory does not grow with N.  The shift is
+    added back to the intercept.  Raises DomainError, with ``Dataset``'s
+    message, when N < K + 2.
+    """
+    n, y_scale = 0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
+        for block in blocks:
+            if n == 0:
+                shift = block.mean(axis=0)
+                r = np.empty((0, len(shift) + 1))
+            y_scale = max(y_scale, float(np.abs(block[:, 0]).max()))
+            block -= shift
+            for piece in (block[i : i + _QR_ROWS] for i in range(0, len(block), _QR_ROWS)):
+                design = np.column_stack([np.ones(len(piece)), piece[:, 1:], piece[:, 0]])
+                r = np.linalg.qr(np.concatenate([r, design]), mode="r")
+            n += len(block)
+        k = len(shift) - 1
+        if n < k + 2:
+            raise DomainError(f"need n >= k + 2 observations, got n={n}, k={k}")
         diagonal = np.abs(np.diag(r)[: k + 1])
-        small = np.flatnonzero(diagonal <= _RANK_TOL * diagonal.max())
+        # hypot's reduction, unlike a sum of squares, does not overflow
+        small = np.flatnonzero(diagonal <= _RANK_TOL * np.hypot.reduce(r[:, : k + 1]))
         if small.size:
             column = int(small[0])
             label = "intercept" if column == 0 else f"covariate {column}"
@@ -125,30 +158,31 @@ def fit_ols(data: Dataset) -> OlsFit:
         coefficients = np.linalg.solve(r[: k + 1, : k + 1], r[: k + 1, k + 1])
         w = r[1 : k + 1, k + 1]
         explained, sse = float(w @ w), float(r[k + 1, k + 1] ** 2)
+        intercept = float(coefficients[0] + shift[0] - shift[1:] @ coefficients[1:])
     sst = explained + sse
     if not math.isfinite(sst):
         raise DomainError("the outcome's sums of squares overflow the float range")
     # An outcome that varies only in its last bits, as one computed by rounded
     # arithmetic can, has nothing to explain: r2 := 0 and the fit is flagged.
     # SST up to about N (eps |y|)^2 is rounding, so compare against that scale.
-    y_scale = max(1.0, float(np.abs(data.y).max()))
     try:
         constant = sst <= n * (1e-14 * y_scale) ** 2
     except OverflowError:  # a scale whose square overflows exceeds any finite sst
         constant = True
-    return OlsFit(
-        intercept=float(coefficients[0] + data.y[0]),
+    fit = OlsFit(
+        intercept=intercept,
         coefficients=coefficients[1:].copy(),
         r2=0.0 if constant else explained / sst,
         residual_variance_hat=sse / (n - k - 1),
         constant_outcome=constant,
     )
+    return fit, n
 
 
 def _r2_from_gram(grams: np.ndarray, n: int, y_mean: np.ndarray) -> np.ndarray:
-    """R2 of the intercept-included fit of each of a stack of datasets from
-    its centered cross-products, NaN where only ``fit_ols`` can be trusted to
-    give it.
+    """R2 of the intercept-included fit of each of a stack of Monte Carlo
+    replicates from its centered cross-products, NaN where only ``fit_ols``
+    can be trusted to give it.
 
     ``grams`` holds, shaped (B, K+1, K+1), [Xc yc]'[Xc yc] of each dataset:
     the cross-product matrix of its N rows of covariates and outcome after

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -23,7 +23,7 @@ import r2margin.montecarlo as montecarlo
 from r2margin import errors
 from r2margin.errors import ConvergenceError, ExcessiveSkipsError, R2MarginError
 from r2margin.cli import main
-from r2margin.regression import Dataset, fit_ols, r_squared
+from r2margin.regression import Dataset, _fit_blocks, fit_ols, r_squared
 
 from oracles import r2_exact, small_r2_dataset
 
@@ -361,20 +361,17 @@ class TestFitCommand:
         ids=["r2-above-1-1e-9", "near-constant-outcome", "constant-but-last-bits"],
     )
     def test_untrusted_cross_products_print_what_the_qr_fit_prints(
-        self, capsys, tmp_path, monkeypatch, outcome
+        self, capsys, tmp_path, outcome
     ):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(200, 2))
         y = outcome(x, rng.normal(size=200))
         path = tmp_path / "untrusted.csv"
         write_csv(path, y, x)
-        assert math.isnan(cli._read_csv(str(path), cli._block_r2)[0])
         argv = ["fit", "--data", str(path), "--delta", "0.1", "--precision", "17"]
-        code, report, text = run_cli(capsys, *argv)
+        code, report, _ = run_cli(capsys, *argv)
         assert code == 0
         assert report["r2"] == format(r_squared(Dataset(y=y, x=x)), ".17g")
-        monkeypatch.setattr(cli, "_block_r2", lambda blocks: (math.nan, 0, 0))
-        assert run_cli(capsys, *argv) == (code, report, text)
 
 
 def _decline(path):
@@ -551,7 +548,7 @@ def boundary_csv(path, lines, size):
 
 class TestBlockReader:
     """``fit`` streams its CSV in blocks of ``cli._block_rows(width)`` rows
-    into one centered cross-product matrix."""
+    into one QR fit."""
 
     @pytest.mark.parametrize(
         "rows, sizes",
@@ -619,14 +616,17 @@ class TestBlockReader:
         table, rng = self._table(seed, n, k, far)
         table *= 10.0**spread
         table += rng.choice([-1.0, 1.0], k + 1) * 10.0 ** (spread + offset)
-        r2, got_n, got_k = cli._block_r2(table[i : i + size].copy() for i in range(0, n, size))
-        assert (got_n, got_k) == (n, k)
-        assume(not math.isnan(r2))
-        assert abs(r2 - fit_ols(Dataset(y=table[:, 0], x=table[:, 1:])).r2) <= 2e-12
+        fit, got_n = _fit_blocks(table[i : i + size].copy() for i in range(0, n, size))
+        assert (got_n, len(fit.coefficients)) == (n, k)
+        whole = fit_ols(Dataset(y=table[:, 0], x=table[:, 1:]))
+        assert abs(fit.r2 - whole.r2) <= 2e-12
+        expected = np.append(whole.coefficients, whole.intercept)
+        got = np.append(fit.coefficients, fit.intercept)
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
 
-    # covariates up to 1e12 from zero at unit spread, where fit_ols, which
-    # shifts only y, is off by up to about 1e-4, so the exact R2 of the
-    # doubles is the reference; blocks of 1 to 10 rows
+    # covariates up to 1e12 from zero at unit spread, where a fit that shifts
+    # only y is off by up to about 1e-4: the whole table as one block and
+    # blocks of 1 to 10 rows against the exact R2 of the doubles
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -640,9 +640,10 @@ class TestBlockReader:
         n, k = shape
         table, rng = self._table(seed, n, k, far)
         table[:, 1:] += rng.choice([-1.0, 1.0], k) * 10.0**offset
-        r2, _, _ = cli._block_r2(table[i : i + size].copy() for i in range(0, n, size))
-        assume(not math.isnan(r2))
-        assert abs(r2 - float(r2_exact(table[:, 0], table[:, 1:]))) <= 2e-12
+        exact = float(r2_exact(table[:, 0], table[:, 1:]))
+        fit, _ = _fit_blocks(table[i : i + size].copy() for i in range(0, n, size))
+        assert abs(fit.r2 - exact) <= 2e-12
+        assert abs(fit_ols(Dataset(y=table[:, 0], x=table[:, 1:])).r2 - exact) <= 2e-12
 
 
 class TestSimulateCommand:

@@ -106,6 +106,27 @@ class TestFitOls:
         # duplicate of covariate 1 sits at design column 3
         assert excinfo.value.column_index == 3
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            lambda x: np.full(len(x), 0.1),
+            lambda x: np.zeros(len(x)),
+            lambda x: x[:, 0] - 0.5 * x[:, 1],
+            lambda x: 1e8 * (x[:, 0] - 0.5 * x[:, 1]),
+        ],
+        ids=["constant", "zero", "linear-combination", "scaled-linear-combination"],
+    )
+    def test_collinear_column_raises_with_index(self, column):
+        # each pivot is compared with its own column's norm: a zero column,
+        # whose pivot and norm are both 0, is caught, and so is a collinear
+        # column whose pivot still exceeds 1e-10 times the largest pivot
+        rng = np.random.default_rng(1)
+        base = rng.normal(size=(40, 2))
+        x = np.column_stack([base, column(base), rng.normal(size=40)])
+        with pytest.raises(RankDeficiencyError) as excinfo:
+            fit_ols(Dataset(y=rng.normal(size=40), x=x))
+        assert excinfo.value.column_index == 3
+
     @pytest.mark.parametrize("r2", [1e-6, 1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_small_r2_matches_exact_fit(self, r2, seed):
@@ -150,9 +171,11 @@ class TestRSquared:
         data = _random_dataset(rng)
         baseline = r_squared(data)
         assert abs(r_squared(Dataset(y=-17.5 * data.y, x=data.x)) - baseline) <= 1e-12
-        rescaled = data.x.copy()
-        rescaled[:, 1] *= 3e4
-        assert abs(r_squared(Dataset(y=data.y, x=rescaled)) - baseline) <= 1e-12
+        # the rank test does not depend on a column's scale
+        for scale in (3e4, 1e11, 1e15, 1e-15):
+            rescaled = data.x.copy()
+            rescaled[:, 1] *= scale
+            assert abs(r_squared(Dataset(y=data.y, x=rescaled)) - baseline) <= 1e-12
 
     def test_extra_noise_covariate_never_decreases_r2(self):
         rng = np.random.default_rng(6)
