@@ -55,7 +55,7 @@ class NotPositiveDefiniteError(R2MarginError, ValueError):
 
 class ExcessiveSkipsError(R2MarginError, RuntimeError):
     """Too large a fraction of Monte Carlo replicates was skipped because
-    their QR fit failed."""
+    their covariate normals were collinear or their R2 was not finite."""
 
     exit_code = 4
 

@@ -15,21 +15,20 @@ is shared by scenarios that differ only in their noise and by repeat runs.
 Each replicate is decided by that comparison alone, and counts a rejection at
 every margin whose critical value exceeds its R2.
 
-R2 is invariant under invertible linear maps of the covariates, so a
-replicate takes it from the centered (K+1)-square cross-products of its own
-standard normals (covariates z, noise e), mapped to those of (x, y) by the
-scenario's Cholesky factor and coefficients; no N-row x, y or centered copy
-is formed, and the near-constant-outcome guard reads |mean y| off the
-column sums.  Replicates are decided in batches, the one unit of work: each
-replicate draws its normals into its own row of the batch's buffer, and one
-set of stacked numpy calls forms, maps and factors the cross-products of the
-whole batch.  Only where those cross-products cannot be trusted
-(``regression._r2_from_gram`` returns NaN) does a replicate form x = z L'
-and y = beta0 + x beta + e (``_design``) and take R2 from the QR fit.  A
-replicate is skipped only when that fit fails.  Counts are those of the
-rejection region; they can differ from per-replicate p-values only for an
-R2 within about 1e-12 of a critical value, where either answer is a
-rounding artifact.
+A replicate's R2 is read in the coordinates of its own standard normals
+(covariates z, noise e): with x = z L' and y = beta0 + sigma (z g + e),
+where g = L' beta / sigma, R2 of y on x is R2 of z g + e on z, so it depends
+on the scenario only through g, and beta0, the conditioning of the
+covariance and sigma2 never enter a floating-point sum.  ``_r2_from_normals``
+reads it off the Cholesky factor of the centered (K+1)-square cross-products
+of [z e]; no N-row x, y or centered copy is formed.  Replicates are decided
+in batches, the one unit of work: each replicate draws its normals into its
+own row of the batch's buffer, and one set of stacked numpy calls forms and
+factors the cross-products of the whole batch.  A replicate is skipped where
+its covariate normals are collinear or its R2 is not finite.  Counts are
+those of the rejection region; they can differ from per-replicate p-values
+only for an R2 within about 1e-12 of a critical value, where either answer
+is a rounding artifact.
 
 Replicate ``j`` of scenario ``s`` draws its normals from a Philox generator
 keyed by a hash of (master_seed, s.id, j), ``_philox_key``, so results are
@@ -60,7 +59,6 @@ from .errors import (
     DomainError,
     ExcessiveSkipsError,
     NotPositiveDefiniteError,
-    RankDeficiencyError,
     _check_finite,
     _check_float_array,
     _check_int,
@@ -68,7 +66,6 @@ from .errors import (
     _check_sizes,
 )
 from .inference import critical_r2
-from .regression import Dataset, _r2_from_gram, r_squared
 
 __all__ = [
     "GRID_BETAS",
@@ -84,11 +81,17 @@ __all__ = [
     "true_p2",
 ]
 
-# A replicate is skipped when its fit fails; more than this fraction of
-# skips invalidates the whole run.
+# A replicate is skipped when its covariate normals are collinear or its R2
+# is not finite; more than this fraction of skips invalidates the whole run.
 SKIP_FAILURE_FRACTION = 0.001
 
 _CHOLESKY_PIVOT_TOL = 1e-12
+# A replicate's covariate normals are collinear when a squared covariate
+# pivot of its cross-products' Cholesky factor is at or below this share of
+# the column's centered sum of squares: exactly collinear normals measure
+# 1.3e-16 to 3.4e-16, and real draws at N = K + 2 fall below it with a
+# probability of about 1e-10 (estimated from the Beta law of the ratio).
+_COLLINEAR_TOL = 1e-10
 
 # Float64s in one batch of the replicate kernel's draw buffer (2 MiB): at the
 # paper grid's N a batch holds 6 to 1456 replicates, and from
@@ -222,13 +225,6 @@ def true_p2(beta, sigma_matrix, sigma2: float) -> float:
     return signal / (signal + sigma2)
 
 
-def _design(scenario: Scenario, z: np.ndarray, noise: np.ndarray):
-    """(x, y) of one dataset from its (N, K) covariate normals ``z`` and its
-    noise, already scaled to standard deviation sqrt(sigma2)."""
-    x = z @ scenario.lower.T
-    return x, scenario.beta0 + x @ scenario.beta + noise
-
-
 # The closed-form critical value, cached per (n, k, delta, alpha).  A
 # quantile that fails propagates.
 _critical_r2 = functools.lru_cache(maxsize=4096)(critical_r2)
@@ -264,24 +260,54 @@ def _draw_normals(generator: np.random.Generator, out: np.ndarray, *key_parts) -
     generator.standard_normal(out=out)
 
 
+def _r2_from_normals(grams: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """R2 of each of a stack of replicates from the centered cross-products of
+    its normals; NaN where the replicate is skipped.
+
+    ``grams`` holds, shaped (B, K+1, K+1), the centered cross-products of each
+    replicate's [z e], and ``g`` = L' beta / sigma.  Its Cholesky factor holds
+    the factor L_z of z_c'z_c in its leading block, w = L_z^-1 z_c'e_c in its
+    last row and the pivot s last, so with v = L_z' g + w, SSR / sigma2 =
+    |v|^2 and SSE / sigma2 = s^2, and R2 = |v|^2 / (|v|^2 + s^2), with no
+    cancelling subtraction.  One Cholesky call factors the whole stack; if
+    LAPACK refuses it, each matrix is factored alone, which gives each the
+    same factor.  NaN where the Cholesky fails, where a squared covariate
+    pivot is at or below ``_COLLINEAR_TOL`` times its column's centered sum of
+    squares (collinear covariate normals), or where R2 is not finite (|v|^2
+    overflows).  Only the covariate pivots are tested: at N = K + 2 a small
+    noise pivot is a legitimate R2 near 1.
+    """
+    k = grams.shape[-1] - 1
+    try:
+        lower = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        lower = np.full_like(grams, np.nan)
+        for i, gram in enumerate(grams):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                lower[i] = np.linalg.cholesky(gram)
+    pivots = lower.diagonal(0, 1, 2)[:, :k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = g @ lower[:, :k, :k] + lower[:, k, :k]
+        explained = (v * v).sum(axis=1)
+        r2 = explained / (explained + lower[:, k, k] ** 2)
+        # written so that a NaN pivot fails it
+        independent = (pivots * pivots > _COLLINEAR_TOL * grams.diagonal(0, 1, 2)[:, :k]).all(axis=1)
+    r2[~(independent & np.isfinite(r2))] = np.nan
+    return r2
+
+
 def _replicate_counts(scenario, start, stop, master_seed, roots):
     """Rejection counts and skips of replicates [start, stop), decided as one
     batch; ``run_scenario`` sizes the batches.
 
     ``roots`` holds each margin's critical R2.  A replicate rejects at every
-    margin whose root exceeds its R2, and is skipped if its QR fit fails.
+    margin whose root exceeds its R2, and is skipped where
+    ``_r2_from_normals`` gives NaN.
 
     Each replicate's normals come in one draw into its own row of one buffer:
-    z, shaped (N, K), then the N noise normals.  R2 is invariant under
-    invertible linear maps of the covariates, so it is read from the centered
-    cross-products of [z noise], mapped to those of [x y] by M:
-    [x_c y_c] = [z_c noise_c] M with M = [[L', L' beta], [0, 1]], as
-    x = z L' and y = beta0 + z L' beta + noise (beta0 cancels).  The
-    near-constant guard's scale, |mean y| = |beta0 + (sum z . L' beta +
-    sum noise) / N|, comes from the same column sums.  One set of stacked
-    numpy calls forms the batch's cross-products, maps them by M and reads
-    their R2 through ``_r2_from_gram``; x and y are formed only for the
-    replicates where it returns NaN, for the QR fit.
+    z, shaped (N, K), then the N noise normals e.  One set of stacked numpy
+    calls forms the batch's centered cross-products of [z e] from z'z, e'z,
+    e'e and the column sums, and reads their R2 through ``_r2_from_normals``.
     """
     n, k = scenario.n, scenario.k
     size = stop - start
@@ -299,32 +325,20 @@ def _replicate_counts(scenario, start, stop, master_seed, roots):
     zs = buffer[:, : n * k].reshape(size, n, k)
     es = buffer[:, n * k :]
     ones = np.ones(n)
-    gamma = scenario.lower.T @ scenario.beta
-    to_xy = np.eye(k + 1)
-    to_xy[:k, :k] = scenario.lower.T
-    to_xy[:k, k] = gamma
     gram = np.empty((size, k + 1, k + 1))
     sums = np.empty((size, k + 1))
-    skipped = 0
-    # overflow from huge coefficients leaves NaNs, which _r2_from_gram and
-    # Dataset catch
+    np.matmul(zs.transpose(0, 2, 1), zs, out=gram[:, :k, :k])
+    np.matmul(es[:, None, :], zs, out=gram[:, k:, :k])
+    gram[:, :k, k] = gram[:, k, :k]
+    np.matmul(es[:, None, :], es[:, :, None], out=gram[:, k:, k:])
+    np.matmul(ones, zs, out=sums[:, :k])
+    np.matmul(es, ones, out=sums[:, k])
+    gram -= sums[:, :, None] * (sums[:, None, :] / n)
+    # huge coefficients overflow g, which leaves a NaN R2
     with np.errstate(over="ignore", invalid="ignore"):
-        es *= math.sqrt(scenario.sigma2)
-        np.matmul(zs.transpose(0, 2, 1), zs, out=gram[:, :k, :k])
-        np.matmul(es[:, None, :], zs, out=gram[:, k:, :k])
-        gram[:, :k, k] = gram[:, k, :k]
-        np.matmul(es[:, None, :], es[:, :, None], out=gram[:, k:, k:])
-        np.matmul(ones, zs, out=sums[:, :k])
-        np.matmul(es, ones, out=sums[:, k])
-        gram -= sums[:, :, None] * (sums[:, None, :] / n)
-        y_mean = np.abs(scenario.beta0 + (sums[:, :k] @ gamma + sums[:, k]) / n)
-        r2 = _r2_from_gram(to_xy.T @ gram @ to_xy, n, y_mean)
-        for row in np.flatnonzero(np.isnan(r2)):
-            x, y = _design(scenario, zs[row], es[row])
-            try:
-                r2[row] = r_squared(Dataset(y=y, x=x))
-            except (RankDeficiencyError, DomainError):
-                skipped += 1  # its NaN R2 rejects nowhere
+        g = scenario.lower.T @ scenario.beta / math.sqrt(scenario.sigma2)
+    r2 = _r2_from_normals(gram, g)
+    skipped = int(np.isnan(r2).sum())  # a NaN R2 rejects nowhere
     return (r2[:, None] < roots).sum(axis=0).tolist(), skipped
 
 
@@ -360,12 +374,10 @@ def run_scenario(
     The test rejects at a margin exactly when R2 < r2_crit(N, K, delta,
     alpha); each critical value is computed once in closed form and cached,
     before any replicate is drawn.  A replicate's R2 comes from the centered
-    cross-products of its normals, or from the QR fit where those are not
-    trusted (near-collinear covariates, near-constant outcome,
-    R2 > 1 - 1e-9), and is compared with every critical value.  Counts can
-    differ from those of per-replicate p-values only for an R2 within about
-    1e-12 of a critical value.  A critical value whose quantile fails raises
-    ConvergenceError.
+    cross-products of its normals (``_r2_from_normals``) and is compared
+    with every critical value.  Counts can differ from those of
+    per-replicate p-values only for an R2 within about 1e-12 of a critical
+    value.  A critical value whose quantile fails raises ConvergenceError.
 
     Replicates [0, n_sims) are cut into batches of as many as fit in
     _BATCH_FLOATS doubles at N (K+1) each, at least one, and each batch is
@@ -373,8 +385,9 @@ def run_scenario(
     ``R2MARGIN_THREADS`` resolves to one worker, else over a pool of that
     many threads.
 
-    A replicate whose QR fit fails (rank-deficient design, overflowing sums
-    of squares) is counted as skipped; if more than SKIP_FAILURE_FRACTION of
+    A replicate whose covariate normals are collinear, or whose R2 is not
+    finite (coefficients so large against sigma that its sums of squares
+    overflow), is counted as skipped; if more than SKIP_FAILURE_FRACTION of
     them skip, the run raises ExcessiveSkipsError.
     """
     deltas = [_check_open_unit("every margin", d) for d in deltas]
@@ -398,8 +411,8 @@ def run_scenario(
 
     if skipped > SKIP_FAILURE_FRACTION * n_sims:
         raise ExcessiveSkipsError(
-            f"the QR fit failed on {skipped} of {n_sims} replicates in scenario "
-            f"{scenario.id!r} (threshold {SKIP_FAILURE_FRACTION:.1%})"
+            f"{skipped} of {n_sims} replicates in scenario {scenario.id!r} had collinear "
+            f"covariate normals or no finite R2 (threshold {SKIP_FAILURE_FRACTION:.1%})"
         )
 
     population_share = true_p2(scenario.beta, scenario.sigma_matrix, scenario.sigma2)

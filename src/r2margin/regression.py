@@ -6,14 +6,8 @@ Problems*): the coefficients' triangular system, the rank test on [1 X]'s
 diagonal, and R2 = |w|^2 / SST from the last column, so small R2 keeps its
 digits.  ``_fit_blocks`` builds that R from blocks of rows, one cache-sized
 piece at a time, so ``fit_ols`` (one block) and the ``fit`` command (a CSV's
-row blocks, see ``cli``) run one fold.
-
-``_r2_from_gram`` reads R2 the same way off the Cholesky factor of
-(K+1)-square centered cross-product matrices of covariates and outcome, a
-stack of them at a time, where that can be trusted.  The Monte Carlo harness
-builds one such matrix from each replicate's normals without forming X or y
-(see ``montecarlo``), and falls back to ``fit_ols`` on the formed data where
-``_r2_from_gram`` returns NaN.
+row blocks, see ``cli``) run one fold.  The Monte Carlo harness reads a
+replicate's R2 without forming X or y (see ``montecarlo``).
 """
 
 from __future__ import annotations
@@ -36,12 +30,6 @@ _RANK_TOL = 1e-10
 _QR_ROWS = 4096
 # Largest R2 that ``r_squared`` returns: the top of ``TestInput``'s range.
 _R2_MAX = 1.0 - 1e-12
-# Where ``_r2_from_gram`` hands over to the QR fit: pivot spread, least
-# squared pivot over its column's centered sum of squares (1 minus the
-# column's squared multiple correlation with the columns before it), top R2.
-_GRAM_PIVOT_TOL = 1e-6
-_GRAM_TOLERANCE_MIN = 1e-4
-_GRAM_R2_MAX = 1.0 - 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,70 +165,6 @@ def _fit_blocks(blocks) -> tuple[OlsFit, int]:
         constant_outcome=constant,
     )
     return fit, n
-
-
-def _r2_from_gram(grams: np.ndarray, n: int, y_mean: np.ndarray) -> np.ndarray:
-    """R2 of the intercept-included fit of each of a stack of Monte Carlo
-    replicates from its centered cross-products, NaN where only ``fit_ols``
-    can be trusted to give it.
-
-    ``grams`` holds, shaped (B, K+1, K+1), [Xc yc]'[Xc yc] of each dataset:
-    the cross-product matrix of its N rows of covariates and outcome after
-    each column's mean is subtracted.  ``y_mean`` holds each |mean y| of the
-    uncentered outcome.  Each Cholesky factor holds the factor L of Xc'Xc in
-    its leading block and w = L^-1 Xc'yc in its last row, so R2 = |w|^2 /
-    SST with no Q factor formed.  Up to signs, L' is the trailing block of
-    the R factor that ``fit_ols`` reads, so both use one formula.  One
-    Cholesky call factors the whole stack; if it fails, each matrix is
-    factored alone.  NaN, which leaves the decision to the QR fit, when:
-
-    - the Cholesky factorization fails;
-    - the pivots, with sqrt(N) for the intercept, spread more than 1e6-fold,
-      10^4 inside the QR rank test, so rounding cannot flip that test;
-    - a covariate's squared multiple correlation with the ones before it
-      reaches 1 - 1e-4, where the two routes' rounding drifts apart;
-    - the outcome is nearly constant: SST at or below N (1e-4 |mean y|)^2,
-      where centering loses digits in proportion to the mean, or at or
-      below N 1e-26.  As max|y| <= |mean y| + sqrt(SST), this defers
-      wherever ``fit_ols`` flags ``constant_outcome`` (SST at or below
-      N (1e-14 max(1, max|y|))^2), for any N below 1e26;
-    - R2 exceeds 1 - 1e-9;
-    - any of these is NaN, as non-finite or overflowing input makes them.
-
-    Elsewhere the value agrees with ``fit_ols(...).r2`` to about 2e-12:
-    measured at most 1.8e-12 next to the collinearity limit, where the error
-    is this route's, and at most 2e-15 next to the other limits and inside.
-    """
-    k = grams.shape[-1] - 1
-    try:
-        lower = np.linalg.cholesky(grams)
-    except np.linalg.LinAlgError:
-        if len(grams) == 1:
-            return np.full(1, np.nan)
-        return np.concatenate(
-            [_r2_from_gram(grams[i : i + 1], n, y_mean[i : i + 1]) for i in range(len(grams))]
-        )
-    # Every test is written so that a NaN fails it.
-    pivots = lower.diagonal(0, 1, 2)[:, :k]
-    sums = grams.diagonal(0, 1, 2)
-    sst = sums[:, k]
-    # |w|^2 by matmul, which rounds as a dot product does; a sum of squares
-    # rounds differently and would move R2 in its last bits
-    explained = lower[:, k : k + 1, :k]
-    intercept = math.sqrt(n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        floor = _GRAM_PIVOT_TOL * np.maximum(pivots.max(axis=1), intercept)
-        r2 = (explained @ explained.transpose(0, 2, 1))[:, 0, 0] / sst
-        trusted = (
-            ((pivots > floor[:, None]) & (pivots * pivots > _GRAM_TOLERANCE_MIN * sums[:, :k]))
-            .all(axis=1)
-            & (intercept > floor)
-            & (sst > n * 1e-26)
-            & (sst > n * (1e-4 * y_mean) ** 2)
-            & (r2 <= _GRAM_R2_MAX)
-        )
-    r2[~trusted] = np.nan
-    return r2
 
 
 def r_squared(data: Dataset) -> float:

@@ -29,7 +29,7 @@ from r2margin import distributions, inference
 from r2margin.distributions import _logit, _root, f_cdf
 from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
 from r2margin.inference import TestInput, noninferiority_pvalue
-from r2margin.montecarlo import Scenario, _design, _philox_key
+from r2margin.montecarlo import Scenario, _philox_key
 from r2margin.regression import Dataset, r_squared
 
 
@@ -306,6 +306,14 @@ class RandomStream:
         return f"RandomStream{self.key_parts!r}"
 
 
+def design(scenario: Scenario, z: np.ndarray, noise: np.ndarray):
+    """(x, y) of one dataset from its (N, K) covariate normals ``z`` and its
+    noise, already scaled to standard deviation sqrt(sigma2):
+    x = z L' and y = beta0 + x beta + noise."""
+    x = z @ scenario.lower.T
+    return x, scenario.beta0 + x @ scenario.beta + noise
+
+
 def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     """Draw one dataset: MVN covariate rows, then the linear-model outcome.
 
@@ -314,7 +322,7 @@ def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:
     """
     z = stream.standard_normal((scenario.n, scenario.k))
     noise = stream.standard_normal(scenario.n) * math.sqrt(scenario.sigma2)
-    x, y = _design(scenario, z, noise)
+    x, y = design(scenario, z, noise)
     return Dataset(y=y, x=x)
 
 

@@ -943,7 +943,8 @@ class TestSimulateCommand:
         )
         assert code == 4
         assert text == (
-            "error: the QR fit failed on 5 of 5 replicates in scenario 'huge' (threshold 0.1%)\n"
+            "error: 5 of 5 replicates in scenario 'huge' had collinear covariate normals "
+            "or no finite R2 (threshold 0.1%)\n"
         )
 
 

@@ -2,6 +2,7 @@
 
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from r2margin.montecarlo import (
     true_p2,
 )
 from r2margin.inference import TestInput, noninferiority_pvalue
-from r2margin.regression import Dataset, _r2_from_gram, fit_ols, r_squared
+from r2margin.regression import Dataset, fit_ols, r_squared
 
-from oracles import RandomStream, generate_dataset, replicate_counts_exact
+from oracles import RandomStream, design, generate_dataset, r2_exact, replicate_counts_exact
 
 
 def _small_scenario(n=120, k=2, sigma2=1.0):
@@ -176,13 +177,9 @@ class TestRunScenario:
         assert 0.0 < record.true_p2 < 1.0
 
     def test_excessive_skips_raise(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise RankDeficiencyError("forced failure")
-
         scenario = _small_scenario()
-        # Every replicate takes the QR route, where the forced failure is a skip.
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_mean: np.full(len(grams), np.nan))
-        monkeypatch.setattr(mc, "r_squared", explode)
+        # every replicate is skipped
+        monkeypatch.setattr(mc, "_r2_from_normals", lambda grams, g: np.full(len(grams), np.nan))
         with pytest.raises(ExcessiveSkipsError):
             run_scenario(scenario, [0.05], 40, 0.05, 1)
 
@@ -232,17 +229,18 @@ class TestRunScenario:
         assert records[0].n_sims == 10
 
 
-def _record_gram_r2(monkeypatch):
-    """Patch the kernel's ``_r2_from_gram`` to record what it returns, one
+def _record_r2(monkeypatch):
+    """Patch the kernel's ``_r2_from_normals`` to record what it returns, one
     float per replicate; the list it records into."""
     values = []
+    r2_from_normals = mc._r2_from_normals
 
-    def recorded(grams, n, y_mean):
-        r2 = _r2_from_gram(grams, n, y_mean)
+    def recorded(grams, g):
+        r2 = r2_from_normals(grams, g)
         values.extend(r2.tolist())
         return r2
 
-    monkeypatch.setattr(mc, "_r2_from_gram", recorded)
+    monkeypatch.setattr(mc, "_r2_from_normals", recorded)
     return values
 
 
@@ -265,20 +263,6 @@ class TestCriticalR2Decisions:
         for scenario in paper_grid():
             records = run_scenario(scenario, default_delta_grid(), 40, 0.05, 3)
             assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
-
-    def test_every_replicate_exact_gives_same_counts(self, monkeypatch, paper_grid_exact):
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_mean: np.full(len(grams), np.nan))
-        fits = []
-
-        def counted_r_squared(data):
-            fits.append(data)
-            return r_squared(data)
-
-        monkeypatch.setattr(mc, "r_squared", counted_r_squared)
-        for scenario in paper_grid():
-            records = run_scenario(scenario, default_delta_grid(), 40, 0.05, 3)
-            assert _counts(records) == paper_grid_exact[scenario.id], scenario.id
-        assert len(fits) == 30 * 40
 
     def test_single_covariate_counts_equal_exact_evaluation(self):
         scenario = Scenario(
@@ -333,16 +317,16 @@ class TestCriticalR2Decisions:
         deltas = default_delta_grid()
         roots = [mc._critical_r2(scenario.n, scenario.k, d, 0.05) for d in deltas]
         r2 = roots[9] + offset
-        monkeypatch.setattr(mc, "_r2_from_gram", lambda grams, n, y_mean: np.full(len(grams), r2))
+        monkeypatch.setattr(mc, "_r2_from_normals", lambda grams, g: np.full(len(grams), r2))
         records = run_scenario(scenario, deltas, 3, 0.05, 1)
         assert _counts(records) == ([3 if root > r2 else 0 for root in roots], 0)
         assert records[9].rejections == (3 if offset < 0 else 0)
 
     def _patched_counts(self, monkeypatch, fill, scenario):
         """Counts and skips of five replicates whose normals ``fill`` writes,
-        and what ``_r2_from_gram`` returned for each."""
+        and what ``_r2_from_normals`` returned for each."""
         monkeypatch.setattr(mc, "_draw_normals", fill)
-        gram_r2 = _record_gram_r2(monkeypatch)
+        gram_r2 = _record_r2(monkeypatch)
         roots = np.array([mc._critical_r2(scenario.n, scenario.k, d, 0.05)
                           for d in default_delta_grid()])
         counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots)
@@ -355,66 +339,52 @@ class TestCriticalR2Decisions:
         normals = np.empty(n * (k + 1))
         fill(None, normals, 0)
         noise = normals[n * k :] * np.sqrt(scenario.sigma2)
-        return mc._design(scenario, normals[: n * k].reshape(n, k), noise)
+        return design(scenario, normals[: n * k].reshape(n, k), noise)
 
-    def test_collinear_replicate_is_skipped_as_rank_deficient(self, monkeypatch):
-        scenario = _small_scenario(n=60)
+    # collinear covariate normals, and so collinear x = z L'; or no noise and
+    # beta = 0, so that y = beta0 is constant: neither replicate has an R2
+    @pytest.mark.parametrize("case", ["collinear", "noiseless"])
+    def test_degenerate_normals_are_skipped(self, monkeypatch, case):
+        beta = np.array([0.2, -0.1]) if case == "collinear" else np.zeros(2)
+        scenario = Scenario(id=case, n=60, k=2, beta=beta, sigma2=1.0,
+                            sigma_matrix=exchangeable_covariance(2), beta0=2.5)
 
-        def collinear(generator, out, *key_parts):
+        def degenerate(generator, out, *key_parts):
             out[:] = RandomStream(*key_parts).standard_normal(out.size)
-            z = out[: 2 * scenario.n].reshape(scenario.n, 2)
-            z[:, 1] = 2.0 * z[:, 0]  # x = z L' is collinear with z
+            if case == "collinear":
+                z = out[: 2 * scenario.n].reshape(scenario.n, 2)
+                z[:, 1] = 2.0 * z[:, 0]
+            else:
+                out[-scenario.n :] = 0.0
 
-        x, y = self._formed(scenario, collinear)
-        with pytest.raises(RankDeficiencyError):
-            fit_ols(Dataset(y=y, x=x))
-        counts, skipped, gram_r2 = self._patched_counts(monkeypatch, collinear, scenario)
+        x, y = self._formed(scenario, degenerate)
+        if case == "collinear":
+            with pytest.raises(RankDeficiencyError):
+                fit_ols(Dataset(y=y, x=x))
+        else:
+            assert (y == 2.5).all()
+        counts, skipped, gram_r2 = self._patched_counts(monkeypatch, degenerate, scenario)
+        # one value per replicate: a refused stack is retried matrix by matrix
+        # without re-entering through the module
         assert len(gram_r2) == 5 and np.isnan(gram_r2).all()
         assert counts == [0] * 19 and skipped == 5
 
-    def test_constant_outcome_rejects_at_every_margin(self, monkeypatch):
-        scenario = Scenario(id="flat", n=60, k=2, beta=np.zeros(2), sigma2=1.0,
-                            sigma_matrix=exchangeable_covariance(2), beta0=2.5)
-
-        def constant(generator, out, *key_parts):
-            out[:] = RandomStream(*key_parts).standard_normal(out.size)
-            out[-scenario.n :] = 0.0  # no noise, so y = beta0 = 2.5
-
-        x, y = self._formed(scenario, constant)
-        assert (y == 2.5).all()
-        assert fit_ols(Dataset(y=y, x=x)).constant_outcome
-        counts, skipped, gram_r2 = self._patched_counts(monkeypatch, constant, scenario)
-        assert len(gram_r2) == 5 and np.isnan(gram_r2).all()
-        assert counts == [5] * 19 and skipped == 0
-
-    # SST is about N (1.05 per row) whatever the offsets, so the guard hands a
-    # replicate over exactly when |mean y| exceeds about 1e4, and the kernel
-    # reads that mean off beta0 and the column sums of z and the noise
-    @pytest.mark.parametrize(
-        "beta0,z_shift,noise_shift,handed_over",
-        [
-            (0.0, 0.0, 0.0, False),
-            (1e6, 0.0, 0.0, True),
-            (-1e6, 0.0, 0.0, True),
-            (0.0, 0.0, 1e6, True),
-            (-1e6, 0.0, 1e6, False),
-            (0.0, 1e6, 0.0, True),
-        ],
-    )
-    def test_near_constant_guard_reads_the_outcome_mean(
-        self, monkeypatch, beta0, z_shift, noise_shift, handed_over
-    ):
-        scenario = Scenario(id="offset", n=60, k=2, beta=np.array([0.2, -0.1]), sigma2=1.0,
-                            sigma_matrix=exchangeable_covariance(2), beta0=beta0)
-
-        def shifted(generator, out, *key_parts):
-            out[:] = RandomStream(*key_parts).standard_normal(out.size)
-            out[: -scenario.n] += z_shift
-            out[-scenario.n :] += noise_shift
-
-        _, skipped, gram_r2 = self._patched_counts(monkeypatch, shifted, scenario)
-        assert len(gram_r2) == 5 and skipped == 0
-        assert np.isnan(gram_r2).tolist() == [handed_over] * 5
+    def test_r2_does_not_depend_on_the_intercept(self, monkeypatch):
+        # R2 is read in the normals' own coordinates, where beta0 never
+        # enters, so even a float y = 1e20 + x beta + e, constant to the last
+        # bit, has the R2 of its normals
+        recorded = _record_r2(monkeypatch)
+        roots = np.array([mc._critical_r2(60, 2, d, 0.05) for d in default_delta_grid()])
+        runs = {}
+        for beta0 in (0.0, 1e6, -1e6, 1e20):
+            scenario = Scenario(id="offset", n=60, k=2, beta=np.array([0.2, -0.1]), sigma2=1.0,
+                                sigma_matrix=exchangeable_covariance(2), beta0=beta0)
+            counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots)
+            runs[beta0] = (recorded[-5:], counts, skipped)
+        assert len(recorded) == 20
+        assert runs[0.0][2] == 0 and not np.isnan(runs[0.0][0]).any()
+        for beta0, run in runs.items():
+            assert run == runs[0.0], beta0
 
 
 class TestReplicateKernel:
@@ -468,12 +438,38 @@ class TestReplicateKernel:
         ids=lambda value: value.id if isinstance(value, Scenario) else str(value),
     )
     def test_r2_equals_qr_fit_of_the_dataset(self, monkeypatch, scenario, n_sims):
-        values = _record_gram_r2(monkeypatch)
+        values = _record_r2(monkeypatch)
         mc._replicate_counts(scenario, 0, n_sims, 5, self._roots(scenario))
         assert len(values) == n_sims
         for j, r2 in enumerate(values):
             expected = r_squared(generate_dataset(scenario, RandomStream(5, scenario.id, j)))
             assert not np.isnan(r2) and abs(r2 - expected) <= 1e-12
+
+    # where the cross-products of x and y lose digits: nearly collinear x,
+    # a nearly noiseless y, and no signal at all
+    @pytest.mark.parametrize(
+        "n,beta,sigma2,offdiag",
+        [
+            (60, [0.11, -0.15], 1.0, 0.999999),
+            (1000, [0.11, -0.15], 1.0, 0.999999),
+            (60, [0.11, -0.15], 1e-10, 0.05),
+            (1000, [0.11, -0.15], 1e-10, 0.05),
+            (60, [0.0, 0.0], 1.0, 0.05),
+            (1000, [0.0, 0.0], 1.0, 0.05),
+            (8000, [0.0, 0.0], 1.0, 0.05),
+        ],
+        ids=["collinear60", "collinear1000", "noiseless60", "noiseless1000",
+             "null60", "null1000", "null8000"],
+    )
+    def test_r2_matches_exact_fit_of_the_dataset(self, monkeypatch, n, beta, sigma2, offdiag):
+        scenario = Scenario(id="hard", n=n, k=2, beta=np.array(beta), sigma2=sigma2,
+                            sigma_matrix=exchangeable_covariance(2, offdiag))
+        values = _record_r2(monkeypatch)
+        mc._replicate_counts(scenario, 0, 2, 5, self._roots(scenario))
+        for j, r2 in enumerate(values):
+            data = generate_dataset(scenario, RandomStream(5, scenario.id, j))
+            exact = r2_exact(data.y, data.x)
+            assert abs(float(Fraction(r2) / exact) - 1.0) <= 1e-12
 
     def test_span_in_small_batches_equals_exact_evaluation(self, monkeypatch):
         scenario = [s for s in paper_grid() if s.n == 60 and s.k == 2][0]
@@ -521,6 +517,55 @@ class TestReplicateKernel:
         assert _counts(serial) == _counts(threaded)
         # margins next to the true share, so the counts say something
         assert 0 < sum(_counts(serial)[0]) < len(deltas) * n_sims
+
+
+class TestR2FromNormals:
+    """``_r2_from_normals`` on stacks of centered cross-products of normals."""
+
+    @staticmethod
+    def _stack(rng, size, n=80, k=3):
+        """Centered cross-products of ``size`` draws of N rows of [z e]."""
+        normals = rng.normal(size=(size, n, k + 1))
+        centered = normals - normals.mean(axis=1, keepdims=True)
+        return centered.transpose(0, 2, 1) @ centered
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_stack_equals_each_gram_alone(self, k):
+        rng = np.random.default_rng(20 + k)
+        grams = self._stack(rng, 37, k=k)
+        g = rng.normal(size=k)
+        stacked = mc._r2_from_normals(grams, g)
+        alone = [mc._r2_from_normals(grams[i : i + 1], g)[0] for i in range(37)]
+        assert not np.isnan(stacked).any()
+        assert stacked.tolist() == alone
+
+    def test_failed_grams_give_nan_and_leave_the_rest(self):
+        rng = np.random.default_rng(31)
+        grams = self._stack(rng, 6)
+        g = np.array([0.3, -0.2, 0.1])
+        expected = mc._r2_from_normals(grams, g)
+        broken = grams.copy()
+        broken[1, 2, 2] = -1.0  # not positive definite: Cholesky fails
+        broken[4, 0, 3] = broken[4, 3, 0] = np.nan
+        r2 = mc._r2_from_normals(broken, g)
+        assert np.isnan(r2[[1, 4]]).all()
+        keep = [0, 2, 3, 5]
+        assert r2[keep].tolist() == expected[keep].tolist()
+
+    def test_only_a_small_covariate_pivot_skips(self):
+        rng = np.random.default_rng(41)
+        z = rng.normal(size=(80, 2))
+        near = z[:, 0] + 1e-7 * rng.normal(size=80)
+        grams = []
+        # the second covariate, then the noise, within 1e-7 of the first's span
+        for columns in (np.column_stack([z[:, 0], near, z[:, 1]]), np.column_stack([z, near])):
+            centered = columns - columns.mean(axis=0)
+            grams.append(centered.T @ centered)
+        grams = np.array(grams)
+        np.linalg.cholesky(grams)  # LAPACK factors both: only the pivot test tells
+        r2 = mc._r2_from_normals(grams, np.zeros(2))
+        assert np.isnan(r2[0])
+        assert 1.0 - 1e-12 < r2[1] < 1.0
 
 
 class TestGridConstruction:

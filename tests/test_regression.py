@@ -1,33 +1,18 @@
 """Tests for the least-squares layer."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from r2margin.errors import (
     DimensionMismatchError,
     DomainError,
     RankDeficiencyError,
 )
-from r2margin.regression import Dataset, _r2_from_gram, fit_ols, r_squared
+from r2margin.regression import Dataset, fit_ols, r_squared
 
 from oracles import ols_normal_equations, r2_exact, small_r2_dataset
-
-
-def _gram_r_squared(x, y):
-    """``_r2_from_gram`` on the centered cross-products of (x, y), formed
-    column by column with no shortcut, as a stack of one; NaN where it
-    defers to the QR fit."""
-    columns = np.column_stack([x, y])
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
-        centered = columns - columns.mean(axis=0)
-        gram = centered.T @ centered
-    y_mean = abs(float(y.mean()))
-    return float(_r2_from_gram(gram[None], x.shape[0], np.array([y_mean]))[0])
 
 
 def _random_dataset(rng, n=60, k=3, noise=1.0):
@@ -134,16 +119,13 @@ class TestFitOls:
         data = Dataset(*small_r2_dataset(r2, seed))
         exact = r2_exact(data.y, data.x)
         assert abs(float(exact) / r2 - 1.0) <= 1e-6
-        for value in (fit_ols(data).r2, _gram_r_squared(data.x, data.y)):
-            assert abs(float(Fraction(value) / exact) - 1.0) <= 1e-7
+        assert abs(float(Fraction(fit_ols(data).r2) / exact) - 1.0) <= 1e-7
 
     @pytest.mark.parametrize("offset", [1e6, 1e8, 1e10])
     def test_offset_far_beyond_spread_matches_exact_fit(self, offset):
-        # where the cross-product route defers to this fit
         rng = np.random.default_rng(17)
         x = rng.normal(size=(400, 2))
         y = offset + 0.6 * x[:, 0] + rng.normal(size=400)
-        assert math.isnan(_gram_r_squared(x, y))
         exact = r2_exact(y, x)
         assert abs(float(Fraction(fit_ols(Dataset(y=y, x=x)).r2) / exact) - 1.0) <= 1e-12
 
@@ -192,123 +174,3 @@ class TestRSquared:
         fitted = fit.intercept + data.x @ fit.coefficients
         correlation = np.corrcoef(data.y, fitted)[0, 1]
         assert fit.r2 == pytest.approx(correlation**2, abs=1e-10)
-
-
-class TestGramRSquared:
-    @pytest.mark.parametrize("n,k", [(30, 1), (60, 3), (1000, 4), (100_000, 2)])
-    def test_agrees_with_qr_fit(self, n, k):
-        rng = np.random.default_rng(n + k)
-        for noise in (0.3, 1.0, 30.0):
-            data = _random_dataset(rng, n=n, k=k, noise=noise)
-            r2 = _gram_r_squared(data.x, data.y)
-            assert not math.isnan(r2)
-            assert abs(r2 - fit_ols(data).r2) <= 1e-13
-
-    @staticmethod
-    def _stack(rng, size, n=80, k=3):
-        """Centered cross-products and |mean y| of ``size`` random datasets."""
-        grams, y_mean = [], []
-        for _ in range(size):
-            data = _random_dataset(rng, n=n, k=k)
-            centered = np.column_stack([data.x, data.y])
-            centered = centered - centered.mean(axis=0)
-            grams.append(centered.T @ centered)
-            y_mean.append(abs(float(data.y.mean())))
-        return np.array(grams), np.array(y_mean)
-
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_stack_equals_each_gram_alone(self, k):
-        rng = np.random.default_rng(20 + k)
-        grams, y_mean = self._stack(rng, 37, k=k)
-        stacked = _r2_from_gram(grams, 80, y_mean)
-        alone = [_r2_from_gram(grams[i : i + 1], 80, y_mean[i : i + 1])[0] for i in range(37)]
-        assert not np.isnan(stacked).any()
-        assert stacked.tolist() == alone
-
-    def test_failed_grams_give_nan_and_leave_the_rest(self):
-        rng = np.random.default_rng(31)
-        grams, y_mean = self._stack(rng, 6)
-        expected = _r2_from_gram(grams, 80, y_mean)
-        broken = grams.copy()
-        broken[1, 2, 2] = -1.0  # not positive definite: Cholesky fails
-        broken[4, 0, 3] = broken[4, 3, 0] = np.nan
-        r2 = _r2_from_gram(broken, 80, y_mean)
-        assert np.isnan(r2[[1, 4]]).all()
-        keep = [0, 2, 3, 5]
-        assert r2[keep].tolist() == expected[keep].tolist()
-
-    def test_collinear_covariates_defer_to_qr(self):
-        rng = np.random.default_rng(8)
-        data = _random_dataset(rng, n=50, k=3)
-        x = data.x.copy()
-        x[:, 2] = x[:, 0] - 0.5 * x[:, 1]
-        assert math.isnan(_gram_r_squared(x, data.y))
-        with pytest.raises(RankDeficiencyError):
-            fit_ols(Dataset(y=data.y, x=x))
-
-    def test_nearly_collinear_covariates_defer_to_qr(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(200, 2))
-        x[:, 1] = x[:, 0] + 1e-3 * x[:, 1]
-        assert math.isnan(_gram_r_squared(x, x[:, 0] + rng.normal(size=200)))
-
-    @pytest.mark.parametrize("level", [0.0, 2.5, 1e12])
-    def test_constant_outcome_defers_to_qr(self, level):
-        x = np.random.default_rng(10).normal(size=(40, 2))
-        assert math.isnan(_gram_r_squared(x, np.full(40, level)))
-
-    # offsets 0 and +-[1, 1e150], spreads 0.5x to 2x of fit_ols's cut-off
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        shape=st.integers(1, 4).flatmap(
-            lambda k: st.tuples(st.integers(k + 2, 100_000), st.just(k))
-        ),
-        offset=st.one_of(
-            st.just(0.0),
-            st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
-                      st.floats(0.0, 150.0)),
-        ),
-        spread=st.floats(0.5, 2.0),
-    )
-    @example(seed=0, shape=(4, 2), offset=0.0, spread=0.5)
-    @example(seed=1, shape=(100_000, 1), offset=-1e150, spread=0.5)
-    @example(seed=2, shape=(500, 4), offset=1.0, spread=0.5)
-    def test_defers_wherever_fit_ols_flags_a_constant_outcome(self, seed, shape, offset, spread):
-        # max|y| <= |mean y| + sqrt(SST), so fit_ols's cut-off on the scale
-        # max|y| implies the guard's on |mean y|
-        n, k = shape
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, k))
-        y = offset + spread * 1e-14 * max(1.0, abs(offset)) * rng.normal(size=n)
-        if fit_ols(Dataset(y=y, x=x)).constant_outcome:
-            assert math.isnan(_gram_r_squared(x, y))
-
-    def test_outcome_offset_far_beyond_its_spread_defers_to_qr(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(100, 2))
-        assert math.isnan(_gram_r_squared(x, 1e8 + x[:, 0] + rng.normal(size=100)))
-
-    def test_near_perfect_fit_defers_to_qr(self):
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(100, 2))
-        assert math.isnan(_gram_r_squared(x, 1.0 + x @ [0.5, -2.0] + 1e-6 * rng.normal(size=100)))
-
-    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
-    def test_overflowing_outcome_defers_to_qr(self, scale):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(40, 2))
-        assert math.isnan(_gram_r_squared(x, scale * (x[:, 0] + rng.normal(size=40))))
-
-    def test_non_finite_input_defers_to_qr(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(30, 2))
-        y = rng.normal(size=30)
-        for bad in (np.inf, np.nan):
-            broken = x.copy()
-            broken[4, 1] = bad
-            broken_y = y.copy()
-            broken_y[7] = bad
-            with np.errstate(invalid="ignore"):
-                assert math.isnan(_gram_r_squared(broken, y))
-                assert math.isnan(_gram_r_squared(x, broken_y))
