@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import r2margin.montecarlo as mc
@@ -529,6 +531,29 @@ class TestR2FromNormals:
         centered = normals - normals.mean(axis=1, keepdims=True)
         return centered.transpose(0, 2, 1) @ centered
 
+    @staticmethod
+    def _r2(z, e, g):
+        """``_r2_from_normals`` on the centered cross-products of one
+        replicate's [z e], formed column by column with no shortcut."""
+        columns = np.column_stack([z, e])
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite input leaves NaNs
+            centered = columns - columns.mean(axis=0)
+            gram = centered.T @ centered
+        return float(mc._r2_from_normals(gram[None], np.asarray(g, dtype=float))[0])
+
+    # y = z g + e is the replicate's outcome in its normals' own coordinates,
+    # which sigma scales: g = L' beta / sigma
+    @pytest.mark.parametrize("n,k", [(30, 1), (60, 3), (1000, 4), (100_000, 2)])
+    def test_agrees_with_qr_fit(self, n, k):
+        rng = np.random.default_rng(n + k)
+        for sigma in (0.3, 1.0, 30.0):
+            z = rng.normal(size=(n, k))
+            e = rng.normal(size=n)
+            g = rng.normal(size=k) / sigma
+            r2 = self._r2(z, e, g)
+            assert not np.isnan(r2)
+            assert abs(r2 - fit_ols(Dataset(y=z @ g + e, x=z)).r2) <= 1e-13
+
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_stack_equals_each_gram_alone(self, k):
         rng = np.random.default_rng(20 + k)
@@ -566,6 +591,103 @@ class TestR2FromNormals:
         r2 = mc._r2_from_normals(grams, np.zeros(2))
         assert np.isnan(r2[0])
         assert 1.0 - 1e-12 < r2[1] < 1.0
+
+    def test_collinear_covariates_are_skipped(self):
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(50, 3))
+        z[:, 2] = z[:, 0] - 0.5 * z[:, 1]
+        e = rng.normal(size=50)
+        g = np.array([0.3, -0.2, 0.1])
+        assert np.isnan(self._r2(z, e, g))
+        with pytest.raises(RankDeficiencyError):
+            fit_ols(Dataset(y=z @ g + e, x=z))
+
+    # a nearly noiseless fit and no signal at all: where the cross-products
+    # of x and y lose digits, those of the normals keep them
+    @pytest.mark.parametrize("case", ["near_perfect", "null"])
+    def test_matches_exact_fit(self, case):
+        rng = np.random.default_rng(9)
+        z = rng.normal(size=(200, 2))
+        e = rng.normal(size=200)
+        g = np.array([0.5, -2.0]) * 1e6 if case == "near_perfect" else np.zeros(2)
+        r2 = self._r2(z, e, g)
+        exact = r2_exact(z @ g + e, z)
+        assert abs(float(Fraction(r2) / exact) - 1.0) <= 1e-12
+
+    def test_nearly_collinear_covariates_keep_an_r2(self):
+        # squared covariate pivots near 1e-6 of their column's sum of squares
+        # lie far above the skip limit; the error grows as the condition
+        # number of z_c'z_c times eps, which iid normals keep small in the
+        # kernel (here it is about 4e6)
+        rng = np.random.default_rng(9)
+        z = rng.normal(size=(200, 2))
+        z[:, 1] = z[:, 0] + 1e-3 * z[:, 1]
+        e = rng.normal(size=200)
+        g = np.array([0.5, -2.0])
+        r2 = self._r2(z, e, g)
+        centered = z - z.mean(axis=0)
+        bound = np.linalg.cond(centered.T @ centered) * np.finfo(float).eps
+        exact = r2_exact(z @ g + e, z)
+        assert not np.isnan(r2)
+        assert abs(float(Fraction(r2) / exact) - 1.0) <= bound
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_overflowing_signal_is_skipped(self, scale):
+        rng = np.random.default_rng(14)
+        z = rng.normal(size=(40, 2))
+        assert np.isnan(self._r2(z, rng.normal(size=40), [scale, 0.0]))
+
+    def test_non_finite_input_is_skipped(self):
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(30, 2))
+        e = rng.normal(size=30)
+        g = [0.4, 0.1]
+        assert not np.isnan(self._r2(z, e, g))
+        for bad in (np.inf, -np.inf, np.nan):
+            broken = z.copy()
+            broken[4, 1] = bad
+            broken_e = e.copy()
+            broken_e[7] = bad
+            assert np.isnan(self._r2(broken, e, g))
+            assert np.isnan(self._r2(z, broken_e, g))
+            assert np.isnan(self._r2(z, e, [bad, 0.1]))
+
+    # N from K + 2 up, signals from none to 1e3 noise standard deviations
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.integers(1, 4).flatmap(
+            lambda k: st.tuples(st.integers(k + 2, 5000), st.just(k))
+        ),
+        signal=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    )
+    @example(seed=0, shape=(3, 1), signal=0.0)
+    @example(seed=1, shape=(6, 4), signal=1e3)
+    def test_matches_qr_fit_of_the_normals(self, seed, shape, signal):
+        n, k = shape
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, k))
+        e = rng.normal(size=n)
+        g = signal * rng.normal(size=k)
+        r2 = self._r2(z, e, g)
+        assert abs(r2 - fit_ols(Dataset(y=z @ g + e, x=z)).r2) <= 1e-12
+
+
+class TestR2DependsOnlyOnTheStandardizedSignal:
+    # sigma2 and beta scaled by powers of two leave g = L' beta / sigma bit for
+    # bit, and so every replicate's R2, count and skip
+    @pytest.mark.parametrize("power", [-20, 2, 20])
+    def test_noise_scale_leaves_r2_unchanged(self, monkeypatch, power):
+        recorded = _record_r2(monkeypatch)
+        roots = np.array([mc._critical_r2(60, 2, d, 0.05) for d in default_delta_grid()])
+        runs = []
+        for scale in (1.0, 2.0**power):
+            scenario = Scenario(id="scaled", n=60, k=2, beta=scale * np.array([0.2, -0.1]),
+                                sigma2=scale * scale, sigma_matrix=exchangeable_covariance(2))
+            counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots)
+            runs.append((recorded[-5:], counts, skipped))
+        assert len(recorded) == 10 and runs[0][2] == 0
+        assert runs[1] == runs[0]
 
 
 class TestGridConstruction:
