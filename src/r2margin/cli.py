@@ -315,7 +315,7 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
         missing = required - set(entry)
         if missing:
             raise DomainError(f"scenario {index} is missing keys: {sorted(missing)}")
-        unknown = set(entry) - required - {"beta0"}
+        unknown = set(entry) - required
         if unknown:
             raise DomainError(f"scenario {index} has unknown keys: {sorted(unknown)}")
         k = _check_int(f"scenario {index}: 'k'", entry["k"])
@@ -342,7 +342,6 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
                 sigma_matrix=exchangeable_covariance(
                     k, _number(where, "sigma_offdiag", entry["sigma_offdiag"])
                 ),
-                beta0=_number(where, "beta0", entry.get("beta0", 0.0)),
             )
         )
     if len({s.id for s in scenarios}) != len(scenarios):

@@ -1,8 +1,8 @@
 """Monte Carlo harness: rejection rates of the non-inferiority test.
 
-A ``Scenario`` is one data-generating configuration: N covariate rows drawn
-from a multivariate normal with covariance ``sigma_matrix``, coefficient
-vector ``beta``, and independent N(0, sigma2) noise.  For every replicate
+A ``Scenario`` is one data-generating configuration: N rows of y = x beta +
+sigma e, with covariate rows x multivariate normal with covariance
+``sigma_matrix`` and e standard normal, independent of x.  For every replicate
 the harness draws a fresh dataset, computes its R2 once, and counts, at
 every requested margin, whether the level-alpha non-inferiority test
 rejects.  Type-1 error is the rejection rate when the margin sits at the
@@ -16,18 +16,19 @@ Each replicate is decided by that comparison alone, and counts a rejection at
 every margin whose critical value exceeds its R2.
 
 A replicate's R2 is read in the coordinates of its own standard normals
-(covariates z, noise e): with x = z L' and y = beta0 + sigma (z g + e),
-where g = L' beta / sigma, R2 of y on x is R2 of z g + e on z, so it depends
-on the scenario only through g, and beta0, the conditioning of the
-covariance and sigma2 never enter a floating-point sum.  ``_r2_from_normals``
-reads it off the Cholesky factor of the centered (K+1)-square cross-products
-of [z e]; no N-row x, y or centered copy is formed.  Replicates are decided
-in batches, the one unit of work: each replicate draws its normals into its
-own row of the batch's buffer, and one set of stacked numpy calls forms and
-factors the cross-products of the whole batch.  A replicate is skipped where
-its covariate normals are collinear or its R2 is not finite.  Counts are
-those of the rejection region; they can differ from per-replicate p-values
-only for an R2 within about 1e-12 of a critical value, where either answer
+(covariates z, noise e): with x = z L' and y = sigma (z g + e), where
+g = L' beta / sigma, R2 of y on x is R2 of z g + e on z, so it depends on the
+scenario only through g, which the scenario fixes when it is built, and the
+conditioning of the covariance and sigma2 never enter a floating-point sum.
+``_r2_from_normals`` reads it off the Cholesky factor of the centered
+(K+1)-square cross-products of [z e]; no N-row x, y or centered copy is
+formed.  Replicates are decided in batches, the one unit of work: each
+replicate draws its normals into its own row of the batch's buffer, and one
+set of stacked numpy calls forms and factors the cross-products of the whole
+batch.  A replicate is skipped where its covariate normals are collinear or
+its R2 is not finite.  Counts are those of the rejection region; they can
+differ from per-replicate p-values only for an R2 within about 1e-12 of a
+critical value, where either answer
 is a rounding artifact.
 
 Replicate ``j`` of scenario ``s`` draws its normals from a Philox generator
@@ -59,6 +60,7 @@ from .errors import (
     DomainError,
     ExcessiveSkipsError,
     NotPositiveDefiniteError,
+    R2MarginError,
     _check_finite,
     _check_float_array,
     _check_int,
@@ -113,12 +115,15 @@ def _replicate_floats(n: int, k: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One data-generating configuration of a simulation grid.
+    """One data-generating configuration: N rows of y = x beta + sigma e,
+    x ~ N(0, ``sigma_matrix``), e ~ N(0, 1) and sigma2 = sigma^2.
 
-    ``lower`` is the Cholesky factor of ``sigma_matrix``, computed by LAPACK
-    when the scenario is built, so a covariance that is not finite,
-    symmetric to 1e-12 and positive definite with every pivot L[j, j]^2
-    above 1e-12 fails before any replicate is drawn.
+    Building it fixes the two values a run reads, ``g`` = L' beta / sigma
+    (L LAPACK's Cholesky factor of ``sigma_matrix``) and ``p2`` =
+    ``true_p2(beta, sigma_matrix, sigma2)``, so a covariance that is not
+    finite, symmetric to 1e-12 and positive definite with every pivot
+    L[j, j]^2 above 1e-12, or an overflowing P2, fails before any replicate
+    is drawn.  Every failed check but that of the id itself names the id.
     """
 
     id: str
@@ -127,51 +132,52 @@ class Scenario:
     beta: np.ndarray
     sigma2: float
     sigma_matrix: np.ndarray
-    beta0: float = 0.0
-    lower: np.ndarray = field(init=False, repr=False)
+    g: np.ndarray = field(init=False, repr=False)
+    p2: float = field(init=False, repr=False)
 
     def __post_init__(self):
         # printable, so that it fits on one line of the results CSV and encodes
         if not isinstance(self.id, str) or not self.id or not self.id.isprintable():
             raise DomainError(f"scenario id must be a non-empty printable string, got {self.id!r}")
-        n, k = _check_sizes(self.n, self.k)
-        if _replicate_floats(n, k) * 8 > np.iinfo(np.intp).max:
-            raise DomainError(
-                f"scenario {self.id!r}: an n={n} by k+1={k + 1} float64 "
-                "draw buffer is beyond the addressable memory"
-            )
-        beta = _check_float_array("beta", self.beta)
-        if beta.shape != (k,):
-            raise DimensionMismatchError(f"beta must have length k={k}, got shape {beta.shape}")
-        sigma = _check_float_array("sigma_matrix", self.sigma_matrix)
-        if sigma.shape != (k, k):
-            raise DimensionMismatchError(
-                f"sigma_matrix must be {k}x{k}, got shape {sigma.shape}"
-            )
-        if not np.isfinite(beta).all():
-            raise DomainError("beta must be finite")
-        if not np.isfinite(sigma).all():
-            raise DomainError("sigma_matrix contains non-finite entries")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
-            raise DomainError("sigma_matrix must be symmetric")
         try:
-            lower = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError("sigma_matrix is not positive definite") from None
-        small = np.flatnonzero(np.diag(lower) ** 2 <= _CHOLESKY_PIVOT_TOL)
-        if small.size:
-            j = small[0]
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot {float(lower[j, j] ** 2)!r} at row {j}; "
-                "sigma_matrix is not positive definite"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "sigma_matrix", sigma)
-        object.__setattr__(self, "sigma2", _check_finite("sigma2", self.sigma2, True))
-        object.__setattr__(self, "beta0", _check_finite("beta0", self.beta0))
-        object.__setattr__(self, "lower", lower)
+            n, k = _check_sizes(self.n, self.k)
+            if _replicate_floats(n, k) * 8 > np.iinfo(np.intp).max:
+                raise DomainError(
+                    f"an n={n} by k+1={k + 1} float64 draw buffer is beyond the addressable memory"
+                )
+            beta = _check_float_array("beta", self.beta)
+            if beta.shape != (k,):
+                raise DimensionMismatchError(f"beta must have length k={k}, got shape {beta.shape}")
+            sigma = _check_float_array("sigma_matrix", self.sigma_matrix)
+            if sigma.shape != (k, k):
+                raise DimensionMismatchError(f"sigma_matrix must be {k}x{k}, got shape {sigma.shape}")
+            if not np.isfinite(beta).all():
+                raise DomainError("beta must be finite")
+            if not np.isfinite(sigma).all():
+                raise DomainError("sigma_matrix contains non-finite entries")
+            if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
+                raise DomainError("sigma_matrix must be symmetric")
+            try:
+                lower = np.linalg.cholesky(sigma)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefiniteError("sigma_matrix is not positive definite") from None
+            small = np.flatnonzero(np.diag(lower) ** 2 <= _CHOLESKY_PIVOT_TOL)
+            if small.size:
+                j = small[0]
+                raise NotPositiveDefiniteError(
+                    f"Cholesky pivot {float(lower[j, j] ** 2)!r} at row {j}; "
+                    "sigma_matrix is not positive definite"
+                )
+            sigma2 = _check_finite("sigma2", self.sigma2, True)
+            # huge coefficients overflow g, which leaves every R2 NaN: a skip
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = lower.T @ beta / math.sqrt(sigma2)
+            p2 = true_p2(beta, sigma, sigma2)
+        except R2MarginError as exc:
+            raise type(exc)(f"scenario {self.id!r}: {exc}") from None
+        fixed = dict(n=n, k=k, beta=beta, sigma_matrix=sigma, sigma2=sigma2, g=g, p2=p2)
+        for name, value in fixed.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,7 @@ class RejectionRecord:
 def true_p2(beta, sigma_matrix, sigma2: float) -> float:
     """Population share of outcome variance carried by the covariates.
 
-    For y = b0 + X beta + eps with Var(X row) = Sigma and Var(eps) = sigma2,
+    For y = x beta + eps with Var(x) = Sigma and Var(eps) = sigma2,
     the explained share is beta' Sigma beta / (beta' Sigma beta + sigma2).
     """
     beta = _check_float_array("beta", beta)
@@ -334,10 +340,7 @@ def _replicate_counts(scenario, start, stop, master_seed, roots):
     np.matmul(ones, zs, out=sums[:, :k])
     np.matmul(es, ones, out=sums[:, k])
     gram -= sums[:, :, None] * (sums[:, None, :] / n)
-    # huge coefficients overflow g, which leaves a NaN R2
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = scenario.lower.T @ scenario.beta / math.sqrt(scenario.sigma2)
-    r2 = _r2_from_normals(gram, g)
+    r2 = _r2_from_normals(gram, scenario.g)
     skipped = int(np.isnan(r2).sum())  # a NaN R2 rejects nowhere
     return (r2[:, None] < roots).sum(axis=0).tolist(), skipped
 
@@ -372,12 +375,9 @@ def run_scenario(
     independent of worker count and evaluation order.
 
     The test rejects at a margin exactly when R2 < r2_crit(N, K, delta,
-    alpha); each critical value is computed once in closed form and cached,
-    before any replicate is drawn.  A replicate's R2 comes from the centered
-    cross-products of its normals (``_r2_from_normals``) and is compared
-    with every critical value.  Counts can differ from those of
-    per-replicate p-values only for an R2 within about 1e-12 of a critical
-    value.  A critical value whose quantile fails raises ConvergenceError.
+    alpha), each critical value computed in closed form, and cached, before
+    any replicate is drawn; one whose quantile fails raises ConvergenceError.
+    The scenario's ``p2`` is every record's ``true_p2``.
 
     Replicates [0, n_sims) are cut into batches of as many as fit in
     _BATCH_FLOATS doubles at N (K+1) each, at least one, and each batch is
@@ -415,7 +415,6 @@ def run_scenario(
             f"covariate normals or no finite R2 (threshold {SKIP_FAILURE_FRACTION:.1%})"
         )
 
-    population_share = true_p2(scenario.beta, scenario.sigma_matrix, scenario.sigma2)
     return [
         RejectionRecord(
             scenario_id=scenario.id,
@@ -423,7 +422,7 @@ def run_scenario(
             n_sims=n_sims,
             rejections=counts[i],
             rejection_rate=counts[i] / n_sims,
-            true_p2=population_share,
+            true_p2=scenario.p2,
             alpha=alpha,
             master_seed=master_seed,
             skipped=skipped,

@@ -309,9 +309,10 @@ class RandomStream:
 def design(scenario: Scenario, z: np.ndarray, noise: np.ndarray):
     """(x, y) of one dataset from its (N, K) covariate normals ``z`` and its
     noise, already scaled to standard deviation sqrt(sigma2):
-    x = z L' and y = beta0 + x beta + noise."""
-    x = z @ scenario.lower.T
-    return x, scenario.beta0 + x @ scenario.beta + noise
+    x = z L', with L the Cholesky factor of the scenario covariance, and
+    y = x beta + noise."""
+    x = z @ np.linalg.cholesky(scenario.sigma_matrix).T
+    return x, x @ scenario.beta + noise
 
 
 def generate_dataset(scenario: Scenario, stream: RandomStream) -> Dataset:

@@ -728,9 +728,13 @@ class TestSimulateCommand:
                 {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
                                 "sigma2": 1.0, "sigma_offdiag": 0.0, key: bad}],
                  "deltas": [0.05]}
-                for key in ("sigma2", "sigma_offdiag", "beta0")
+                for key in ("sigma2", "sigma_offdiag")
                 for bad in ("abc", None)
             ],
+            # an intercept cannot change R2, so a config has none
+            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                            "sigma2": 1.0, "sigma_offdiag": 0.0, "beta0": 0.0}],
+             "deltas": [0.05]},
             {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
                             "sigma2": 10**400, "sigma_offdiag": 0.0}], "deltas": [0.05]},
             {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, "abc"],
@@ -758,11 +762,13 @@ class TestSimulateCommand:
     def test_schema_violations_exit_2(self, capsys, tmp_path, config):
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        code, _, _ = run_cli(
+        code, _, text = run_cli(
             capsys, "simulate", "--config", str(config_path), "--sims", "3",
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+        if "beta0" in json.dumps(config):
+            assert text == "error: scenario 0 has unknown keys: ['beta0']\n"
 
     @pytest.mark.parametrize(
         "k, beta, message",
@@ -933,8 +939,10 @@ class TestSimulateCommand:
         assert text.count("\n") == 1
 
     def test_overflowing_outcome_exits_4(self, capsys, tmp_path):
-        config = {"scenarios": [{"id": "huge", "n": 50, "k": 2, "beta": [1e300, 1e300],
-                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+        # P2 = 1.0 is finite, but g = 1e300 per coefficient, so every
+        # replicate's |v|^2 overflows and its R2 is not finite
+        config = {"scenarios": [{"id": "huge", "n": 50, "k": 2, "beta": [1e150, 1e150],
+                                 "sigma2": 1e-300, "sigma_offdiag": 0.0}], "deltas": [0.05]}
         config_path = tmp_path / "huge.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
         code, _, text = run_cli(
@@ -947,6 +955,28 @@ class TestSimulateCommand:
             "or no finite R2 (threshold 0.1%)\n"
         )
 
+    def test_overflowing_share_exits_2_before_any_run(self, capsys, tmp_path, monkeypatch):
+        # beta' Sigma beta overflows, so the second scenario has no P2
+        monkeypatch.setattr(cli, "run_scenario", _unexpected_run)
+        config = {
+            "scenarios": [
+                {"id": "a", "n": 8000, "k": 2, "beta": [0.1, 0.2], "sigma2": 1.0,
+                 "sigma_offdiag": 0.05},
+                {"id": "huge", "n": 50, "k": 2, "beta": [1e200, 1e200], "sigma2": 1e300,
+                 "sigma_offdiag": 0.05},
+            ],
+            "deltas": [0.05],
+        }
+        config_path = tmp_path / "overflow.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "2000",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert text == "error: scenario 'huge': beta' Sigma beta must be finite, got inf\n"
+        assert not out.exists()
 
     def test_singular_covariance_exits_2_before_any_run(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_scenario", _unexpected_run)
@@ -966,7 +996,7 @@ class TestSimulateCommand:
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
-        assert text.startswith("error: Cholesky pivot 2.00062189037")
+        assert text.startswith("error: scenario 'b': Cholesky pivot 2.00062189037")
         assert "np.float64" not in text
 
 

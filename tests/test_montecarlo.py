@@ -68,36 +68,44 @@ class TestTrueP2:
             true_p2(np.zeros(2), np.eye(2), 0.0)
 
 
-def _factor(sigma):
-    """The Cholesky factor that a scenario with covariance ``sigma`` keeps."""
+def _scenario(sigma, beta=None, sigma2=1.0):
+    """A scenario with covariance ``sigma``, zero coefficients by default."""
     k = len(sigma)
-    return Scenario(id="factor", n=k + 2, k=k, beta=np.zeros(k), sigma2=1.0,
-                    sigma_matrix=sigma).lower
+    return Scenario(id="factor", n=k + 2, k=k, beta=np.zeros(k) if beta is None else beta,
+                    sigma2=sigma2, sigma_matrix=sigma)
 
 
 class TestCholeskyFactor:
-    def test_identity_is_fixed_point(self):
-        np.testing.assert_array_equal(_factor(np.eye(3)), np.eye(3))
+    """A scenario keeps g = L' beta / sigma, L the Cholesky factor of its
+    covariance, and |g|^2 = beta' Sigma beta / sigma2."""
 
-    def test_round_trip_two_by_two(self):
+    def test_identity_leaves_beta_over_sigma(self):
+        beta = np.array([0.3, -0.2, 0.1])
+        np.testing.assert_array_equal(_scenario(np.eye(3), beta, 4.0).g, beta / 2.0)
+
+    def test_signal_two_by_two(self):
         sigma = np.array([[1.0, 0.05], [0.05, 1.0]])
-        lower = _factor(sigma)
-        assert np.abs(lower @ lower.T - sigma).max() < 1e-14
-        assert np.abs(np.triu(lower, 1)).max() == 0.0
+        beta = np.array([0.11, -0.15])
+        scenario = _scenario(sigma, beta, 0.5)
+        np.testing.assert_array_equal(
+            scenario.g, np.linalg.cholesky(sigma).T @ beta / np.sqrt(0.5)
+        )
+        assert abs(scenario.g @ scenario.g / (beta @ sigma @ beta / 0.5) - 1.0) < 1e-14
 
-    def test_round_trip_grid_covariance(self):
+    def test_signal_on_the_paper_grid(self):
         for scenario in paper_grid():
-            lower = scenario.lower
-            assert np.abs(np.triu(lower, 1)).max() == 0.0 and (np.diag(lower) > 0.0).all()
-            assert np.abs(lower @ lower.T - scenario.sigma_matrix).max() < 1e-14
+            beta, sigma = scenario.beta, scenario.sigma_matrix
+            signal = beta @ sigma @ beta / scenario.sigma2
+            assert abs(scenario.g @ scenario.g / signal - 1.0) < 1e-14
+            assert scenario.p2 == true_p2(beta, sigma, scenario.sigma2)
 
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            _factor([[1.0, 2.0], [2.0, 1.0]])
+            _scenario([[1.0, 2.0], [2.0, 1.0]])
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(DomainError):
-            _factor([[1.0, 0.3], [0.0, 1.0]])
+            _scenario([[1.0, 0.3], [0.0, 1.0]])
 
 
 class TestGenerateDataset:
@@ -344,12 +352,12 @@ class TestCriticalR2Decisions:
         return design(scenario, normals[: n * k].reshape(n, k), noise)
 
     # collinear covariate normals, and so collinear x = z L'; or no noise and
-    # beta = 0, so that y = beta0 is constant: neither replicate has an R2
+    # beta = 0, so that y = 0 is constant: neither replicate has an R2
     @pytest.mark.parametrize("case", ["collinear", "noiseless"])
     def test_degenerate_normals_are_skipped(self, monkeypatch, case):
         beta = np.array([0.2, -0.1]) if case == "collinear" else np.zeros(2)
         scenario = Scenario(id=case, n=60, k=2, beta=beta, sigma2=1.0,
-                            sigma_matrix=exchangeable_covariance(2), beta0=2.5)
+                            sigma_matrix=exchangeable_covariance(2))
 
         def degenerate(generator, out, *key_parts):
             out[:] = RandomStream(*key_parts).standard_normal(out.size)
@@ -364,29 +372,12 @@ class TestCriticalR2Decisions:
             with pytest.raises(RankDeficiencyError):
                 fit_ols(Dataset(y=y, x=x))
         else:
-            assert (y == 2.5).all()
+            assert (y == 0.0).all()
         counts, skipped, gram_r2 = self._patched_counts(monkeypatch, degenerate, scenario)
         # one value per replicate: a refused stack is retried matrix by matrix
         # without re-entering through the module
         assert len(gram_r2) == 5 and np.isnan(gram_r2).all()
         assert counts == [0] * 19 and skipped == 5
-
-    def test_r2_does_not_depend_on_the_intercept(self, monkeypatch):
-        # R2 is read in the normals' own coordinates, where beta0 never
-        # enters, so even a float y = 1e20 + x beta + e, constant to the last
-        # bit, has the R2 of its normals
-        recorded = _record_r2(monkeypatch)
-        roots = np.array([mc._critical_r2(60, 2, d, 0.05) for d in default_delta_grid()])
-        runs = {}
-        for beta0 in (0.0, 1e6, -1e6, 1e20):
-            scenario = Scenario(id="offset", n=60, k=2, beta=np.array([0.2, -0.1]), sigma2=1.0,
-                                sigma_matrix=exchangeable_covariance(2), beta0=beta0)
-            counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots)
-            runs[beta0] = (recorded[-5:], counts, skipped)
-        assert len(recorded) == 20
-        assert runs[0.0][2] == 0 and not np.isnan(runs[0.0][0]).any()
-        for beta0, run in runs.items():
-            assert run == runs[0.0], beta0
 
 
 class TestReplicateKernel:
@@ -758,6 +749,33 @@ class TestGridConstruction:
             with pytest.raises(error):
                 Scenario(id="bad", n=50, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
                          sigma_matrix=np.array(sigma))
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"n": 3}, DomainError, "n must be >= k + 2"),
+            ({"k": 0}, DomainError, "k must be >= 1"),
+            ({"beta": [0.1]}, DimensionMismatchError, "beta must have length k=2"),
+            ({"beta": [0.1, np.inf]}, DomainError, "beta must be finite"),
+            ({"sigma_matrix": np.eye(3)}, DimensionMismatchError, "sigma_matrix must be 2x2"),
+            ({"sigma_matrix": [[1.0, 0.3], [0.0, 1.0]]}, DomainError,
+             "sigma_matrix must be symmetric"),
+            ({"sigma_matrix": [[1.0, 2.0], [2.0, 1.0]]}, NotPositiveDefiniteError,
+             "sigma_matrix is not positive definite"),
+            ({"sigma_matrix": [[1.0, 1.0], [1.0, 1.0 + 1e-13]]}, NotPositiveDefiniteError,
+             "Cholesky pivot"),
+            ({"sigma2": 0.0}, DomainError, "sigma2 must be > 0"),
+            # P2 has no value, so the scenario fails before any replicate is drawn
+            ({"beta": [1e200, 1e200], "sigma2": 1e300}, DomainError,
+             "beta' Sigma beta must be finite, got inf"),
+        ],
+    )
+    def test_errors_name_the_scenario(self, fields, error, message):
+        spec = {"n": 50, "k": 2, "beta": [0.1, 0.2], "sigma2": 1.0, "sigma_matrix": np.eye(2)}
+        with pytest.raises(error) as caught:
+            Scenario(id="cell a", **{**spec, **fields})
+        assert type(caught.value) is error
+        assert str(caught.value).startswith(f"scenario 'cell a': {message}")
 
     # the most rows whose k + 1 = 3 doubles each, the replicate kernel's
     # buffer row, fit the index range
