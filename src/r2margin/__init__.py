@@ -5,9 +5,9 @@ Library layout:
 - ``distributions``: the F chain only, F distribution CDF/quantile at
   fractional degrees of freedom, ``f_cdf(x, d1, d2)`` and
   ``f_quantile(prob, d1, d2)``, built on a continued-fraction incomplete
-  beta; and the one Brent root search on the log-odds scale, started next
-  to the root of Paulson's closed-form approximation to the F CDF, which
-  the quantile and the bound share.
+  beta; and the one Brent root search on the log-odds scale, started at
+  the root of Paulson's closed-form approximation to the F CDF, itself in
+  closed form, which the quantile and the bound share.
 - ``inference``: the non-inferiority p-value for the population variance
   share P2, a closed-form lower tail of a scaled central F approximation;
   the test's critical R2 in closed form, from one F quantile; and the

@@ -332,6 +332,11 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
                 f"scenario {index}: 'beta' has {len(entry['beta'])} entries, expected k={k}"
             )
         where = f"scenario {index}"
+        offdiag = _number(where, "sigma_offdiag", entry["sigma_offdiag"])
+        try:
+            sigma = exchangeable_covariance(k, offdiag)
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}") from None
         scenarios.append(
             Scenario(
                 id=entry["id"],
@@ -339,9 +344,7 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
                 k=k,
                 beta=np.array([_number(where, "beta", b) for b in entry["beta"]]),
                 sigma2=_number(where, "sigma2", entry["sigma2"]),
-                sigma_matrix=exchangeable_covariance(
-                    k, _number(where, "sigma_offdiag", entry["sigma_offdiag"])
-                ),
+                sigma_matrix=sigma,
             )
         )
     if len({s.id for s in scenarios}) != len(scenarios):

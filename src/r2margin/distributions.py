@@ -11,10 +11,13 @@ directly.  The incomplete beta uses the continued-fraction expansion
 x = (a+1)/(a+b+2)) on top of the platform's ``math.lgamma``; the quantile
 inverts the CDF by a root search over log x on the log-odds scale.
 ``_root`` (Brent's bracketing method) is the one root search of the
-package and ``_logit`` its log-odds scale.  ``_seeded_root`` starts it next
-to the root of a cheap approximation; the quantile and the confidence bound
+package and ``_logit`` its log-odds scale.  ``_seeded_root`` starts it at
+the root of a cheap approximation; the quantile and the confidence bound
 in ``inference`` both take that approximation from ``_paulson_logit``,
-Paulson's closed-form normal approximation to the F CDF.
+Paulson's closed-form normal approximation to the F CDF, and its root from
+``_paulson_quantile``, also in closed form.  ``f_cdf`` and ``reg_inc_beta``
+check their arguments once and call the unchecked ``_f_cdf`` and
+``_reg_inc_beta``, which the search loops call directly.
 """
 
 from __future__ import annotations
@@ -39,15 +42,16 @@ _BETA_MAX_ITER = 100_000
 _BETA_EPS = 1e-14
 _LENTZ_TINY = 1e-300
 
-# The quantile's search bracket and the CDF error it accepts at its answer.
+# The quantile's search bracket, the width on log x at which its search stops
+# (closer in, the CDF's rounding and not the root sets the signs it sees),
+# and the CDF error it accepts at its answer.
 _QUANTILE_LO = 1e-300
 _QUANTILE_HI = 1e300
+_QUANTILE_WIDTH = 4.0 * math.ulp(1.0)
 _QUANTILE_CDF_TOL = 1e-10
 
-# Bracket width at which the search for the approximation's root stops, and
-# the half-width, as a share of the bracket, of the central difference
-# that takes the approximation's slope there.
-_GUESS_WIDTH = 1e-7
+# The half-width, as a share of the bracket, of the central difference that
+# takes the approximation's slope at a seeded search's start.
 _SLOPE_SHARE = 1e-6
 
 
@@ -114,6 +118,11 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     x = _check_finite("x", x)
     if x < 0.0 or x > 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
+    return _reg_inc_beta(a, b, x)
+
+
+def _reg_inc_beta(a: float, b: float, x: float) -> float:
+    """``reg_inc_beta`` for shapes > 0 and x in [0, 1] already checked."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -151,20 +160,26 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
     and one where d1*x overflows.
     """
     x = _check_finite("x", x)
-    d1 = _check_finite("d1", d1, True)
-    d2 = _check_finite("d2", d2, True)
-    for name, d in (("d1", d1), ("d2", d2)):
-        if 0.5 * d == 0.0:
-            raise DomainError(
-                f"{name} must be >= 1e-323, as half of it underflows to 0, got {d!r}"
-            )
+    return _f_cdf(x, _check_dof("d1", d1), _check_dof("d2", d2))
+
+
+def _check_dof(name: str, d) -> float:
+    """``d`` as degrees of freedom: a finite float whose half is > 0."""
+    d = _check_finite(name, d, True)
+    if 0.5 * d == 0.0:
+        raise DomainError(f"{name} must be >= 1e-323, as half of it underflows to 0, got {d!r}")
+    return d
+
+
+def _f_cdf(x: float, d1: float, d2: float) -> float:
+    """``f_cdf`` for a finite x and degrees of freedom already checked."""
     if x <= 0.0:
         return 0.0
     scaled = d1 * x
     if math.isinf(scaled):
         return 1.0
     t = scaled / (scaled + d2)
-    return reg_inc_beta(0.5 * d1, 0.5 * d2, t)
+    return _reg_inc_beta(0.5 * d1, 0.5 * d2, t)
 
 
 def _logit(p: float) -> float:
@@ -197,6 +212,44 @@ def _paulson_logit(f: float, d1: float, d2: float) -> float:
     cube = f ** (1.0 / 3.0)
     w = ((1.0 - a2) * cube - (1.0 - a1)) / math.sqrt(a1 + a2 * cube * cube)
     return _logit(0.5 * math.erfc(-w / math.sqrt(2.0)))
+
+
+def _paulson_quantile(q: float, d1: float, d2: float) -> float:
+    """The f at which Paulson's approximation (``_paulson_logit``) puts the
+    normal quantile ``q``: its cube root c solves a quadratic.  NaN where no
+    c > 0 does, and where d1 or d2 is at most 2/9 (no CDF there)."""
+    a1, a2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
+    disc = a2 * (1.0 - a1) ** 2 + a1 * (1.0 - a2) ** 2 - q * q * a1 * a2
+    if not (disc >= 0.0 and a1 < 1.0 and a2 < 1.0):
+        return math.nan
+    half_b, curve = (1.0 - a1) * (1.0 - a2), (1.0 - a2) ** 2 - q * q * a2
+    if q < 0.0:
+        # the product of the roots over the other root: no 0/0 where the
+        # quadratic's leading coefficient ``curve`` passes through 0
+        c = ((1.0 - a1) ** 2 - q * q * a1) / (half_b - q * math.sqrt(disc))
+    else:
+        c = (half_b + q * math.sqrt(disc)) / curve if curve > 0.0 else math.nan
+    return c * c * c if c > 0.0 else math.nan
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile at p in (0, 1): the rational start of
+    Abramowitz and Stegun (1964) 26.2.23, off by under 4.5e-4, refined by two
+    Halley steps on ``math.erfc``."""
+    if p > 0.5:
+        return -_normal_quantile(1.0 - p)
+    t = math.sqrt(-2.0 * math.log(p))
+    q = (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    ) - t
+    for _ in range(2):
+        # (Phi(q) - p) / phi(q), with phi's exp(q^2/2) taken on p's log so
+        # that it cannot overflow in the far tail
+        u = (0.5 * math.erfc(-q / math.sqrt(2.0)) / p - 1.0) * math.exp(
+            math.log(p) + 0.5 * q * q + 0.5 * math.log(2.0 * math.pi)
+        )
+        q -= u / (1.0 + 0.5 * q * u)
+    return q
 
 
 def _root(excess, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
@@ -263,28 +316,21 @@ def _root(excess, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
     return 0.5 * (b + c), calls
 
 
-def _guess(approx, lo, hi, excess_lo, excess_hi) -> tuple[float, float]:
-    """Root of ``approx`` in [lo, hi] to the width 1e-7, and the slope of
-    ``approx`` there by central difference, NaN when the root is too close
-    to either end to take it.  The ends are handled as in ``_root``."""
-    x, _ = _root(approx, lo, hi, _GUESS_WIDTH, excess_lo, excess_hi)
-    step = _SLOPE_SHARE * (hi - lo)
-    if not lo < x - step < x + step < hi:
-        return x, math.nan
-    return x, (approx(x + step) - approx(x - step)) / (2.0 * step)
+def _seeded_root(excess, approx, x, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
+    """``_root``'s search and count, started at ``x``, the root (or NaN) of
+    ``approx``, a cheap approximation to ``excess``.
 
-
-def _seeded_root(excess, approx, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
-    """``_root``'s search and count, started next to the root of ``approx``,
-    a cheap approximation to ``excess``.
-
-    ``excess`` is evaluated at that root and then one Newton step further,
-    taken with the approximation's slope; each point strictly inside what
-    is left of the bracket replaces the end on its side.  ``_root`` then
-    searches what is left of the bracket, all of it when the guess is NaN
-    or not strictly inside.
+    ``excess`` is evaluated at ``x`` and then one Newton step further, taken
+    with the slope of ``approx`` at ``x`` by central difference (none when
+    ``x`` is too close to either end to take it); each point strictly inside
+    what is left of the bracket replaces the end on its side.  ``_root`` then
+    searches what is left of the bracket, all of it when ``x`` is NaN or not
+    strictly inside.
     """
-    x, slope = _guess(approx, lo, hi, excess_lo, excess_hi)
+    step = _SLOPE_SHARE * (hi - lo)
+    slope = math.nan
+    if lo < x - step < x + step < hi:
+        slope = (approx(x + step) - approx(x - step)) / (2.0 * step)
     calls = 0
     while calls < 2 and lo < x < hi:
         fx = excess(x)
@@ -306,28 +352,30 @@ def f_quantile(prob: float, d1: float, d2: float) -> float:
     """Lower-tail quantile: the x at which ``f_cdf(x, d1, d2) == prob``.
 
     Solves logit(f_cdf(e^u)) = logit(prob) for u = log x by
-    ``_seeded_root`` over the fixed bracket [1e-300, 1e300], down to the
-    float resolution of log x, started from the root of Paulson's
-    approximation.  Raises ConvergenceError when the root lies outside that
-    bracket, or when the CDF at the answer misses ``prob`` by more than
-    1e-10 (near 1 the CDF can be too coarse in floats to be inverted).
+    ``_seeded_root`` over the fixed bracket [1e-300, 1e300], to a width of
+    four ulps of 1 on log x, started at Paulson's quantile for the normal
+    quantile of ``prob``.  Raises ConvergenceError when the root lies
+    outside that bracket, or when the CDF at the answer misses ``prob`` by
+    more than 1e-10 (near 1 the CDF can be too coarse in floats to be
+    inverted).
     """
     prob = _check_open_unit("prob", prob)
-    d1 = _check_finite("d1", d1, True)
-    d2 = _check_finite("d2", d2, True)
+    d1, d2 = _check_dof("d1", d1), _check_dof("d2", d2)
     context = f"(prob={prob!r}, d1={d1!r}, d2={d2!r})"
-    cdf_lo, cdf_hi = f_cdf(_QUANTILE_LO, d1, d2), f_cdf(_QUANTILE_HI, d1, d2)
+    cdf_lo, cdf_hi = _f_cdf(_QUANTILE_LO, d1, d2), _f_cdf(_QUANTILE_HI, d1, d2)
     if not cdf_lo < prob < cdf_hi:
         raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")
 
     target = _logit(prob)
+    seed = _paulson_quantile(_normal_quantile(prob), d1, d2)
     log_x, _ = _seeded_root(
-        lambda u: _logit(f_cdf(math.exp(u), d1, d2)) - target,
+        lambda u: _logit(_f_cdf(math.exp(u), d1, d2)) - target,
         lambda u: _paulson_logit(math.exp(u), d1, d2) - target,
-        math.log(_QUANTILE_LO), math.log(_QUANTILE_HI), math.ulp(1.0),
+        math.log(seed) if seed > 0.0 else math.nan,
+        math.log(_QUANTILE_LO), math.log(_QUANTILE_HI), _QUANTILE_WIDTH,
         _logit(cdf_lo) - target, _logit(cdf_hi) - target,
     )
     x = math.exp(log_x)
-    if abs(f_cdf(x, d1, d2) - prob) > _QUANTILE_CDF_TOL:
+    if abs(_f_cdf(x, d1, d2) - prob) > _QUANTILE_CDF_TOL:
         raise ConvergenceError(f"quantile search ended off the root {context}")
     return x

@@ -21,8 +21,9 @@ from 1 to 0 as z runs from -k/(n-k-1) to 1.  Three entry points build on it:
 ``upper_ci_p2``
     Upper limit of a one-sided confidence interval for P2: the root of
     p(z) = alpha/2 on the log-odds scale, found by the root search that
-    starts next to the root of Paulson's approximation, as the F quantile's
-    does.  The test inverts this interval, so the p-value at the bound
+    starts at the root of Paulson's approximation, as the F quantile's
+    does; that root is a fixed point of closed forms, a few secant steps
+    away.  The test inverts this interval, so the p-value at the bound
     recovers the bound's tail probability.
 
 ``critical_r2``
@@ -44,9 +45,19 @@ under both conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .distributions import _logit, _paulson_logit, _seeded_root, f_cdf, f_quantile
+from .distributions import (
+    _f_cdf,
+    _logit,
+    _normal_quantile,
+    _paulson_logit,
+    _paulson_quantile,
+    _root,
+    _seeded_root,
+    f_quantile,
+)
 from .errors import DomainError, _check_finite, _check_open_unit, _check_sizes
 
 __all__ = [
@@ -63,6 +74,10 @@ __all__ = [
 _PSQ_CEILING = 1.0 - 1e-12
 # Bracket width at which the bound's root search stops.
 _BOUND_WIDTH = 1e-12
+# Most secant steps toward the seed of that search, and the gap to the seed
+# at which they, or the search that takes over from them, stop.
+_SEED_STEPS = 8
+_SEED_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,14 +163,14 @@ def _tail_at(input: TestInput, z: float) -> tuple[float, float, float]:
     resid_df = input.residual_df
     f_stat = (resid_df * input.r2 * (1.0 - z)) / ((1.0 - input.r2) * (z * resid_df + input.k))
     v = _v_from_psq(z, input.n, input.k)
-    return f_cdf(f_stat, v, resid_df), f_stat, v
+    return _f_cdf(f_stat, v, resid_df), f_stat, v
 
 
 def _bound_root(input: TestInput, prob: float) -> tuple[float, int]:
     """Root of p(z) = prob over [-k/(n-k-1), 1 - 1e-12] and the number of F
-    CDFs spent on it, from Paulson's approximation to p at (F(z), v(z),
-    n-k-1).  At r2 = 0, F and so p are 0 on the whole open bracket, and the
-    root is its lower end, returned with no F CDF spent."""
+    CDFs spent on it, from the root of Paulson's approximation to p at
+    (F(z), v(z), n-k-1).  At r2 = 0, F and so p are 0 on the whole open
+    bracket, and the root is its lower end, returned with no F CDF spent."""
     resid_df, n, k = input.residual_df, input.n, input.k
     lo, hi = -k / resid_df, _PSQ_CEILING
     if input.r2 == 0.0:
@@ -170,10 +185,37 @@ def _bound_root(input: TestInput, prob: float) -> tuple[float, int]:
         f_stat = ratio * (1.0 - z) / (z * resid_df + k)
         return target - _paulson_logit(f_stat, _v_from_psq(z, n, k), resid_df)
 
+    # The root of ``approx`` is a fixed point: F(z) = F_q(v(z)), with F_q
+    # Paulson's quantile at q, inverts to z = (ratio - F_q k) / (ratio +
+    # F_q (n-k-1)).  Secant steps on it, from z = r2, seed the search.
+    q = _normal_quantile(prob)
+
+    def gap(z):
+        f_q = _paulson_quantile(q, _v_from_psq(z, n, k), resid_df)
+        return (ratio - f_q * k) / (ratio + f_q * resid_df) - z
+
+    seed = math.nan
+    z0, g0 = input.r2, gap(input.r2)
+    z1 = z0 + g0
+    for _ in range(_SEED_STEPS):
+        g1 = gap(z1)
+        if abs(g1) <= _SEED_GAP:
+            seed = z1 + g1
+            break
+        if math.isnan(g1) or g1 == g0:  # no secant through NaN or a flat pair
+            break
+        z0, g0, z1 = z1, g1, z1 - g1 * (z1 - z0) / (g1 - g0)
+    if math.isnan(seed):
+        # The gap is NaN below some z, where v(z) is too small for Paulson's
+        # approximation to reach q (a far tail, or K = 1 and a small r2).
+        # ``_root`` takes NaN for a point above the root, so search on -z.
+        seed = -_root(lambda w: gap(-w), -hi, -lo, _SEED_GAP, -1.0, 1.0)[0]
+    # a seed that rounds onto the lower end would divide F by zero there
+    seed = seed if seed * resid_df + k > 0.0 else math.nan
     # p is 1 at the lower end, where F is infinite, and next to 0 at the
     # upper end; neither is evaluated.
     ends = (target - _logit(1.0), target - _logit(0.0))
-    return _seeded_root(excess, approx, lo, hi, _BOUND_WIDTH, *ends)
+    return _seeded_root(excess, approx, seed, lo, hi, _BOUND_WIDTH, *ends)
 
 
 def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> ConfidenceBound:

@@ -120,10 +120,13 @@ class Scenario:
 
     Building it fixes the two values a run reads, ``g`` = L' beta / sigma
     (L LAPACK's Cholesky factor of ``sigma_matrix``) and ``p2`` =
-    ``true_p2(beta, sigma_matrix, sigma2)``, so a covariance that is not
-    finite, symmetric to 1e-12 and positive definite with every pivot
-    L[j, j]^2 above 1e-12, or an overflowing P2, fails before any replicate
-    is drawn.  Every failed check but that of the id itself names the id.
+    ``true_p2(beta, sigma_matrix, sigma2)``.  ``beta``, ``sigma_matrix`` and
+    ``g`` are read-only copies, so that neither a later write to the arrays
+    it was built from nor one to its own can leave g and p2 describing
+    another model.  A covariance that is not finite, symmetric to 1e-12 and
+    positive definite with every pivot L[j, j]^2 above 1e-12, or an
+    overflowing P2, fails before any replicate is drawn.  Every failed check
+    but that of the id itself names the id.
     """
 
     id: str
@@ -175,6 +178,9 @@ class Scenario:
             p2 = true_p2(beta, sigma, sigma2)
         except R2MarginError as exc:
             raise type(exc)(f"scenario {self.id!r}: {exc}") from None
+        beta, sigma = beta.copy(), sigma.copy()
+        for array in (beta, sigma, g):
+            array.flags.writeable = False
         fixed = dict(n=n, k=k, beta=beta, sigma_matrix=sigma, sigma2=sigma2, g=g, p2=p2)
         for name, value in fixed.items():
             object.__setattr__(self, name, value)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from r2margin import distributions, inference
-from r2margin.distributions import _logit, _root, f_cdf
+from r2margin.distributions import _logit, _root, _seeded_root, f_cdf
 from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
 from r2margin.inference import TestInput, noninferiority_pvalue
 from r2margin.montecarlo import Scenario, _philox_key
@@ -210,8 +210,8 @@ def quantile_full_bracket(prob: float, d1: float, d2: float) -> float:
 
     Solves logit(f_cdf(e^u)) = logit(prob) over [log 1e-300, log 1e300]
     with the package's own F CDF and root search, from the CDF's values at
-    both ends, as ``f_quantile`` did before its search started from an
-    approximate root.
+    both ends and to the quantile's stop width, as ``f_quantile`` did before
+    its search started from an approximate root.
     """
     target = _logit(prob)
     lo, hi = distributions._QUANTILE_LO, distributions._QUANTILE_HI
@@ -219,7 +219,7 @@ def quantile_full_bracket(prob: float, d1: float, d2: float) -> float:
         lambda u: _logit(f_cdf(math.exp(u), d1, d2)) - target,
         math.log(lo),
         math.log(hi),
-        math.ulp(1.0),
+        distributions._QUANTILE_WIDTH,
         _logit(f_cdf(lo, d1, d2)) - target,
         _logit(f_cdf(hi, d1, d2)) - target,
     )
@@ -235,13 +235,14 @@ GUESS_CASES = [(end, math.nan) for end in ("nan", "below", "above", "lower-end",
 
 
 def guessing(guess: str, slope: float, root: float):
-    """A stand-in for ``distributions._guess`` that returns the point named
-    by ``guess`` (``root`` for "root") and ``slope``."""
+    """A stand-in for ``distributions._seeded_root`` that runs it from the
+    point named by ``guess`` (``root`` for "root") in place of the caller's
+    seed, with a straight line of slope ``slope`` as the approximation."""
 
-    def fake(approx, lo, hi, excess_lo, excess_hi):
+    def fake(excess, approx, x, lo, hi, *rest):
         points = {"nan": math.nan, "below": lo - 1.0, "above": hi + 1.0,
                   "lower-end": lo, "upper-end": hi, "root": root}
-        return points[guess], slope
+        return _seeded_root(excess, lambda u: slope * u, points[guess], lo, hi, *rest)
 
     return fake
 

@@ -737,6 +737,9 @@ class TestSimulateCommand:
              "deltas": [0.05]},
             {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
                             "sigma2": 10**400, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+            # no covariance: -0.6 is below -1/(k-1) at k = 3
+            {"scenarios": [{"id": "a", "n": 50, "k": 3, "beta": [0.1, 0.2, 0.3],
+                            "sigma2": 1.0, "sigma_offdiag": -0.6}], "deltas": [0.05]},
             {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, "abc"],
                             "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
             {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, None],
@@ -769,6 +772,8 @@ class TestSimulateCommand:
         assert code == 2
         if "beta0" in json.dumps(config):
             assert text == "error: scenario 0 has unknown keys: ['beta0']\n"
+        if "-0.6" in json.dumps(config):
+            assert text.startswith("error: scenario 0: offdiag must lie in (-1/(k-1), 1)")
 
     @pytest.mark.parametrize(
         "k, beta, message",

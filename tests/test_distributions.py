@@ -9,12 +9,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
 from r2margin import distributions
-from r2margin.distributions import _root, _seeded_root, f_cdf, f_quantile, reg_inc_beta
+from r2margin.distributions import (
+    _logit,
+    _normal_quantile,
+    _paulson_logit,
+    _paulson_quantile,
+    _root,
+    _seeded_root,
+    f_cdf,
+    f_quantile,
+    reg_inc_beta,
+)
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import _v_from_psq
 
@@ -225,12 +235,13 @@ class TestFQuantile:
     def most_cdf_calls(monkeypatch, keys):
         """The most F CDFs one critical R2 key's quantile evaluates, and that key."""
         calls = []
+        unchecked = distributions._f_cdf
 
         def counting_cdf(x, d1, d2):
             calls.append(x)
-            return f_cdf(x, d1, d2)
+            return unchecked(x, d1, d2)
 
-        monkeypatch.setattr(distributions, "f_cdf", counting_cdf)
+        monkeypatch.setattr(distributions, "_f_cdf", counting_cdf)
         counts = []
         for n, k, delta, alpha in keys:
             calls.clear()
@@ -239,13 +250,13 @@ class TestFQuantile:
         return max(counts)
 
     def test_few_cdf_calls_per_paper_grid_key(self, monkeypatch):
-        # Two range checks, the probes next to Paulson's root, the root
-        # search's steps and the final check: 15 at most (22 over the whole bracket).
+        # Two range checks, the probes at Paulson's root, the root search's
+        # steps and the final check: 12 at most (32 over the whole bracket).
         most, key = self.most_cdf_calls(monkeypatch, CRITICAL_R2_KEYS["paper-grid"])
         assert most <= 16, key
 
     def test_few_cdf_calls_per_large_n_key(self, monkeypatch):
-        # 20 at most (24 over the whole bracket): the CDF loses digits at large N.
+        # 16 at most (38 over the whole bracket): the CDF loses digits at large N.
         most, key = self.most_cdf_calls(monkeypatch, CRITICAL_R2_KEYS["large-n-grid"])
         assert most <= 21, key
 
@@ -258,13 +269,59 @@ class TestFQuantile:
         self, monkeypatch, prob, d1, d2, guess, slope
     ):
         want = quantile_full_bracket(prob, d1, d2)
-        monkeypatch.setattr(distributions, "_guess", guessing(guess, slope, math.log(want)))
+        monkeypatch.setattr(distributions, "_seeded_root", guessing(guess, slope, math.log(want)))
         found = f_quantile(prob, d1, d2)
         if guess == "root":
             assert math.isclose(found, want, rel_tol=1e-13)
         else:
             # a guess not strictly inside the bracket leaves the full search
             assert found == want
+
+
+class TestPaulsonQuantile:
+    """The closed-form seed: the F at which Paulson's approximation to the
+    F CDF puts a normal quantile q, and the normal quantile itself."""
+
+    probs = st.floats(1e-300, 1.0 - 1e-6)
+    dofs = st.floats(1e-3, 1e9)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(p=probs, d1=dofs, d2=dofs)
+    def test_inverts_paulsons_approximation(self, p, d1, d2):
+        f = _paulson_quantile(_normal_quantile(p), d1, d2)
+        if math.isfinite(f) and f > 0.0:
+            target = _logit(p)
+            assert abs(_paulson_logit(f, d1, d2) - target) <= 1e-9 * max(1.0, abs(target))
+
+    @settings(max_examples=2000, deadline=None)
+    @given(q=st.floats(-40.0, 40.0), d1=dofs, d2=dofs)
+    def test_nan_exactly_where_no_positive_root_exists(self, q, d1, d2):
+        # Above 2/9 degrees of freedom the approximation's normal deviate
+        # rises with f from -(1-a1)/sqrt(a1) at f = 0 to (1-a2)/sqrt(a2) as
+        # f grows; at or below, it is no CDF and the seed is always NaN.
+        a1, a2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
+        f = _paulson_quantile(q, d1, d2)
+        if a1 >= 1.0 or a2 >= 1.0:
+            assert math.isnan(f)
+            return
+        low, high = -(1.0 - a1) / math.sqrt(a1), (1.0 - a2) / math.sqrt(a2)
+        # the closed form's rounding decides right at either end
+        assume(min(abs(q - low), abs(q - high)) > 1e-9 * max(1.0, abs(q)))
+        assert math.isnan(f) == (not low < q < high)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(p=st.floats(1e-300, 1.0, exclude_max=True))
+    def test_normal_quantile_round_trips_through_erfc(self, p):
+        q = _normal_quantile(p)
+        assert math.isclose(0.5 * math.erfc(-q / math.sqrt(2.0)), p, rel_tol=1e-12)
+        # the upper tail, to its own relative precision, through symmetry
+        assert math.isclose(0.5 * math.erfc(q / math.sqrt(2.0)), 1.0 - p, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("d1,d2", [(1.0, 69.0), (0.5, 3.0), (1e-3, 1e9), (1e9, 1e-3)])
+    def test_no_root_gives_nan(self, d1, d2):
+        # (1, 69) is a K = 1 bound's lower tail at z <= 0, past the
+        # approximation's reach; below 2/9 degrees of freedom it is no CDF.
+        assert math.isnan(_paulson_quantile(_normal_quantile(0.025), d1, d2))
 
 
 @st.composite
@@ -322,11 +379,13 @@ class TestRoot:
         problem=root_problems(),
         kind=st.sampled_from(["exact", "shifted", "decreasing", "constant", "nan"]),
         offset=st.floats(-1.0, 1.0),
+        start=st.sampled_from(["root", "shifted", "nan", "below", "above", "lower-end", "upper-end"]),
     )
     def test_seeded_search_lands_within_half_a_width_without_touching_the_ends(
-        self, problem, kind, offset
+        self, problem, kind, offset, start
     ):
-        # However poor the approximation, it only moves where the search starts.
+        # However poor the approximation and its root, they only move where
+        # the search starts.
         fn, lo, hi, root, width, excess_lo, excess_hi = problem
         approximations = {
             "exact": fn,
@@ -335,6 +394,8 @@ class TestRoot:
             "constant": lambda x: offset,
             "nan": lambda x: math.nan,
         }
+        starts = {"root": root, "shifted": root + offset * (hi - lo), "nan": math.nan,
+                  "below": lo - 1.0, "above": hi + 1.0, "lower-end": lo, "upper-end": hi}
         seen, guided = [], []
 
         def excess(x):
@@ -345,7 +406,9 @@ class TestRoot:
             guided.append(x)
             return approximations[kind](x)
 
-        found, calls = _seeded_root(excess, approx, lo, hi, width, excess_lo, excess_hi)
+        found, calls = _seeded_root(
+            excess, approx, starts[start], lo, hi, width, excess_lo, excess_hi
+        )
         assert calls == len(seen)
         assert all(lo < x < hi for x in seen + guided)
         slack = math.ulp(max(abs(lo), abs(hi)))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from r2margin import distributions, inference
+from r2margin import inference
 from r2margin.distributions import _logit
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import TestInput, critical_r2, noninferiority_pvalue, upper_ci_p2
@@ -204,6 +204,15 @@ class TestUpperCiP2:
     def test_bisection_steps_stay_within_budget(self, r2, n, k):
         assert upper_ci_p2(TestInput(r2=r2, n=n, k=k), 0.05).iterations <= 64
 
+    def test_seed_beyond_paulsons_reach_at_r2_is_still_found(self):
+        # At v(r2) = 1.2 Paulson's approximation cannot reach the 2.5% tail,
+        # which it does at the root's v = 3.6; the search over the whole
+        # bracket takes 9 F CDFs.
+        observed = TestInput(r2=0.00986248697887603, n=71, k=1)
+        bound = upper_ci_p2(observed, 0.05)
+        assert bound.iterations <= 6
+        assert abs(bound.upper_raw - upper_raw_full_bracket(observed, 0.025)) <= 1e-11
+
     def test_mean_root_steps_over_inference_like_inputs(self):
         # N log-uniform on [60, 1e7], K on 1..10, R2 below min(0.5, 1e5 / N)
         # and tiny (1e-7..1e-3) a fifth of the time.
@@ -229,6 +238,8 @@ class TestUpperCiP2:
         [
             (0.1, 10**9, 2, 0.05),
             (1e-300, 100, 2, 0.05),
+            # the seed rounds onto the lower end, where F(z) divides by zero
+            (2.1595678288655266e-30, 11991, 9, 0.05),
             (0.5, 100, 2, 1e-300),
             (1.0 - 1e-12, 10**6, 3, 0.05),
             (0.3, 4, 2, 0.999),
@@ -244,7 +255,7 @@ class TestUpperCiP2:
     def test_any_guess_falls_back_to_the_same_bound(self, monkeypatch, r2, n, k, guess, slope):
         observed = TestInput(r2=r2, n=n, k=k)
         want = upper_raw_full_bracket(observed, 0.025)
-        monkeypatch.setattr(distributions, "_guess", guessing(guess, slope, want))
+        monkeypatch.setattr(inference, "_seeded_root", guessing(guess, slope, want))
         bound = upper_ci_p2(observed, 0.05)
         assert bound.iterations <= 64
         if guess == "root":

@@ -694,6 +694,29 @@ class TestGridConstruction:
             else:
                 np.testing.assert_array_equal(scenario.beta, [0.11, 0.10, -0.05, -0.10])
 
+    def test_grid_scenarios_share_no_writable_array(self):
+        grid = paper_grid()
+        arrays = [a for s in grid for a in (s.beta, s.sigma_matrix, s.g)]
+        assert not any(a.flags.writeable for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("name", ["beta", "sigma_matrix", "g"])
+    def test_scenario_arrays_are_read_only(self, name):
+        scenario = paper_grid()[0]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(scenario, name)[0] = 5.0
+
+    def test_scenario_keeps_its_model_when_its_inputs_change(self):
+        beta, sigma = np.array([0.11, -0.15]), exchangeable_covariance(2)
+        scenario = Scenario(id="a", n=60, k=2, beta=beta, sigma2=0.5, sigma_matrix=sigma)
+        p2, g = scenario.p2, scenario.g.copy()
+        beta[0], sigma[0, 1] = 5.0, 0.9
+        np.testing.assert_array_equal(scenario.beta, [0.11, -0.15])
+        np.testing.assert_array_equal(scenario.sigma_matrix, exchangeable_covariance(2))
+        assert scenario.p2 == p2 == true_p2(scenario.beta, scenario.sigma_matrix, 0.5)
+        np.testing.assert_array_equal(scenario.g, g)
+
     def test_analytic_variance_shares(self):
         shares = {
             round(true_p2(s.beta, s.sigma_matrix, s.sigma2), 4) for s in paper_grid()

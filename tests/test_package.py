@@ -7,8 +7,11 @@ import ast
 import importlib
 import inspect
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,3 +140,19 @@ def test_bad_arguments_raise_domain_error(call):
         call()
     # the message names the argument, never a 400-digit echo of it
     assert len(str(caught.value)) < 200
+
+
+def test_import_loads_neither_statistics_nor_scipy():
+    # Every r2margin process pays for what importing it loads: the closed
+    # forms stay on math alone, and scipy serves only the tests' oracles.
+    code = (
+        "import sys, r2margin, r2margin.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('statistics', 'scipy')))"
+    )
+    src = str(pathlib.Path(r2margin.__file__).parent.parent)
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert loaded.strip() == "[]"
