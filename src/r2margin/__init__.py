@@ -13,7 +13,8 @@ Library layout:
   the test's critical R2 in closed form, from one F quantile; and the
   one-sided upper confidence bound that solves p = alpha/2 for it by that
   root search, or in closed form at R2 = 0.
-- ``regression``: intercept-included ordinary least squares and R2.
+- ``regression``: intercept-included ordinary least squares and its
+  uncapped R2.
 - ``montecarlo``: the rejection-rate simulation harness, whose replicates
   draw from Philox streams keyed by a hash of (seed, scenario, replicate),
   and the built-in 30-scenario study grid.
@@ -47,7 +48,7 @@ from .montecarlo import (
     run_scenario,
     true_p2,
 )
-from .regression import Dataset, OlsFit, fit_ols, r_squared
+from .regression import Dataset, OlsFit, fit_ols
 
 __version__ = "0.1.0"
 
@@ -74,7 +75,6 @@ __all__ = [
     "fit_ols",
     "noninferiority_pvalue",
     "paper_grid",
-    "r_squared",
     "reg_inc_beta",
     "run_scenario",
     "true_p2",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, R2MarginError, _check_int, _check_open_unit
 from .figures import render_rejection_figure
-from .inference import TestInput, noninferiority_pvalue, upper_ci_p2
+from .inference import _PSQ_CEILING, TestInput, noninferiority_pvalue, upper_ci_p2
 from .montecarlo import (
     Scenario,
     default_delta_grid,
@@ -43,7 +43,7 @@ from .montecarlo import (
     paper_grid,
     run_scenario,
 )
-from .regression import _R2_MAX, _fit_blocks
+from .regression import _fit_blocks
 
 EXIT_OK = 0
 
@@ -240,11 +240,12 @@ def _read_csv(path: str, reduce):
 def _csv_r2(path: str) -> tuple[float, int, int]:
     """R2, N and K of a ``fit`` CSV: column 1 outcome, the rest covariates.
 
-    One pass over the file's blocks folds them into the QR fit; R2 is capped
-    as ``r_squared`` caps it.
+    One pass over the file's blocks folds them into the QR fit.  R2 is capped
+    at the top of ``TestInput``'s range, 1 - 1e-12, the ceiling the bound
+    clamps to: a perfect fit's 1.0 becomes the largest admissible R2.
     """
     fit, n = _read_csv(path, _fit_blocks)
-    return min(fit.r2, _R2_MAX), n, len(fit.coefficients)
+    return min(fit.r2, _PSQ_CEILING), n, len(fit.coefficients)
 
 
 def _cmd_fit(args) -> int:
@@ -321,12 +322,7 @@ def _load_config(path: str) -> tuple[list[Scenario], list[float]]:
         k = _check_int(f"scenario {index}: 'k'", entry["k"])
         if not isinstance(entry["beta"], list):
             raise DomainError(f"scenario {index}: 'beta' must be a list of numbers")
-        # before the k-by-k covariance is built
-        if k * k * 8 > np.iinfo(np.intp).max:
-            raise DomainError(
-                f"scenario {index}: a k={k} by k float64 covariance is beyond the "
-                "addressable memory"
-            )
+        # before the k-by-k covariance is built: beta's k entries are in memory
         if len(entry["beta"]) != k:
             raise DomainError(
                 f"scenario {index}: 'beta' has {len(entry['beta'])} entries, expected k={k}"

@@ -188,13 +188,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RejectionRecord:
-    """Rejection-rate estimate for one (scenario, margin) pair."""
+    """Rejection-rate estimate for one (scenario, margin) pair: the rate is
+    derived from the counts, ``rejections / n_sims``."""
 
     scenario_id: str
     delta: float
     n_sims: int
     rejections: int
-    rejection_rate: float
     true_p2: float
     alpha: float
     master_seed: int
@@ -207,8 +207,10 @@ class RejectionRecord:
             raise DomainError(
                 f"rejections must lie in [0, n_sims], got {self.rejections}/{self.n_sims}"
             )
-        if self.rejection_rate != self.rejections / self.n_sims:
-            raise DomainError("rejection_rate must equal rejections / n_sims exactly")
+
+    @property
+    def rejection_rate(self) -> float:
+        return self.rejections / self.n_sims
 
 
 def true_p2(beta, sigma_matrix, sigma2: float) -> float:
@@ -427,7 +429,6 @@ def run_scenario(
             delta=d,
             n_sims=n_sims,
             rejections=counts[i],
-            rejection_rate=counts[i] / n_sims,
             true_p2=scenario.p2,
             alpha=alpha,
             master_seed=master_seed,

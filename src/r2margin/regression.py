@@ -6,7 +6,8 @@ Problems*): the coefficients' triangular system, the rank test on [1 X]'s
 diagonal, and R2 = |w|^2 / SST from the last column, so small R2 keeps its
 digits.  ``_fit_blocks`` builds that R from blocks of rows, one cache-sized
 piece at a time, so ``fit_ols`` (one block) and the ``fit`` command (a CSV's
-row blocks, see ``cli``) run one fold.  The Monte Carlo harness reads a
+row blocks, see ``cli``) run one fold.  The R2 is uncapped: ``fit`` caps it
+at the top of ``TestInput``'s range.  The Monte Carlo harness reads a
 replicate's R2 without forming X or y (see ``montecarlo``).
 """
 
@@ -17,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, RankDeficiencyError
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    RankDeficiencyError,
+    _check_float_array,
+    _check_sizes,
+)
 
-__all__ = ["Dataset", "OlsFit", "fit_ols", "r_squared"]
+__all__ = ["Dataset", "OlsFit", "fit_ols"]
 
 # An R-factor diagonal entry at or below this share of its column's norm
 # declares the design matrix rank deficient.
@@ -28,8 +35,6 @@ _RANK_TOL = 1e-10
 # core's cache, where one QR of a whole 52428-row block of K = 4 ran 5 to 7
 # times slower than its pieces (2-CPU Xeon, numpy 2.4).
 _QR_ROWS = 4096
-# Largest R2 that ``r_squared`` returns: the top of ``TestInput``'s range.
-_R2_MAX = 1.0 - 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,15 +42,16 @@ class Dataset:
     """An (X, y) regression problem; the intercept column is implicit.
 
     ``y`` is the outcome vector of length N and ``x`` the N-by-K covariate
-    matrix (K >= 1, N >= K + 2, all entries finite).
+    matrix (K >= 1, N >= K + 2, all entries finite numbers), checked by the
+    same ``errors`` helpers as every other input.
     """
 
     y: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        y = _check_float_array("y", self.y)
+        x = _check_float_array("x", self.x)
         if y.ndim != 1:
             raise DimensionMismatchError(f"y must be one-dimensional, got shape {y.shape}")
         if x.ndim != 2:
@@ -54,11 +60,7 @@ class Dataset:
             raise DimensionMismatchError(
                 f"y has {y.shape[0]} rows but x has {x.shape[0]}"
             )
-        n, k = x.shape
-        if k < 1:
-            raise DomainError("at least one covariate column is required")
-        if n < k + 2:
-            raise DomainError(f"need n >= k + 2 observations, got n={n}, k={k}")
+        _check_sizes(*x.shape)
         if not np.isfinite(y).all() or not np.isfinite(x).all():
             raise DomainError("dataset contains non-finite entries")
         object.__setattr__(self, "y", y)
@@ -67,10 +69,6 @@ class Dataset:
     @property
     def n_obs(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +113,8 @@ def _fit_blocks(blocks) -> tuple[OlsFit, int]:
     factor in pieces of ``_QR_ROWS`` rows, R := qr([R; piece]) (the
     sequential TSQR; Demmel, Grigori, Hoemmen & Langou 2012, *SIAM J. Sci.
     Comput.* 34: A206-A239), so memory does not grow with N.  The shift is
-    added back to the intercept.  Raises DomainError, with ``Dataset``'s
-    message, when N < K + 2.
+    added back to the intercept.  Raises DomainError, as ``Dataset`` does,
+    when N < K + 2.
     """
     n, y_scale = 0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
@@ -131,8 +129,7 @@ def _fit_blocks(blocks) -> tuple[OlsFit, int]:
                 r = np.linalg.qr(np.concatenate([r, design]), mode="r")
             n += len(block)
         k = len(shift) - 1
-        if n < k + 2:
-            raise DomainError(f"need n >= k + 2 observations, got n={n}, k={k}")
+        _check_sizes(n, k)
         diagonal = np.abs(np.diag(r)[: k + 1])
         # hypot's reduction, unlike a sum of squares, does not overflow
         small = np.flatnonzero(diagonal <= _RANK_TOL * np.hypot.reduce(r[:, : k + 1]))
@@ -166,11 +163,3 @@ def _fit_blocks(blocks) -> tuple[OlsFit, int]:
     )
     return fit, n
 
-
-def r_squared(data: Dataset) -> float:
-    """R2 of the intercept-included least-squares fit of ``data``, capped at
-    the top of ``TestInput``'s range, 1 - 1e-12: a perfect fit rounds to 1.0,
-    which is nudged to the largest admissible value (p-value ~ 1).
-    ``fit_ols(data).r2`` keeps the uncapped value.
-    """
-    return min(fit_ols(data).r2, _R2_MAX)

@@ -30,7 +30,7 @@ from r2margin.distributions import _logit, _root, _seeded_root, f_cdf
 from r2margin.errors import ConvergenceError, DomainError, RankDeficiencyError
 from r2margin.inference import TestInput, noninferiority_pvalue
 from r2margin.montecarlo import Scenario, _philox_key
-from r2margin.regression import Dataset, r_squared
+from r2margin.regression import Dataset, fit_ols
 
 
 def f_density(x: float, d1: float, d2: float) -> float:
@@ -341,7 +341,8 @@ def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed):
         stream = RandomStream(master_seed, scenario.id, j)
         data = generate_dataset(scenario, stream)
         try:
-            observed = TestInput(r2=r_squared(data), n=scenario.n, k=scenario.k)
+            r2 = min(fit_ols(data).r2, inference._PSQ_CEILING)
+            observed = TestInput(r2=r2, n=scenario.n, k=scenario.k)
             p_values = [noninferiority_pvalue(observed, d).p_value for d in deltas]
         except (ConvergenceError, RankDeficiencyError, DomainError):
             skipped += 1

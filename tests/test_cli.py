@@ -20,10 +20,10 @@ from scipy import stats
 
 import r2margin.cli as cli
 import r2margin.montecarlo as montecarlo
-from r2margin import errors
+from r2margin import errors, inference
 from r2margin.errors import ConvergenceError, ExcessiveSkipsError, R2MarginError
 from r2margin.cli import main
-from r2margin.regression import Dataset, _fit_blocks, fit_ols, r_squared
+from r2margin.regression import Dataset, _fit_blocks, fit_ols
 
 from oracles import r2_exact, small_r2_dataset
 
@@ -371,7 +371,8 @@ class TestFitCommand:
         argv = ["fit", "--data", str(path), "--delta", "0.1", "--precision", "17"]
         code, report, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert report["r2"] == format(r_squared(Dataset(y=y, x=x)), ".17g")
+        r2 = min(fit_ols(Dataset(y=y, x=x)).r2, inference._PSQ_CEILING)
+        assert report["r2"] == format(r2, ".17g")
 
 
 def _decline(path):
@@ -465,7 +466,7 @@ class TestCsvParsePaths:
             ("y,x\n", False, "CSV must contain a header row followed by data rows"),
             ("y\n1\n2\n3\n", False,
              "CSV needs an outcome column plus at least one covariate column"),
-            ("y,x\n1,2\n2,3\n", True, "need n >= k + 2 observations, got n=2, k=1"),
+            ("y,x\n1,2\n2,3\n", True, "n must be >= k + 2 so that n - k - 1 >= 1, got n=2, k=1"),
         ],
         ids=[
             "bom-header", "quoted-header", "crlf", "lone-cr", "blank-lines",
@@ -566,7 +567,7 @@ class TestBlockReader:
             assert np.concatenate(blocks).tobytes() == table.tobytes()
         outcome = fit_outcome(path)
         if rows == 1:
-            assert outcome == ("need n >= k + 2 observations, got n=1, k=2", 2)
+            assert outcome == ("n must be >= k + 2 so that n - k - 1 >= 1, got n=1, k=2", 2)
         else:
             n, k, r2 = outcome
             assert (n, k) == (rows, 2)
@@ -760,11 +761,21 @@ class TestSimulateCommand:
                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
                 for k in (10**10, 2**31)
             ],
+            {"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": [0.1], "sigma2": 1.0,
+                            "sigma_offdiag": 0.0}] * 2, "deltas": [0.05]},  # repeated id
+            '{"scenarios": [',  # not JSON: written as it stands
+            [{"scenarios": [], "deltas": [0.05]}],  # not an object
+            {"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": [0.1], "sigma2": 1.0,
+                            "sigma_offdiag": 0.0}], "deltas": 0.05},
+            {"scenarios": [[1]], "deltas": [0.05]},
+            {"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": 0.1, "sigma2": 1.0,
+                            "sigma_offdiag": 0.0}], "deltas": [0.05]},
         ],
     )
     def test_schema_violations_exit_2(self, capsys, tmp_path, config):
         config_path = tmp_path / "bad.json"
-        config_path.write_text(json.dumps(config), encoding="utf-8")
+        raw = config if isinstance(config, str) else json.dumps(config)
+        config_path.write_text(raw, encoding="utf-8")
         code, _, text = run_cli(
             capsys, "simulate", "--config", str(config_path), "--sims", "3",
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
@@ -779,7 +790,7 @@ class TestSimulateCommand:
         "k, beta, message",
         [
             (3, [0.1, 0.2], "scenario 0: 'beta' has 2 entries, expected k=3"),
-            (10**10, [0.1], "scenario 0: a k=10000000000 by k float64 covariance is beyond"),
+            (10**10, [0.1], "scenario 0: 'beta' has 1 entries, expected k=10000000000"),
         ],
         ids=["short-beta", "unaddressable-k"],
     )
@@ -1165,8 +1176,9 @@ class TestPlotCommand:
         [
             ({"alpha": "0.1"}, "results row 1 has alpha 0.1, row 0 0.05"),
             ({"rejection_rate": "0.5"}, "results row 1 repeats scenario 's' at delta 0.03"),
+            ({"n": "sixty"}, "results row 1 has a non-numeric cell: "),
         ],
-        ids=["mixed-levels", "repeated-margin"],
+        ids=["mixed-levels", "repeated-margin", "non-numeric-cell"],
     )
     def test_rows_that_cannot_share_a_figure_exit_2(self, capsys, tmp_path, second, message):
         cells = dict(zip(cli.RESULT_COLUMNS, "s,60,2,1.0,0.03,0.03,0.05,2,0,0.0,0,1".split(",")))
@@ -1181,6 +1193,29 @@ class TestPlotCommand:
         )
         assert code == 2
         assert text.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "delta, lo, hi", [("0.03", "0.025", "0.035"), ("0.5", "0.45", "0.55")]
+    )
+    def test_one_margin_pads_the_axis(self, capsys, tmp_path, delta, lo, hi):
+        # a lone margin would leave the axis zero wide: it is padded by
+        # 10% of the margin, and by at least 0.005, on either side
+        cells = dict(zip(cli.RESULT_COLUMNS, "s,60,2,1.0,0.03,0.03,0.05,2,0,0.0,0,1".split(",")))
+        results = tmp_path / "results.csv"
+        results.write_text(
+            ",".join(cli.RESULT_COLUMNS) + "\n" + ",".join((cells | {"delta": delta}).values())
+            + "\n",
+            encoding="utf-8",
+        )
+        figure = tmp_path / "x.svg"
+        code, _, _ = run_cli(capsys, "plot", "--results", str(results), "--out", str(figure))
+        assert code == 0
+        root = ET.fromstring(figure.read_text(encoding="utf-8"))
+        (line,) = [el for el in root.iter("{http://www.w3.org/2000/svg}line")
+                   if el.get("class") == "alpha-ref"]
+        assert (line.get("x1"), line.get("x2")) == (lo, hi)
+        (series,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+        assert series.get("points") == f"{delta},0"
 
     def test_restricted_axis_keeps_polyline_data(self, capsys, results_csv, tmp_path):
         full = tmp_path / "full.svg"

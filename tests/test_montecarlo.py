@@ -28,7 +28,7 @@ from r2margin.montecarlo import (
     true_p2,
 )
 from r2margin.inference import TestInput, noninferiority_pvalue
-from r2margin.regression import Dataset, fit_ols, r_squared
+from r2margin.regression import Dataset, fit_ols
 
 from oracles import RandomStream, design, generate_dataset, r2_exact, replicate_counts_exact
 
@@ -62,6 +62,13 @@ class TestTrueP2:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             true_p2(np.zeros(3), np.eye(2), 1.0)
+        with pytest.raises(DimensionMismatchError):
+            true_p2(np.zeros((2, 1)), np.eye(2), 1.0)
+
+    def test_negative_signal_rejected(self):
+        # beta' Sigma beta = 1 - 2 - 2 + 1 < 0: Sigma is indefinite
+        with pytest.raises(NotPositiveDefiniteError):
+            true_p2([1.0, 1.0], [[1.0, -2.0], [-2.0, 1.0]], 1.0)
 
     def test_rejects_non_positive_noise(self):
         with pytest.raises(DomainError):
@@ -435,7 +442,7 @@ class TestReplicateKernel:
         mc._replicate_counts(scenario, 0, n_sims, 5, self._roots(scenario))
         assert len(values) == n_sims
         for j, r2 in enumerate(values):
-            expected = r_squared(generate_dataset(scenario, RandomStream(5, scenario.id, j)))
+            expected = fit_ols(generate_dataset(scenario, RandomStream(5, scenario.id, j))).r2
             assert not np.isnan(r2) and abs(r2 - expected) <= 1e-12
 
     # where the cross-products of x and y lose digits: nearly collinear x,

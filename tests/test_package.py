@@ -97,7 +97,7 @@ def _scenario(n=60):
     "call",
     [
         lambda: r2margin.RejectionRecord(
-            scenario_id="a", delta=0.05, n_sims=0, rejections=0, rejection_rate=0.0,
+            scenario_id="a", delta=0.05, n_sims=0, rejections=0,
             true_p2=0.1, alpha=0.05, master_seed=1,
         ),
         lambda: r2margin.true_p2([math.nan], [[1.0]], 1.0),
@@ -125,6 +125,8 @@ def _scenario(n=60):
         lambda: r2margin.Scenario(id="a", n=60, k=1, beta=[0.1], sigma2=1.0, sigma_matrix=[["a"]]),
         lambda: r2margin.true_p2(["a"], [[1.0]], 1.0),
         lambda: r2margin.true_p2([0.1], [[{}]], 1.0),
+        lambda: r2margin.Dataset(y=["a"] * 4, x=[[1.0]] * 4),
+        lambda: r2margin.Dataset(y=[1.0] * 4, x=[[{}]] * 4),
     ],
     ids=[
         "zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha",
@@ -133,6 +135,7 @@ def _scenario(n=60):
         "huge-int-n-critical", "huge-int-n-bound", "huge-negative-int-k",
         "text-offdiag", "none-offdiag", "huge-int-offdiag",
         "text-beta-scenario", "text-sigma-scenario", "text-beta-true-p2", "dict-sigma-true-p2",
+        "text-y-dataset", "dict-x-dataset",
     ],
 )
 def test_bad_arguments_raise_domain_error(call):
