@@ -6,7 +6,8 @@ Library layout:
   fractional degrees of freedom, ``f_cdf(x, d1, d2)`` and
   ``f_quantile(prob, d1, d2)``, built on a continued-fraction incomplete
   beta; and the one Brent root search on the log-odds scale, started at
-  the root of Paulson's closed-form approximation to the F CDF, itself in
+  the root of Paulson's closed-form approximation to the F CDF and at that
+  root once the approximation is moved to agree with the F CDF, both in
   closed form, which the quantile and the bound share.
 - ``inference``: the non-inferiority p-value for the population variance
   share P2, a closed-form lower tail of a scaled central F approximation;

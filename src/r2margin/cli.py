@@ -283,8 +283,8 @@ def _number(where: str, key: str, value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
-        except OverflowError:  # a JSON integer beyond the float range
-            pass
+        except OverflowError:  # a JSON integer, whose repr can run to any length
+            raise DomainError(f"{where}: {key!r} holds a number beyond the float range") from None
     raise DomainError(f"{where}: {key!r} holds a non-numeric value {value!r}")
 
 

@@ -11,11 +11,12 @@ directly.  The incomplete beta uses the continued-fraction expansion
 x = (a+1)/(a+b+2)) on top of the platform's ``math.lgamma``; the quantile
 inverts the CDF by a root search over log x on the log-odds scale.
 ``_root`` (Brent's bracketing method) is the one root search of the
-package and ``_logit`` its log-odds scale.  ``_seeded_root`` starts it at
-the root of a cheap approximation; the quantile and the confidence bound
-in ``inference`` both take that approximation from ``_paulson_logit``,
-Paulson's closed-form normal approximation to the F CDF, and its root from
-``_paulson_quantile``, also in closed form.  ``f_cdf`` and ``reg_inc_beta``
+package and ``_logit`` its log-odds scale.  ``_seeded_root`` starts it
+from a cheap approximation's root, and again from that root once the
+approximation is moved to agree with the search's first value.  The
+quantile and the confidence bound in ``inference`` both take those roots
+from Paulson's closed-form normal approximation to the F CDF, which
+``_paulson_quantile`` inverts in closed form.  ``f_cdf`` and ``reg_inc_beta``
 check their arguments once and call the unchecked ``_f_cdf`` and
 ``_reg_inc_beta``, which the search loops call directly.
 """
@@ -49,10 +50,6 @@ _QUANTILE_LO = 1e-300
 _QUANTILE_HI = 1e300
 _QUANTILE_WIDTH = 4.0 * math.ulp(1.0)
 _QUANTILE_CDF_TOL = 1e-10
-
-# The half-width, as a share of the bracket, of the central difference that
-# takes the approximation's slope at a seeded search's start.
-_SLOPE_SHARE = 1e-6
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
@@ -197,27 +194,19 @@ def _logit(p: float) -> float:
     return math.log(p) - math.log1p(-p)
 
 
-def _paulson_logit(f: float, d1: float, d2: float) -> float:
-    """Log-odds of Paulson's closed-form approximation to ``f_cdf(f, d1, d2)``.
+def _paulson_quantile(q: float, d1: float, d2: float) -> float:
+    """The f at which Paulson's approximation to the F(d1, d2) CDF puts the
+    normal quantile ``q``.
 
     The cube root of an F(d1, d2) variate is close to normal (Paulson, E.
     1942, "An approximate normalization of the analysis of variance
     distribution", Ann. Math. Statist. 13: 233-235): with a1 = 2/(9 d1) and
     a2 = 2/(9 d2), w = [(1 - a2) f^(1/3) - (1 - a1)] / sqrt(a1 + a2 f^(2/3))
-    is close to standard normal, and the CDF about erfc(-w/sqrt(2))/2.  It
-    costs no incomplete beta but only guides a root search: it is worst at
-    few degrees of freedom and in the far tails.
+    is close to standard normal.  Setting w = q, the cube root c of f solves
+    a quadratic.  NaN where no c > 0 does, and where d1 or d2 is at most 2/9
+    (no CDF there).  It costs no incomplete beta but only guides a root
+    search: it is worst at few degrees of freedom and in the far tails.
     """
-    a1, a2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
-    cube = f ** (1.0 / 3.0)
-    w = ((1.0 - a2) * cube - (1.0 - a1)) / math.sqrt(a1 + a2 * cube * cube)
-    return _logit(0.5 * math.erfc(-w / math.sqrt(2.0)))
-
-
-def _paulson_quantile(q: float, d1: float, d2: float) -> float:
-    """The f at which Paulson's approximation (``_paulson_logit``) puts the
-    normal quantile ``q``: its cube root c solves a quadratic.  NaN where no
-    c > 0 does, and where d1 or d2 is at most 2/9 (no CDF there)."""
     a1, a2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
     disc = a2 * (1.0 - a1) ** 2 + a1 * (1.0 - a2) ** 2 - q * q * a1 * a2
     if not (disc >= 0.0 and a1 < 1.0 and a2 < 1.0):
@@ -232,21 +221,27 @@ def _paulson_quantile(q: float, d1: float, d2: float) -> float:
     return c * c * c if c > 0.0 else math.nan
 
 
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile at p in (0, 1): the rational start of
-    Abramowitz and Stegun (1964) 26.2.23, off by under 4.5e-4, refined by two
-    Halley steps on ``math.erfc``."""
-    if p > 0.5:
-        return -_normal_quantile(1.0 - p)
-    t = math.sqrt(-2.0 * math.log(p))
-    q = (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    ) - t
+def _normal_quantile(t: float) -> float:
+    """Standard normal quantile at log-odds ``t``, the probability
+    1 / (1 + e^-t): the rational start of Abramowitz and Stegun (1964)
+    26.2.23, off by under 4.5e-4, refined by two Halley steps on
+    ``math.erfc``.  For t > 0 it is minus the quantile at -t, so that the
+    upper tail keeps its digits; NaN where the probability underflows."""
+    if t > 0.0:
+        return -_normal_quantile(-t)
+    log_p = t - math.log1p(math.exp(t))
+    p = math.exp(log_p)
+    if p == 0.0:
+        return math.nan
+    r = math.sqrt(-2.0 * log_p)
+    q = (2.515517 + r * (0.802853 + r * 0.010328)) / (
+        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308))
+    ) - r
     for _ in range(2):
         # (Phi(q) - p) / phi(q), with phi's exp(q^2/2) taken on p's log so
         # that it cannot overflow in the far tail
         u = (0.5 * math.erfc(-q / math.sqrt(2.0)) / p - 1.0) * math.exp(
-            math.log(p) + 0.5 * q * q + 0.5 * math.log(2.0 * math.pi)
+            log_p + 0.5 * q * q + 0.5 * math.log(2.0 * math.pi)
         )
         q -= u / (1.0 + 0.5 * q * u)
     return q
@@ -316,34 +311,31 @@ def _root(excess, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
     return 0.5 * (b + c), calls
 
 
-def _seeded_root(excess, approx, x, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
-    """``_root``'s search and count, started at ``x``, the root (or NaN) of
-    ``approx``, a cheap approximation to ``excess``.
+def _seeded_root(excess, root_at, lo, hi, width, excess_lo, excess_hi) -> tuple[float, int]:
+    """``_root``'s search and count, started from a cheap approximation to
+    ``excess``: ``root_at(shift)`` is the root (or NaN) of that approximation
+    plus ``shift``.
 
-    ``excess`` is evaluated at ``x`` and then one Newton step further, taken
-    with the slope of ``approx`` at ``x`` by central difference (none when
-    ``x`` is too close to either end to take it); each point strictly inside
-    what is left of the bracket replaces the end on its side.  ``_root`` then
-    searches what is left of the bracket, all of it when ``x`` is NaN or not
-    strictly inside.
+    ``excess`` is evaluated at ``root_at(0)`` and then at ``root_at(e)``,
+    where e is the excess just seen, so that the moved approximation agrees
+    with ``excess`` at the first point; each point strictly inside what is
+    left of the bracket replaces the end on its side.  ``_root`` then
+    searches what is left of the bracket, all of it when the first point is
+    NaN or not strictly inside.
     """
-    step = _SLOPE_SHARE * (hi - lo)
-    slope = math.nan
-    if lo < x - step < x + step < hi:
-        slope = (approx(x + step) - approx(x - step)) / (2.0 * step)
-    calls = 0
-    while calls < 2 and lo < x < hi:
-        fx = excess(x)
-        calls += 1
-        if fx == 0.0:
-            return x, calls
-        if fx < 0.0:
-            lo, excess_lo = x, fx
-        else:
-            hi, excess_hi = x, fx
-        if not slope > 0.0:
+    calls, shift = 0, 0.0
+    while calls < 2:
+        x = root_at(shift)
+        if not lo < x < hi:
             break
-        x -= fx / slope
+        shift = excess(x)
+        calls += 1
+        if shift == 0.0:
+            return x, calls
+        if shift < 0.0:
+            lo, excess_lo = x, shift
+        else:
+            hi, excess_hi = x, shift
     root, more = _root(excess, lo, hi, width, excess_lo, excess_hi)
     return root, calls + more
 
@@ -354,7 +346,8 @@ def f_quantile(prob: float, d1: float, d2: float) -> float:
     Solves logit(f_cdf(e^u)) = logit(prob) for u = log x by
     ``_seeded_root`` over the fixed bracket [1e-300, 1e300], to a width of
     four ulps of 1 on log x, started at Paulson's quantile for the normal
-    quantile of ``prob``.  Raises ConvergenceError when the root lies
+    quantile of ``prob`` and then at the one for the log-odds that the
+    CDF there missed by.  Raises ConvergenceError when the root lies
     outside that bracket, or when the CDF at the answer misses ``prob`` by
     more than 1e-10 (near 1 the CDF can be too coarse in floats to be
     inverted).
@@ -367,11 +360,14 @@ def f_quantile(prob: float, d1: float, d2: float) -> float:
         raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")
 
     target = _logit(prob)
-    seed = _paulson_quantile(_normal_quantile(prob), d1, d2)
+
+    def root_at(shift):
+        x = _paulson_quantile(_normal_quantile(target - shift), d1, d2)
+        return math.log(x) if x > 0.0 else math.nan
+
     log_x, _ = _seeded_root(
         lambda u: _logit(_f_cdf(math.exp(u), d1, d2)) - target,
-        lambda u: _paulson_logit(math.exp(u), d1, d2) - target,
-        math.log(seed) if seed > 0.0 else math.nan,
+        root_at,
         math.log(_QUANTILE_LO), math.log(_QUANTILE_HI), _QUANTILE_WIDTH,
         _logit(cdf_lo) - target, _logit(cdf_hi) - target,
     )

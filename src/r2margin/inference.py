@@ -21,10 +21,12 @@ from 1 to 0 as z runs from -k/(n-k-1) to 1.  Three entry points build on it:
 ``upper_ci_p2``
     Upper limit of a one-sided confidence interval for P2: the root of
     p(z) = alpha/2 on the log-odds scale, found by the root search that
-    starts at the root of Paulson's approximation, as the F quantile's
-    does; that root is a fixed point of closed forms, a few secant steps
-    away.  The test inverts this interval, so the p-value at the bound
-    recovers the bound's tail probability.
+    starts, as the F quantile's does, at the root of Paulson's
+    approximation, and then at that root once the approximation is moved
+    by the log-odds that p missed by there; each root is a fixed point of
+    closed forms, a few secant steps away.  The test inverts this
+    interval, so the p-value at the bound recovers the bound's tail
+    probability.
 
 ``critical_r2``
     The test's rejection region on the R2 scale.  For fixed (n, k, delta)
@@ -52,7 +54,6 @@ from .distributions import (
     _f_cdf,
     _logit,
     _normal_quantile,
-    _paulson_logit,
     _paulson_quantile,
     _root,
     _seeded_root,
@@ -181,41 +182,41 @@ def _bound_root(input: TestInput, prob: float) -> tuple[float, int]:
     def excess(z):
         return target - _logit(_tail_at(input, z)[0])
 
-    def approx(z):
-        f_stat = ratio * (1.0 - z) / (z * resid_df + k)
-        return target - _paulson_logit(f_stat, _v_from_psq(z, n, k), resid_df)
+    def root_at(shift):
+        # The approximation's root, moved by ``shift`` log-odds, is a fixed
+        # point: F(z) = F_q(v(z)), with F_q Paulson's quantile at the normal
+        # quantile q of target + shift, inverts to z = (ratio - F_q k) /
+        # (ratio + F_q (n-k-1)).  Secant steps on it start from z = r2.
+        q = _normal_quantile(target + shift)
 
-    # The root of ``approx`` is a fixed point: F(z) = F_q(v(z)), with F_q
-    # Paulson's quantile at q, inverts to z = (ratio - F_q k) / (ratio +
-    # F_q (n-k-1)).  Secant steps on it, from z = r2, seed the search.
-    q = _normal_quantile(prob)
+        def gap(z):
+            f_q = _paulson_quantile(q, _v_from_psq(z, n, k), resid_df)
+            return (ratio - f_q * k) / (ratio + f_q * resid_df) - z
 
-    def gap(z):
-        f_q = _paulson_quantile(q, _v_from_psq(z, n, k), resid_df)
-        return (ratio - f_q * k) / (ratio + f_q * resid_df) - z
+        root = math.nan
+        z0, g0 = input.r2, gap(input.r2)
+        z1 = z0 + g0
+        for _ in range(_SEED_STEPS):
+            g1 = gap(z1)
+            if abs(g1) <= _SEED_GAP:
+                root = z1 + g1
+                break
+            if math.isnan(g1) or g1 == g0:  # no secant through NaN or a flat pair
+                break
+            z0, g0, z1 = z1, g1, z1 - g1 * (z1 - z0) / (g1 - g0)
+        if math.isnan(root):
+            # The gap is NaN below some z, where v(z) is too small for
+            # Paulson's approximation to reach q (a far tail, or K = 1 and a
+            # small r2).  ``_root`` takes NaN for a point above the root, so
+            # search on -z.
+            root = -_root(lambda w: gap(-w), -hi, -lo, _SEED_GAP, -1.0, 1.0)[0]
+        # a root that rounds onto the lower end would divide F by zero there
+        return root if root * resid_df + k > 0.0 else math.nan
 
-    seed = math.nan
-    z0, g0 = input.r2, gap(input.r2)
-    z1 = z0 + g0
-    for _ in range(_SEED_STEPS):
-        g1 = gap(z1)
-        if abs(g1) <= _SEED_GAP:
-            seed = z1 + g1
-            break
-        if math.isnan(g1) or g1 == g0:  # no secant through NaN or a flat pair
-            break
-        z0, g0, z1 = z1, g1, z1 - g1 * (z1 - z0) / (g1 - g0)
-    if math.isnan(seed):
-        # The gap is NaN below some z, where v(z) is too small for Paulson's
-        # approximation to reach q (a far tail, or K = 1 and a small r2).
-        # ``_root`` takes NaN for a point above the root, so search on -z.
-        seed = -_root(lambda w: gap(-w), -hi, -lo, _SEED_GAP, -1.0, 1.0)[0]
-    # a seed that rounds onto the lower end would divide F by zero there
-    seed = seed if seed * resid_df + k > 0.0 else math.nan
     # p is 1 at the lower end, where F is infinite, and next to 0 at the
     # upper end; neither is evaluated.
     ends = (target - _logit(1.0), target - _logit(0.0))
-    return _seeded_root(excess, approx, seed, lo, hi, _BOUND_WIDTH, *ends)
+    return _seeded_root(excess, root_at, lo, hi, _BOUND_WIDTH, *ends)
 
 
 def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> ConfidenceBound:

@@ -226,23 +226,26 @@ def quantile_full_bracket(prob: float, d1: float, d2: float) -> float:
     return math.exp(log_x)
 
 
-# (guess, slope) pairs to hand a seeded root search in place of its
-# approximation's root and slope: no number, points outside the bracket or
-# on its ends, and the root itself with slopes of every sign and size.
-GUESS_CASES = [(end, math.nan) for end in ("nan", "below", "above", "lower-end", "upper-end")] + [
-    ("root", slope) for slope in (math.nan, -1.0, 0.0, 1e-300, 1.0, 1e300)
+# (first, second) pairs of points to hand a seeded root search in place of
+# the roots of its approximation, unmoved and then moved: no number, points
+# outside the bracket or on its ends, and the root itself followed by each of
+# those.  The second point is reached only after a first one strictly inside.
+GUESS_POINTS = ("nan", "below", "above", "lower-end", "upper-end", "root")
+GUESS_CASES = [(first, "nan") for first in GUESS_POINTS if first != "root"] + [
+    ("root", second) for second in GUESS_POINTS
 ]
 
 
-def guessing(guess: str, slope: float, root: float):
-    """A stand-in for ``distributions._seeded_root`` that runs it from the
-    point named by ``guess`` (``root`` for "root") in place of the caller's
-    seed, with a straight line of slope ``slope`` as the approximation."""
+def guessing(first: str, second: str, root: float):
+    """A stand-in for ``distributions._seeded_root`` that runs it with the
+    points named by ``first`` and ``second`` (``root`` for "root") as the
+    approximation's two roots, in place of the caller's ``root_at``."""
 
-    def fake(excess, approx, x, lo, hi, *rest):
+    def fake(excess, root_at, lo, hi, *rest):
         points = {"nan": math.nan, "below": lo - 1.0, "above": hi + 1.0,
                   "lower-end": lo, "upper-end": hi, "root": root}
-        return _seeded_root(excess, lambda u: slope * u, points[guess], lo, hi, *rest)
+        probes = iter([points[first], points[second]])
+        return _seeded_root(excess, lambda shift: next(probes), lo, hi, *rest)
 
     return fake
 

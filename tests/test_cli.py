@@ -716,63 +716,79 @@ class TestSimulateCommand:
         assert len(data) == 4  # 2 scenarios x 2 margins
 
     @pytest.mark.parametrize(
-        "config",
+        "config,message",
         [
-            {"scenario": []},  # wrong top-level key
-            {"scenarios": [], "deltas": [0.05]},
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
-                            "sigma2": 1.0}], "deltas": [0.05]},  # missing sigma_offdiag
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1],
-                            "sigma2": 1.0, "sigma_offdiag": 0.0}],
-             "deltas": [0.05]},  # beta length mismatch
+            ({"scenario": []}, "config has unknown top-level keys: ['scenario']"),
+            ({"scenarios": [], "deltas": [0.05]}, "config key 'scenarios' must be a non-empty list"),
+            ({"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2], "sigma2": 1.0}],
+              "deltas": [0.05]}, "scenario 0 is missing keys: ['sigma_offdiag']"),
+            ({"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1],
+                             "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+             "scenario 0: 'beta' has 1 entries, expected k=2"),
             *[
-                {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
-                                "sigma2": 1.0, "sigma_offdiag": 0.0, key: bad}],
-                 "deltas": [0.05]}
+                ({"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0, key: bad}],
+                  "deltas": [0.05]},
+                 f"scenario 0: {key!r} holds a non-numeric value {bad!r}")
                 for key in ("sigma2", "sigma_offdiag")
                 for bad in ("abc", None)
             ],
             # an intercept cannot change R2, so a config has none
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
-                            "sigma2": 1.0, "sigma_offdiag": 0.0, "beta0": 0.0}],
-             "deltas": [0.05]},
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
-                            "sigma2": 10**400, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+            ({"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                             "sigma2": 1.0, "sigma_offdiag": 0.0, "beta0": 0.0}],
+              "deltas": [0.05]}, "scenario 0 has unknown keys: ['beta0']"),
+            # named, never echoed in its 401 digits
+            ({"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                             "sigma2": 10**400, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+             "scenario 0: 'sigma2' holds a number beyond the float range"),
             # no covariance: -0.6 is below -1/(k-1) at k = 3
-            {"scenarios": [{"id": "a", "n": 50, "k": 3, "beta": [0.1, 0.2, 0.3],
-                            "sigma2": 1.0, "sigma_offdiag": -0.6}], "deltas": [0.05]},
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, "abc"],
-                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, None],
-                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
-                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": ["abc"]},
-            {"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
-                            "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [None]},
+            ({"scenarios": [{"id": "a", "n": 50, "k": 3, "beta": [0.1, 0.2, 0.3],
+                             "sigma2": 1.0, "sigma_offdiag": -0.6}], "deltas": [0.05]},
+             "scenario 0: offdiag must lie in (-1/(k-1), 1) for positive definiteness"),
+            *[
+                ({"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, bad],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+                 f"scenario 0: 'beta' holds a non-numeric value {bad!r}")
+                for bad in ("abc", None)
+            ],
+            *[
+                ({"scenarios": [{"id": "a", "n": 50, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [bad]},
+                 f"config: 'deltas' holds a non-numeric value {bad!r}")
+                for bad in ("abc", None)
+            ],
             # designs too large to address: rejected before anything is drawn
             *[
-                {"scenarios": [{"id": "a", "n": n, "k": 2, "beta": [0.1, 0.2],
-                                "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+                ({"scenarios": [{"id": "a", "n": n, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+                 f"scenario 'a': an n={n} by k+1=3 float64 draw buffer is beyond the "
+                 "addressable memory")
                 for n in (10**30, 2**62)
             ],
-            # covariances too large to address: rejected before they are built
+            # covariances too large to address: beta's length, which cannot
+            # reach k, rejects them before the k-by-k matrix is built
             *[
-                {"scenarios": [{"id": "a", "n": 50, "k": k, "beta": [0.1],
-                                "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+                ({"scenarios": [{"id": "a", "n": 50, "k": k, "beta": [0.1],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]},
+                 f"scenario 0: 'beta' has 1 entries, expected k={k}")
                 for k in (10**10, 2**31)
             ],
-            {"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": [0.1], "sigma2": 1.0,
-                            "sigma_offdiag": 0.0}] * 2, "deltas": [0.05]},  # repeated id
-            '{"scenarios": [',  # not JSON: written as it stands
-            [{"scenarios": [], "deltas": [0.05]}],  # not an object
-            {"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": [0.1], "sigma2": 1.0,
-                            "sigma_offdiag": 0.0}], "deltas": 0.05},
-            {"scenarios": [[1]], "deltas": [0.05]},
-            {"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": 0.1, "sigma2": 1.0,
-                            "sigma_offdiag": 0.0}], "deltas": [0.05]},
+            ({"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": [0.1], "sigma2": 1.0,
+                             "sigma_offdiag": 0.0}] * 2, "deltas": [0.05]},
+             "scenario ids must be unique"),
+            # not JSON: written as it stands
+            ('{"scenarios": [', "config is not valid JSON: Expecting value"),
+            ([{"scenarios": [], "deltas": [0.05]}], "config must be a JSON object"),
+            ({"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": [0.1], "sigma2": 1.0,
+                             "sigma_offdiag": 0.0}], "deltas": 0.05},
+             "config key 'deltas' must be a non-empty list"),
+            ({"scenarios": [[1]], "deltas": [0.05]}, "scenario 0 must be a JSON object"),
+            ({"scenarios": [{"id": "a", "n": 50, "k": 1, "beta": 0.1, "sigma2": 1.0,
+                             "sigma_offdiag": 0.0}], "deltas": [0.05]},
+             "scenario 0: 'beta' must be a list of numbers"),
         ],
     )
-    def test_schema_violations_exit_2(self, capsys, tmp_path, config):
+    def test_schema_violations_exit_2(self, capsys, tmp_path, config, message):
         config_path = tmp_path / "bad.json"
         raw = config if isinstance(config, str) else json.dumps(config)
         config_path.write_text(raw, encoding="utf-8")
@@ -781,10 +797,9 @@ class TestSimulateCommand:
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
-        if "beta0" in json.dumps(config):
-            assert text == "error: scenario 0 has unknown keys: ['beta0']\n"
-        if "-0.6" in json.dumps(config):
-            assert text.startswith("error: scenario 0: offdiag must lie in (-1/(k-1), 1)")
+        # each config reaches the check it was written for, and only that one
+        assert text.startswith(f"error: {message}"), text
+        assert text.count("\n") == 1
 
     @pytest.mark.parametrize(
         "k, beta, message",

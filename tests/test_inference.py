@@ -251,14 +251,14 @@ class TestUpperCiP2:
         assert_matches_full_bracket(r2, n, k, alpha, halve_alpha)
 
     @pytest.mark.parametrize("r2,n,k", [(0.085, 1250, 6), (0.3, 4, 2), (1.0 - 1e-12, 10**6, 3)])
-    @pytest.mark.parametrize("guess,slope", GUESS_CASES)
-    def test_any_guess_falls_back_to_the_same_bound(self, monkeypatch, r2, n, k, guess, slope):
+    @pytest.mark.parametrize("first,second", GUESS_CASES)
+    def test_any_guess_falls_back_to_the_same_bound(self, monkeypatch, r2, n, k, first, second):
         observed = TestInput(r2=r2, n=n, k=k)
         want = upper_raw_full_bracket(observed, 0.025)
-        monkeypatch.setattr(inference, "_seeded_root", guessing(guess, slope, want))
+        monkeypatch.setattr(inference, "_seeded_root", guessing(first, second, want))
         bound = upper_ci_p2(observed, 0.05)
         assert bound.iterations <= 64
-        if guess == "root":
+        if first == "root":
             assert abs(bound.upper_raw - want) <= 1e-11
         else:
             # a guess not strictly inside the bracket leaves the full search

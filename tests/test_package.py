@@ -100,6 +100,14 @@ def _scenario(n=60):
             scenario_id="a", delta=0.05, n_sims=0, rejections=0,
             true_p2=0.1, alpha=0.05, master_seed=1,
         ),
+        lambda: r2margin.RejectionRecord(
+            scenario_id="a", delta=0.05, n_sims=3, rejections=4,
+            true_p2=0.1, alpha=0.05, master_seed=1,
+        ),
+        lambda: r2margin.RejectionRecord(
+            scenario_id="a", delta=0.05, n_sims=3, rejections=-1,
+            true_p2=0.1, alpha=0.05, master_seed=1,
+        ),
         lambda: r2margin.true_p2([math.nan], [[1.0]], 1.0),
         lambda: r2margin.true_p2([1e300, 1e300], np.eye(2), 1.0),  # beta' Sigma beta overflows
         lambda: r2margin.noninferiority_pvalue(r2margin.TestInput(r2=0.2, n=100, k=2), None),
@@ -129,7 +137,8 @@ def _scenario(n=60):
         lambda: r2margin.Dataset(y=[1.0] * 4, x=[[{}]] * 4),
     ],
     ids=[
-        "zero-sims-record", "nan-beta", "overflowing-signal", "none-margin", "text-alpha",
+        "zero-sims-record", "excess-rejections-record", "negative-rejections-record",
+        "nan-beta", "overflowing-signal", "none-margin", "text-alpha",
         "bool-sims", "float-seed", "bool-k", "float-n", "nan-prob",
         "huge-int-r2", "huge-int-alpha", "huge-int-margin", "huge-int-sigma2",
         "huge-int-n-critical", "huge-int-n-bound", "huge-negative-int-k",
