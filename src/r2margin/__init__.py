@@ -5,15 +5,16 @@ Library layout:
 - ``distributions``: the F chain only, F distribution CDF/quantile at
   fractional degrees of freedom, ``f_cdf(x, d1, d2)`` and
   ``f_quantile(prob, d1, d2)``, built on a continued-fraction incomplete
-  beta; and the one Brent root search on the log-odds scale, started at
-  the root of Paulson's closed-form approximation to the F CDF and at that
-  root once the approximation is moved to agree with the F CDF, both in
-  closed form, which the quantile and the bound share.
+  beta; and the one search for a scaled F tail = prob, which the
+  quantile (on log x) and the bound (on -z) share: Brent's method on the
+  log-odds scale, started at the root of Paulson's closed-form
+  approximation to the F CDF and at that root once the approximation is
+  moved to agree with the F CDF, each a fixed point of closed forms.
 - ``inference``: the non-inferiority p-value for the population variance
   share P2, a closed-form lower tail of a scaled central F approximation;
   the test's critical R2 in closed form, from one F quantile; and the
   one-sided upper confidence bound that solves p = alpha/2 for it by that
-  root search, or in closed form at R2 = 0.
+  search on -z, or in closed form at R2 = 0.
 - ``regression``: intercept-included ordinary least squares and its
   uncapped R2.
 - ``montecarlo``: the rejection-rate simulation harness, whose replicates

@@ -13,12 +13,13 @@ inverts the CDF by a root search over log x on the log-odds scale.
 ``_root`` (Brent's bracketing method) is the one root search of the
 package and ``_logit`` its log-odds scale.  ``_seeded_root`` starts it
 from a cheap approximation's root, and again from that root once the
-approximation is moved to agree with the search's first value.  The
-quantile and the confidence bound in ``inference`` both take those roots
-from Paulson's closed-form normal approximation to the F CDF, which
-``_paulson_quantile`` inverts in closed form.  ``f_cdf`` and ``reg_inc_beta``
-check their arguments once and call the unchecked ``_f_cdf`` and
-``_reg_inc_beta``, which the search loops call directly.
+approximation is moved to agree with the search's first value.
+``_tail_root`` takes those roots from Paulson's closed-form approximation
+to the F CDF (``_paulson_quantile``) to solve a scaled F tail = prob, for
+the quantile on u = log x and for the confidence bound in ``inference``
+on u = -z.  ``f_cdf`` and ``reg_inc_beta`` check their arguments once and
+call the unchecked ``_f_cdf`` and ``_reg_inc_beta``, which the search
+loops call directly.
 """
 
 from __future__ import annotations
@@ -45,11 +46,17 @@ _LENTZ_TINY = 1e-300
 
 # The quantile's search bracket, the width on log x at which its search stops
 # (closer in, the CDF's rounding and not the root sets the signs it sees),
-# and the CDF error it accepts at its answer.
+# and the CDF error it accepts at its answer, absolute and as a share of the
+# nearer tail (which refuses an end of the bracket held by a root past it).
 _QUANTILE_LO = 1e-300
 _QUANTILE_HI = 1e300
 _QUANTILE_WIDTH = 4.0 * math.ulp(1.0)
 _QUANTILE_CDF_TOL = 1e-10
+_QUANTILE_CDF_SHARE = 1e-8
+# Most secant steps toward the fixed point that seeds ``_tail_root``, and the
+# gap to it at which they, or the search that takes over from them, stop.
+_SEED_STEPS = 8
+_SEED_GAP = 1e-9
 
 
 def _beta_cont_fraction(a: float, b: float, x: float) -> float:
@@ -340,38 +347,61 @@ def _seeded_root(excess, root_at, lo, hi, width, excess_lo, excess_hi) -> tuple[
     return root, calls + more
 
 
-def f_quantile(prob: float, d1: float, d2: float) -> float:
-    """Lower-tail quantile: the x at which ``f_cdf(x, d1, d2) == prob``.
+def _tail_root(tail, prob, u_of_f, v, d2, lo, hi, width, start) -> tuple[float, int]:
+    """Root u over [lo, hi] of a rising tail(u) = F_cdf(F(u); v(u), d2) =
+    ``prob``, and the ``tail`` calls spent, by ``_seeded_root`` on the
+    log-odds from stand-ins for a tail of 0 and 1 at the ends.
 
-    Solves logit(f_cdf(e^u)) = logit(prob) for u = log x by
-    ``_seeded_root`` over the fixed bracket [1e-300, 1e300], to a width of
-    four ulps of 1 on log x, started at Paulson's quantile for the normal
-    quantile of ``prob`` and then at the one for the log-odds that the
-    CDF there missed by.  Raises ConvergenceError when the root lies
-    outside that bracket, or when the CDF at the answer misses ``prob`` by
-    more than 1e-10 (near 1 the CDF can be too coarse in floats to be
-    inverted).
+    ``u_of_f`` inverts F.  Paulson's approximation moved by ``shift``
+    log-odds has its root at the fixed point u = u_of_f(F_q(v(u))), F_q its
+    quantile, which secant steps from ``start`` reach (in one, from any
+    start, where v is constant).  Where they meet a u whose v(u) is too
+    small for F_q to exist, ``_root`` finds it instead, taking NaN for a
+    point above it.
     """
-    prob = _check_open_unit("prob", prob)
-    d1, d2 = _check_dof("d1", d1), _check_dof("d2", d2)
-    context = f"(prob={prob!r}, d1={d1!r}, d2={d2!r})"
-    cdf_lo, cdf_hi = _f_cdf(_QUANTILE_LO, d1, d2), _f_cdf(_QUANTILE_HI, d1, d2)
-    if not cdf_lo < prob < cdf_hi:
-        raise ConvergenceError(f"quantile lies outside [1e-300, 1e300] {context}")
-
     target = _logit(prob)
 
     def root_at(shift):
-        x = _paulson_quantile(_normal_quantile(target - shift), d1, d2)
-        return math.log(x) if x > 0.0 else math.nan
+        q = _normal_quantile(target - shift)
 
-    log_x, _ = _seeded_root(
-        lambda u: _logit(_f_cdf(math.exp(u), d1, d2)) - target,
-        root_at,
-        math.log(_QUANTILE_LO), math.log(_QUANTILE_HI), _QUANTILE_WIDTH,
-        _logit(cdf_lo) - target, _logit(cdf_hi) - target,
+        def gap(u):
+            return u_of_f(_paulson_quantile(q, v(u), d2)) - u
+
+        u0, g0 = start, gap(start)
+        u1 = u0 + g0
+        for _ in range(_SEED_STEPS):
+            g1 = gap(u1)
+            if abs(g1) <= _SEED_GAP:
+                return u1 + g1
+            if math.isnan(g1) or g1 == g0:  # no secant through NaN or a flat pair
+                break
+            u0, g0, u1 = u1, g1, u1 - g1 * (u1 - u0) / (g1 - g0)
+        return _root(lambda u: -gap(u), lo, hi, _SEED_GAP, -1.0, 1.0)[0]
+
+    return _seeded_root(
+        lambda u: _logit(tail(u)) - target, root_at,
+        lo, hi, width, _logit(0.0) - target, _logit(1.0) - target,
+    )
+
+
+def f_quantile(prob: float, d1: float, d2: float) -> float:
+    """Lower-tail quantile: the x at which ``f_cdf(x, d1, d2) == prob``.
+
+    Solves f_cdf(e^u) = prob for u = log x by ``_tail_root`` over the fixed
+    bracket [1e-300, 1e300], to a width of four ulps of 1 on log x.  Raises
+    ConvergenceError when the CDF at the answer misses ``prob`` by more than
+    1e-10 or 1e-8 of min(prob, 1 - prob), as it does when the root lies
+    outside the bracket, and can near 1, where the CDF is too coarse.
+    """
+    prob = _check_open_unit("prob", prob)
+    d1, d2 = _check_dof("d1", d1), _check_dof("d2", d2)
+    log_x, _ = _tail_root(
+        lambda u: _f_cdf(math.exp(u), d1, d2), prob,
+        lambda f: math.log(f) if f > 0.0 else math.nan, lambda u: d1, d2,
+        math.log(_QUANTILE_LO), math.log(_QUANTILE_HI), _QUANTILE_WIDTH, 0.0,
     )
     x = math.exp(log_x)
-    if abs(_f_cdf(x, d1, d2) - prob) > _QUANTILE_CDF_TOL:
-        raise ConvergenceError(f"quantile search ended off the root {context}")
+    tol = min(_QUANTILE_CDF_TOL, _QUANTILE_CDF_SHARE * min(prob, 1.0 - prob))
+    if abs(_f_cdf(x, d1, d2) - prob) > tol:
+        raise ConvergenceError(f"quantile search ended off the root ({prob=}, {d1=}, {d2=})")
     return x

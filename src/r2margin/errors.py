@@ -41,7 +41,7 @@ class RankDeficiencyError(R2MarginError, ValueError):
     """The design matrix is numerically rank deficient.
 
     ``column_index`` identifies the offending column of the
-    intercept-augmented design matrix (0 = intercept, 1..K = covariates).
+    intercept-augmented design matrix: a covariate's, 1..K.
     """
 
     def __init__(self, message: str, column_index: int | None = None):

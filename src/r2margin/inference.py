@@ -20,13 +20,13 @@ from 1 to 0 as z runs from -k/(n-k-1) to 1.  Three entry points build on it:
 
 ``upper_ci_p2``
     Upper limit of a one-sided confidence interval for P2: the root of
-    p(z) = alpha/2 on the log-odds scale, found by the root search that
-    starts, as the F quantile's does, at the root of Paulson's
-    approximation, and then at that root once the approximation is moved
-    by the log-odds that p missed by there; each root is a fixed point of
-    closed forms, a few secant steps away.  The test inverts this
-    interval, so the p-value at the bound recovers the bound's tail
-    probability.
+    p(z) = alpha/2 on the log-odds scale, found by the F quantile's own
+    tail search (``distributions._tail_root``) on u = -z, over which p
+    rises.  It starts at the root of Paulson's approximation, and then at
+    that root once the approximation is moved by the log-odds that p
+    missed by there; each root is a fixed point of closed forms, a few
+    secant steps away.  The test inverts this interval, so the p-value at
+    the bound recovers the bound's tail probability.
 
 ``critical_r2``
     The test's rejection region on the R2 scale.  For fixed (n, k, delta)
@@ -47,18 +47,9 @@ under both conventions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .distributions import (
-    _f_cdf,
-    _logit,
-    _normal_quantile,
-    _paulson_quantile,
-    _root,
-    _seeded_root,
-    f_quantile,
-)
+from .distributions import _f_cdf, _tail_root, f_quantile
 from .errors import DomainError, _check_finite, _check_open_unit, _check_sizes
 
 __all__ = [
@@ -75,10 +66,6 @@ __all__ = [
 _PSQ_CEILING = 1.0 - 1e-12
 # Bracket width at which the bound's root search stops.
 _BOUND_WIDTH = 1e-12
-# Most secant steps toward the seed of that search, and the gap to the seed
-# at which they, or the search that takes over from them, stop.
-_SEED_STEPS = 8
-_SEED_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -169,54 +156,27 @@ def _tail_at(input: TestInput, z: float) -> tuple[float, float, float]:
 
 def _bound_root(input: TestInput, prob: float) -> tuple[float, int]:
     """Root of p(z) = prob over [-k/(n-k-1), 1 - 1e-12] and the number of F
-    CDFs spent on it, from the root of Paulson's approximation to p at
-    (F(z), v(z), n-k-1).  At r2 = 0, F and so p are 0 on the whole open
-    bracket, and the root is its lower end, returned with no F CDF spent."""
+    CDFs spent on it, by ``_tail_root`` on u = -z, over which p rises.  At
+    r2 = 0, F and so p are 0 on the whole open bracket, and the root is its
+    lower end, returned with no F CDF spent."""
     resid_df, n, k = input.residual_df, input.n, input.k
-    lo, hi = -k / resid_df, _PSQ_CEILING
     if input.r2 == 0.0:
-        return lo, 0
-    target = _logit(prob)
-    ratio = resid_df * input.r2 / (1.0 - input.r2)
+        return -k / resid_df, 0
+    ratio, end = resid_df * input.r2 / (1.0 - input.r2), k / resid_df
 
-    def excess(z):
-        return target - _logit(_tail_at(input, z)[0])
+    def u_of_f(f):
+        # F(z) = f inverts to z = (ratio - f k) / (ratio + f (n-k-1)).  A z
+        # that rounds onto the lower end, where F(z) divides by zero, is that
+        # end, which the search drops as a start and never evaluates.
+        u = (f * k - ratio) / (ratio + f * resid_df)
+        return end if k - u * resid_df <= 0.0 else u
 
-    def root_at(shift):
-        # The approximation's root, moved by ``shift`` log-odds, is a fixed
-        # point: F(z) = F_q(v(z)), with F_q Paulson's quantile at the normal
-        # quantile q of target + shift, inverts to z = (ratio - F_q k) /
-        # (ratio + F_q (n-k-1)).  Secant steps on it start from z = r2.
-        q = _normal_quantile(target + shift)
-
-        def gap(z):
-            f_q = _paulson_quantile(q, _v_from_psq(z, n, k), resid_df)
-            return (ratio - f_q * k) / (ratio + f_q * resid_df) - z
-
-        root = math.nan
-        z0, g0 = input.r2, gap(input.r2)
-        z1 = z0 + g0
-        for _ in range(_SEED_STEPS):
-            g1 = gap(z1)
-            if abs(g1) <= _SEED_GAP:
-                root = z1 + g1
-                break
-            if math.isnan(g1) or g1 == g0:  # no secant through NaN or a flat pair
-                break
-            z0, g0, z1 = z1, g1, z1 - g1 * (z1 - z0) / (g1 - g0)
-        if math.isnan(root):
-            # The gap is NaN below some z, where v(z) is too small for
-            # Paulson's approximation to reach q (a far tail, or K = 1 and a
-            # small r2).  ``_root`` takes NaN for a point above the root, so
-            # search on -z.
-            root = -_root(lambda w: gap(-w), -hi, -lo, _SEED_GAP, -1.0, 1.0)[0]
-        # a root that rounds onto the lower end would divide F by zero there
-        return root if root * resid_df + k > 0.0 else math.nan
-
-    # p is 1 at the lower end, where F is infinite, and next to 0 at the
-    # upper end; neither is evaluated.
-    ends = (target - _logit(1.0), target - _logit(0.0))
-    return _seeded_root(excess, root_at, lo, hi, _BOUND_WIDTH, *ends)
+    u, calls = _tail_root(
+        lambda u: _tail_at(input, -u)[0], prob,
+        u_of_f, lambda u: _v_from_psq(-u, n, k), resid_df,
+        -_PSQ_CEILING, end, _BOUND_WIDTH, -input.r2,
+    )
+    return -u, calls
 
 
 def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> ConfidenceBound:
@@ -227,11 +187,12 @@ def upper_ci_p2(input: TestInput, alpha: float, *, halve_alpha: bool = True) -> 
     ``halve_alpha=False``), where p(z) is the non-inferiority p-value at
     margin z.  p decreases over the bracket [-k/(n-k-1), 1 - 1e-12], and
     on the log-odds scale it is close to linear in z, where on its own
-    scale it is flat in both tails.  So ``_seeded_root`` solves
-    logit(prob) = logit(p(z)), one F CDF per step, evaluating p only
-    strictly inside the bracket, to a bracket width of 1e-12; at r2 = 0 the
-    root is the bracket's lower end and no search runs.  The reported
-    bound is clamped into [0, 1); the root itself is kept in ``upper_raw``.
+    scale it is flat in both tails.  So ``_tail_root`` solves
+    logit(p(-u)) = logit(prob) for u = -z, one F CDF per step, evaluating
+    p only strictly inside the bracket, to a bracket width of 1e-12; at
+    r2 = 0 the root is the bracket's lower end and no search runs.  The
+    reported bound is clamped into [0, 1); the root itself is kept in
+    ``upper_raw``.
     """
     alpha = _check_open_unit("alpha", alpha)
     upper_raw, iterations = _bound_root(input, 0.5 * alpha if halve_alpha else alpha)

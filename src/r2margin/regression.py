@@ -116,7 +116,7 @@ def _fit_blocks(blocks) -> tuple[OlsFit, int]:
     added back to the intercept.  Raises DomainError, as ``Dataset`` does,
     when N < K + 2.
     """
-    n, y_scale = 0, 1.0
+    n, y_scale = 0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves NaNs
         for block in blocks:
             if n == 0:
@@ -130,14 +130,14 @@ def _fit_blocks(blocks) -> tuple[OlsFit, int]:
             n += len(block)
         k = len(shift) - 1
         _check_sizes(n, k)
-        diagonal = np.abs(np.diag(r)[: k + 1])
+        # columns 1..K: in the triangular R, column 0's norm is its own pivot
+        diagonal = np.abs(np.diag(r)[1 : k + 1])
         # hypot's reduction, unlike a sum of squares, does not overflow
-        small = np.flatnonzero(diagonal <= _RANK_TOL * np.hypot.reduce(r[:, : k + 1]))
+        small = np.flatnonzero(diagonal <= _RANK_TOL * np.hypot.reduce(r[:, 1 : k + 1]))
         if small.size:
-            column = int(small[0])
-            label = "intercept" if column == 0 else f"covariate {column}"
+            column = int(small[0]) + 1
             raise RankDeficiencyError(
-                f"design matrix is rank deficient at column {column} ({label})",
+                f"design matrix is rank deficient at column {column} (covariate {column})",
                 column_index=column,
             )
         coefficients = np.linalg.solve(r[: k + 1, : k + 1], r[: k + 1, k + 1])

@@ -209,19 +209,19 @@ def quantile_full_bracket(prob: float, d1: float, d2: float) -> float:
     """F quantile by Brent's search over the whole bracket.
 
     Solves logit(f_cdf(e^u)) = logit(prob) over [log 1e-300, log 1e300]
-    with the package's own F CDF and root search, from the CDF's values at
-    both ends and to the quantile's stop width, as ``f_quantile`` did before
-    its search started from an approximate root.
+    with the package's own F CDF and root search, from stand-ins for a CDF
+    of 0 and 1 at the two ends and to the quantile's stop width, as
+    ``f_quantile``'s search runs when no start from an approximate root
+    lies strictly inside the bracket.
     """
     target = _logit(prob)
-    lo, hi = distributions._QUANTILE_LO, distributions._QUANTILE_HI
     log_x, _ = _root(
         lambda u: _logit(f_cdf(math.exp(u), d1, d2)) - target,
-        math.log(lo),
-        math.log(hi),
+        math.log(distributions._QUANTILE_LO),
+        math.log(distributions._QUANTILE_HI),
         distributions._QUANTILE_WIDTH,
-        _logit(f_cdf(lo, d1, d2)) - target,
-        _logit(f_cdf(hi, d1, d2)) - target,
+        _logit(0.0) - target,
+        _logit(1.0) - target,
     )
     return math.exp(log_x)
 

@@ -231,6 +231,22 @@ class TestFitCommand:
         assert float(report["ci_upper"]) > 0.05 > float(report["test_upper"])
         assert report["ci_level"] == "0.95"
 
+    def test_outcome_of_small_magnitude_prints_its_unscaled_r2(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(200, 2))
+        y = x @ np.array([0.8, -0.4]) + rng.normal(size=200)
+        reports = []
+        for name, scale in [("plain.csv", 1.0), ("scaled.csv", 1e-15)]:
+            write_csv(tmp_path / name, scale * y, x)
+            code, report, _ = run_cli(
+                capsys, "fit", "--data", str(tmp_path / name), "--delta", "0.1"
+            )
+            assert code == 0
+            reports.append(report)
+        assert float(reports[0]["r2"]) > 0.1
+        assert reports[1]["r2"] == reports[0]["r2"]
+        assert reports[1]["decision"] == reports[0]["decision"]
+
     def test_too_few_rows_exits_2(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("y,x1,x2\n1,2,3\n4,5,6\n5,6,7\n", encoding="utf-8")

@@ -262,18 +262,18 @@ class TestFQuantile:
         return counts
 
     def test_few_cdf_calls_per_paper_grid_key(self, monkeypatch):
-        # Two range checks, the probes at Paulson's root, the root search's
-        # steps and the final check: 13 at most (32 over the whole bracket).
+        # The probes at Paulson's root, the root search's steps and the final
+        # check: 11 at most (30 over the whole bracket).
         counts = self.cdf_calls(monkeypatch, CRITICAL_R2_KEYS["paper-grid"])
         most, key = max(counts)
-        assert most <= 16, key
-        # 8.81 on average; 9.81 when the second probe's shift has the wrong sign
-        assert np.mean([count for count, _ in counts]) <= 9.0
+        assert most <= 14, key
+        # 6.81 on average; 7.81 when the second probe's shift has the wrong sign
+        assert np.mean([count for count, _ in counts]) <= 7.0
 
     def test_few_cdf_calls_per_large_n_key(self, monkeypatch):
-        # 16 at most (38 over the whole bracket): the CDF loses digits at large N.
+        # 14 at most (36 over the whole bracket): the CDF loses digits at large N.
         most, key = max(self.cdf_calls(monkeypatch, CRITICAL_R2_KEYS["large-n-grid"]))
-        assert most <= 21, key
+        assert most <= 19, key
 
     @pytest.mark.parametrize(
         "prob,d1,d2",

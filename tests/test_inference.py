@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from r2margin import inference
+from r2margin import distributions, inference
 from r2margin.distributions import _logit
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import TestInput, critical_r2, noninferiority_pvalue, upper_ci_p2
@@ -255,7 +255,8 @@ class TestUpperCiP2:
     def test_any_guess_falls_back_to_the_same_bound(self, monkeypatch, r2, n, k, first, second):
         observed = TestInput(r2=r2, n=n, k=k)
         want = upper_raw_full_bracket(observed, 0.025)
-        monkeypatch.setattr(inference, "_seeded_root", guessing(first, second, want))
+        # the bound's search runs on u = -z
+        monkeypatch.setattr(distributions, "_seeded_root", guessing(first, second, -want))
         bound = upper_ci_p2(observed, 0.05)
         assert bound.iterations <= 64
         if first == "root":
@@ -410,8 +411,8 @@ class TestCriticalR2:
                 assert below.p_value < alpha, (n, k, delta, alpha)
 
     def test_quantile_failure_at_n_1e10_names_the_quantile(self):
-        # the quantile's range check evaluates the CDF at x = 1e300, where
-        # d1 * x overflows; the search itself then ends off the root
+        # the F CDF loses digits at N = 1e10: near the root it moves by 1e-9
+        # between neighbouring x, so the search ends where it misses alpha
         with pytest.raises(ConvergenceError, match="quantile search ended off the root"):
             critical_r2(10**10, 2, 0.05, 0.05)
 

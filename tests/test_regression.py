@@ -57,9 +57,19 @@ class TestFitOls:
 
     def test_constant_outcome_flagged_with_zero_r2(self):
         rng = np.random.default_rng(0)
-        fit = fit_ols(Dataset(y=np.full(30, 4.2), x=rng.normal(size=(30, 2))))
-        assert fit.r2 == 0.0
-        assert fit.constant_outcome
+        x = rng.normal(size=(30, 2))
+        for value in (4.2, 0.0):
+            fit = fit_ols(Dataset(y=np.full(30, value), x=x))
+            assert fit.r2 == 0.0
+            assert fit.constant_outcome
+
+    @pytest.mark.parametrize("power", [-15, -20, -100])
+    def test_outcome_of_small_magnitude_keeps_its_r2(self, power):
+        # the rounding scale of a constant outcome is its own size, not 1
+        data = _random_dataset(np.random.default_rng(4), n=200, k=2)
+        fit = fit_ols(Dataset(y=data.y * 10.0**power, x=data.x))
+        assert not fit.constant_outcome
+        assert abs(fit.r2 - fit_ols(data).r2) <= 1e-12
 
     def test_constant_outcome_whose_scale_squared_overflows_is_flagged(self):
         # (1e-14 * 2e168) ** 2 overflows; the finite sums of squares lie below it
