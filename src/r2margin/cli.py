@@ -8,10 +8,11 @@ fit       run both on a CSV dataset (first column outcome, rest covariates)
 simulate  rejection-rate study over a scenario grid, written as CSV
 plot      per-K SVG panels of rejection-rate curves from a simulate CSV
 
-``fit`` reads its CSV in blocks of at most 2^18 doubles, through loadtxt or,
-where loadtxt declines a block, the per-row parser, and folds them into the
-QR fit's R factor (``regression._fit_blocks``), so its memory does not grow
-with N.
+``fit`` reads its CSV in the blocks that ``regression`` cuts (at most 2^18
+doubles each), through loadtxt or, where loadtxt declines a block, the
+per-row parser, and folds them into the QR fit's R factor
+(``regression._fit_blocks``), as ``fit_ols`` folds a table in memory, so
+its memory does not grow with N and it prints ``fit_ols``'s R2.
 
 Exit codes: 0 success, otherwise the ``exit_code`` of the error class
 raised (see ``errors``): 2 validation failure (an input too large for the
@@ -43,7 +44,7 @@ from .montecarlo import (
     paper_grid,
     run_scenario,
 )
-from .regression import _fit_blocks
+from .regression import _block_rows, _fit_blocks
 
 EXIT_OK = 0
 
@@ -130,9 +131,6 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
-# Float64s in one block of ``fit``'s CSV reader (2 MiB): a block holds
-# max(1, 2^18 // width) rows, 52428 at the header width of 5.
-_BLOCK_FLOATS = 2**18
 # ASCII separators that loadtxt strips around a number as whitespace but
 # ``float()`` does not; every other character is treated alike by both.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -142,10 +140,6 @@ _SCAN_CHARS = 1 << 20
 class _Declined(Exception):
     """The loadtxt reader cannot vouch for a block; the per-row parser reads
     the file instead."""
-
-
-def _block_rows(width: int) -> int:
-    return max(1, _BLOCK_FLOATS // width)
 
 
 def _loadtxt_blocks(path: str):
@@ -227,24 +221,19 @@ def _row_blocks(path: str):
         raise DomainError(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_csv(path: str, reduce):
-    """``reduce`` over the blocks of ``path``: loadtxt's, or the per-row
-    parser's where loadtxt declines any block.  Both readers cut the same
-    blocks and give the same doubles, so the result is the same."""
-    try:
-        return reduce(_loadtxt_blocks(path))
-    except _Declined:
-        return reduce(_row_blocks(path))
-
-
 def _csv_r2(path: str) -> tuple[float, int, int]:
     """R2, N and K of a ``fit`` CSV: column 1 outcome, the rest covariates.
 
-    One pass over the file's blocks folds them into the QR fit.  R2 is capped
-    at the top of ``TestInput``'s range, 1 - 1e-12, the ceiling the bound
-    clamps to: a perfect fit's 1.0 becomes the largest admissible R2.
+    One pass folds the file's blocks into the QR fit: loadtxt's, or the
+    per-row parser's, the same doubles in the same blocks, where loadtxt
+    declines any block.  R2 is capped at the top of ``TestInput``'s range,
+    1 - 1e-12, the ceiling the bound clamps to: a perfect fit's 1.0 becomes
+    the largest admissible R2.
     """
-    fit, n = _read_csv(path, _fit_blocks)
+    try:
+        fit, n = _fit_blocks(_loadtxt_blocks(path))
+    except _Declined:
+        fit, n = _fit_blocks(_row_blocks(path))
     return min(fit.r2, _PSQ_CEILING), n, len(fit.coefficients)
 
 

@@ -17,9 +17,10 @@ approximation is moved to agree with the search's first value.
 ``_tail_root`` takes those roots from Paulson's closed-form approximation
 to the F CDF (``_paulson_quantile``) to solve a scaled F tail = prob, for
 the quantile on u = log x and for the confidence bound in ``inference``
-on u = -z.  ``f_cdf`` and ``reg_inc_beta`` check their arguments once and
-call the unchecked ``_f_cdf`` and ``_reg_inc_beta``, which the search
-loops call directly.
+on u = -z.  ``f_cdf`` and ``f_quantile`` are the chain's only public
+entries: ``f_cdf`` checks its arguments once and calls the unchecked
+``_f_cdf``, which the search loops call directly, and ``_f_cdf`` calls the
+incomplete beta, ``_reg_inc_beta``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import ConvergenceError, DomainError, _check_finite, _check_open_un
 __all__ = [
     "f_cdf",
     "f_quantile",
-    "reg_inc_beta",
 ]
 
 # Continued-fraction controls.  The fraction takes the most terms just
@@ -101,32 +101,10 @@ def _beta_cont_fraction(a: float, b: float, x: float) -> float:
     )
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Parameters
-    ----------
-    a, b : float
-        Shape parameters, both > 0.
-    x : float
-        Upper integration limit, in [0, 1].
-
-    Returns
-    -------
-    float
-        P(B <= x) for B ~ Beta(a, b); monotone non-decreasing in x, with
-        I_0 = 0 and I_1 = 1.
-    """
-    a = _check_finite("a", a, True)
-    b = _check_finite("b", b, True)
-    x = _check_finite("x", x)
-    if x < 0.0 or x > 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    return _reg_inc_beta(a, b, x)
-
-
 def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """``reg_inc_beta`` for shapes > 0 and x in [0, 1] already checked."""
+    """Regularized incomplete beta function I_x(a, b) = P(B <= x) for
+    B ~ Beta(a, b), for shapes a, b > 0 and x in [0, 1] that the caller has
+    checked; monotone non-decreasing in x, with I_0 = 0 and I_1 = 1."""
     if x == 0.0:
         return 0.0
     if x == 1.0:

@@ -87,7 +87,10 @@ __all__ = [
 # is not finite; more than this fraction of skips invalidates the whole run.
 SKIP_FAILURE_FRACTION = 0.001
 
-_CHOLESKY_PIVOT_TOL = 1e-12
+# The share of a covariance's diagonal scale that an asymmetry may reach and
+# a squared Cholesky pivot must exceed: c S with beta / sqrt(c) is the same
+# model as S with beta, so both are refused or neither.
+_COVARIANCE_TOL = 1e-12
 # A replicate's covariate normals are collinear when a squared covariate
 # pivot of its cross-products' Cholesky factor is at or below this share of
 # the column's centered sum of squares: exactly collinear normals measure
@@ -123,10 +126,12 @@ class Scenario:
     ``true_p2(beta, sigma_matrix, sigma2)``.  ``beta``, ``sigma_matrix`` and
     ``g`` are read-only copies, so that neither a later write to the arrays
     it was built from nor one to its own can leave g and p2 describing
-    another model.  A covariance that is not finite, symmetric to 1e-12 and
-    positive definite with every pivot L[j, j]^2 above 1e-12, or an
-    overflowing P2, fails before any replicate is drawn.  Every failed check
-    but that of the id itself names the id.
+    another model.  A covariance S that is not finite, symmetric with every
+    |S[i, j] - S[j, i]| at most 1e-12 sqrt(|S[i, i] S[j, j]|) and positive
+    definite with every pivot L[j, j]^2 above 1e-12 S[j, j], or an
+    overflowing P2, fails before any replicate is drawn.  The checks are
+    relative to S's diagonal, so they do not depend on the covariates'
+    units.  Every failed check but that of the id itself names the id.
     """
 
     id: str
@@ -158,13 +163,14 @@ class Scenario:
                 raise DomainError("beta must be finite")
             if not np.isfinite(sigma).all():
                 raise DomainError("sigma_matrix contains non-finite entries")
-            if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
+            scale = np.sqrt(np.abs(np.diag(sigma)))
+            if (np.abs(sigma - sigma.T) > _COVARIANCE_TOL * np.outer(scale, scale)).any():
                 raise DomainError("sigma_matrix must be symmetric")
             try:
                 lower = np.linalg.cholesky(sigma)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefiniteError("sigma_matrix is not positive definite") from None
-            small = np.flatnonzero(np.diag(lower) ** 2 <= _CHOLESKY_PIVOT_TOL)
+            small = np.flatnonzero(np.diag(lower) ** 2 <= _COVARIANCE_TOL * np.diag(sigma))
             if small.size:
                 j = small[0]
                 raise NotPositiveDefiniteError(

@@ -5,10 +5,12 @@ factorization of [1 X y] (Bjorck 1996, *Numerical Methods for Least Squares
 Problems*): the coefficients' triangular system, the rank test on [1 X]'s
 diagonal, and R2 = |w|^2 / SST from the last column, so small R2 keeps its
 digits.  ``_fit_blocks`` builds that R from blocks of rows, one cache-sized
-piece at a time, so ``fit_ols`` (one block) and the ``fit`` command (a CSV's
-row blocks, see ``cli``) run one fold.  The R2 is uncapped: ``fit`` caps it
-at the top of ``TestInput``'s range.  The Monte Carlo harness reads a
-replicate's R2 without forming X or y (see ``montecarlo``).
+piece at a time.  This module cuts the blocks (``_block_rows``): ``fit_ols``
+folds its table in them and the ``fit`` command a CSV's rows (see ``cli``),
+so both run one fold over one cut and agree bit for bit.  The R2 is
+uncapped: ``fit`` caps it at the top of ``TestInput``'s range.  The Monte
+Carlo harness reads a replicate's R2 without forming X or y (see
+``montecarlo``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = ["Dataset", "OlsFit", "fit_ols"]
 # An R-factor diagonal entry at or below this share of its column's norm
 # declares the design matrix rank deficient.
 _RANK_TOL = 1e-10
+# Float64s in one block of rows (2 MiB): a block holds max(1, 2^18 // width)
+# rows, 52428 at the width of 5.
+_BLOCK_FLOATS = 2**18
 # Rows of [1 X y] that ``_fit_blocks`` factors at a time: a piece fits in a
 # core's cache, where one QR of a whole 52428-row block of K = 4 ran 5 to 7
 # times slower than its pieces (2-CPU Xeon, numpy 2.4).
@@ -90,8 +95,9 @@ def fit_ols(data: Dataset) -> OlsFit:
     """Fit y = b0 + X b by least squares and report the fit's R2.
 
     The intercept is always included.  The fit is read off the R factor of
-    one QR factorization of [1 X y], with every data column first shifted by
-    its mean (see ``_fit_blocks``), so the coefficients solve
+    one QR factorization of [1 X y], folded in the ``fit`` command's blocks
+    of ``_block_rows`` rows with every data column first shifted by its mean
+    over the first block (see ``_fit_blocks``), so the coefficients solve
     R11 b = R[:K+1, K+1], and with w = R[1:K+1, K+1] and SSE = R[K+1, K+1]^2,
     R2 = |w|^2 / (|w|^2 + SSE), with no cancelling subtraction.  Raises
     RankDeficiencyError when [1 X] is numerically collinear (an R-factor
@@ -100,7 +106,14 @@ def fit_ols(data: Dataset) -> OlsFit:
     columns' scales), with the offending column index attached, and
     DomainError when a sum of squares overflows.
     """
-    return _fit_blocks([np.column_stack([data.y, data.x])])[0]
+    table = np.column_stack([data.y, data.x])
+    size = _block_rows(table.shape[1])
+    return _fit_blocks(table[i : i + size] for i in range(0, len(table), size))[0]
+
+
+def _block_rows(width: int) -> int:
+    """Rows in one block of a table ``width`` columns wide."""
+    return max(1, _BLOCK_FLOATS // width)
 
 
 def _fit_blocks(blocks) -> tuple[OlsFit, int]:

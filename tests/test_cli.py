@@ -20,6 +20,7 @@ from scipy import stats
 
 import r2margin.cli as cli
 import r2margin.montecarlo as montecarlo
+import r2margin.regression as regression
 from r2margin import errors, inference
 from r2margin.errors import ConvergenceError, ExcessiveSkipsError, R2MarginError
 from r2margin.cli import main
@@ -542,7 +543,7 @@ class TestCsvParsePaths:
 
 
 # The loadtxt reader's block size at the header width of 3.
-_SIZE = cli._block_rows(3)
+_SIZE = regression._block_rows(3)
 
 
 @pytest.fixture(scope="module")
@@ -564,8 +565,8 @@ def boundary_csv(path, lines, size):
 
 
 class TestBlockReader:
-    """``fit`` streams its CSV in blocks of ``cli._block_rows(width)`` rows
-    into one QR fit."""
+    """``fit`` streams its CSV in blocks of ``regression._block_rows(width)``
+    rows into one QR fit."""
 
     @pytest.mark.parametrize(
         "rows, sizes",
@@ -591,7 +592,7 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("bad", [10, 11])
     def test_error_after_a_block_names_its_physical_line(self, tmp_path, monkeypatch, bad):
-        monkeypatch.setattr(cli, "_BLOCK_FLOATS", 30)  # 10 rows a block
+        monkeypatch.setattr(regression, "_BLOCK_FLOATS", 30)  # 10 rows a block
         lines = [f"{row},{row % 3},{row % 5}" for row in range(1, 12)]
         lines[bad - 1] = "oops" + lines[bad - 1][lines[bad - 1].index(","):]
         path = tmp_path / "boundary.csv"
@@ -600,6 +601,19 @@ class TestBlockReader:
         assert line > bad + 1  # blank lines came before it
         expected = (f"line {line} contains a non-numeric cell", 2)
         assert fit_outcome(path) == fit_outcome(path, rows_only=True) == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fit_prints_exactly_the_r2_of_fit_ols(self, capsys, tmp_path, monkeypatch, seed):
+        # 35 rows in four blocks of at most 10: fit and fit_ols fold one cut
+        monkeypatch.setattr(regression, "_BLOCK_FLOATS", 30)
+        table, _ = self._table(seed, 35, 2, None)
+        path = tmp_path / "blocks.csv"
+        write_csv(path, table[:, 0], table[:, 1:])
+        argv = ["fit", "--data", str(path), "--delta", "0.1", "--precision", "17"]
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0
+        r2 = min(fit_ols(Dataset(y=table[:, 0], x=table[:, 1:])).r2, inference._PSQ_CEILING)
+        assert report["r2"] == format(r2, ".17g")
 
     @staticmethod
     def _table(seed, n, k, far):
@@ -627,15 +641,15 @@ class TestBlockReader:
     )
     @example(seed=0, k=2, blocks=1.0, spread=0.0, offset=3.0, far=3.0)
     @example(seed=1, k=4, blocks=2.0, spread=5.0, offset=0.0, far=None)
-    def test_block_r2_agrees_with_fit_ols(self, seed, k, blocks, spread, offset, far):
-        size = cli._block_rows(k + 1)
+    def test_block_r2_agrees_with_one_block(self, seed, k, blocks, spread, offset, far):
+        size = regression._block_rows(k + 1)
         n = max(k + 2, int(blocks * size))
         table, rng = self._table(seed, n, k, far)
         table *= 10.0**spread
         table += rng.choice([-1.0, 1.0], k + 1) * 10.0 ** (spread + offset)
         fit, got_n = _fit_blocks(table[i : i + size].copy() for i in range(0, n, size))
         assert (got_n, len(fit.coefficients)) == (n, k)
-        whole = fit_ols(Dataset(y=table[:, 0], x=table[:, 1:]))
+        whole, _ = _fit_blocks([table.copy()])
         assert abs(fit.r2 - whole.r2) <= 2e-12
         expected = np.append(whole.coefficients, whole.intercept)
         got = np.append(fit.coefficients, fit.intercept)

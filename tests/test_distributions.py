@@ -19,11 +19,11 @@ from r2margin.distributions import (
     _logit,
     _normal_quantile,
     _paulson_quantile,
+    _reg_inc_beta,
     _root,
     _seeded_root,
     f_cdf,
     f_quantile,
-    reg_inc_beta,
 )
 from r2margin.errors import ConvergenceError, DomainError
 from r2margin.inference import _v_from_psq
@@ -38,17 +38,17 @@ F_QUANTILE_AT_05_6P3_1243 = 0.2840023371652665
 
 class TestRegIncBeta:
     def test_endpoints_are_exact(self):
-        assert reg_inc_beta(1.3, 2.7, 0.0) == 0.0
-        assert reg_inc_beta(1.3, 2.7, 1.0) == 1.0
+        assert _reg_inc_beta(1.3, 2.7, 0.0) == 0.0
+        assert _reg_inc_beta(1.3, 2.7, 1.0) == 1.0
 
     def test_uniform_case_is_identity(self):
         for x in (0.05, 0.3, 0.5, 0.77, 0.999):
-            assert math.isclose(reg_inc_beta(1.0, 1.0, x), x, abs_tol=1e-14)
+            assert math.isclose(_reg_inc_beta(1.0, 1.0, x), x, abs_tol=1e-14)
 
     def test_beta_2_3_closed_form(self):
         # CDF of Beta(2, 3) is the polynomial 12*(x^2/2 - 2x^3/3 + x^4/4);
         # at x = 1/2 that is exactly 11/16.
-        assert math.isclose(reg_inc_beta(2.0, 3.0, 0.5), 0.6875, abs_tol=1e-12)
+        assert math.isclose(_reg_inc_beta(2.0, 3.0, 0.5), 0.6875, abs_tol=1e-12)
 
     def test_symmetry_identity(self):
         rng = np.random.default_rng(42)
@@ -56,7 +56,7 @@ class TestRegIncBeta:
             a = float(rng.uniform(0.2, 2500.0))
             b = float(rng.uniform(0.2, 2500.0))
             x = float(rng.uniform(0.0, 1.0))
-            total = reg_inc_beta(a, b, x) + reg_inc_beta(b, a, 1.0 - x)
+            total = _reg_inc_beta(a, b, x) + _reg_inc_beta(b, a, 1.0 - x)
             assert abs(total - 1.0) <= 1e-12
 
     def test_monotone_in_x(self):
@@ -65,7 +65,7 @@ class TestRegIncBeta:
             a = float(rng.uniform(0.3, 50.0))
             b = float(rng.uniform(0.3, 50.0))
             xs = np.sort(rng.uniform(0.0, 1.0, size=20))
-            values = [reg_inc_beta(a, b, float(x)) for x in xs]
+            values = [_reg_inc_beta(a, b, float(x)) for x in xs]
             assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
     def test_large_n_scan_next_to_the_series_switch(self):
@@ -80,7 +80,7 @@ class TestRegIncBeta:
                     switch = (a + 1.0) / (a + b + 2.0)
                     for factor in (1 - 1e-9, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3):
                         x = switch * factor
-                        value = reg_inc_beta(a, b, x)
+                        value = _reg_inc_beta(a, b, x)
                         assert 0.0 <= value <= 1.0
                         if n <= 10**6:
                             assert abs(value - betainc(a, b, x)) <= 1e-9, (n, k, delta, x)
@@ -88,7 +88,7 @@ class TestRegIncBeta:
     @pytest.mark.parametrize("a,b,x,want", [(1.0, 3.0, 0.5, 0.875), (2.0, 2.0, 0.75, 0.84375)])
     def test_fraction_whose_first_denominator_is_zero(self, a, b, x, want):
         # 1 - (a+b) x / (a+1) is 0 exactly here, so Lentz's start needs its
-        # guard; the fraction is called directly, as ``reg_inc_beta`` takes
+        # guard; the fraction is called directly, as ``_reg_inc_beta`` takes
         # the mirrored one at these x.  I_x(1, 3) = 1 - (1-x)^3 and
         # I_x(2, 2) = 3x^2 - 2x^3.
         front = math.exp(
@@ -101,16 +101,8 @@ class TestRegIncBeta:
         # the shapes of the F CDF at N = 1e18, K = 2, r2 = 0.1
         a, b, x = 2.6315788137926784e16, 5e17, 0.050000000133946745
         with pytest.raises(ConvergenceError, match="prefactor is beyond the float range") as info:
-            reg_inc_beta(a, b, x)
+            _reg_inc_beta(a, b, x)
         assert f"a={a!r}, b={b!r}, x={x!r}" in str(info.value)
-
-    @pytest.mark.parametrize(
-        "a,b,x",
-        [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, -0.1), (1.0, 1.0, 1.1)],
-    )
-    def test_rejects_out_of_domain(self, a, b, x):
-        with pytest.raises(DomainError):
-            reg_inc_beta(a, b, x)
 
 
 BAD_DEGREES = [0.0, -1.0, math.nan, math.inf, -math.inf, None, "x"]

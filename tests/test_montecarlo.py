@@ -780,6 +780,30 @@ class TestGridConstruction:
                 Scenario(id="bad", n=50, k=2, beta=np.array([0.1, 0.2]), sigma2=1.0,
                          sigma_matrix=np.array(sigma))
 
+    @pytest.mark.parametrize("c", [1e-30, 1e-13, 1.0, 1e13, 1e30])
+    def test_covariance_checks_do_not_depend_on_its_units(self, c):
+        # c Sigma with beta / sqrt(c) is the same model as Sigma with beta
+        sigma = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.5], [-0.2, 0.5, 0.7]])
+        beta = np.array([0.4, -0.25, 0.6])
+
+        def build(sigma_matrix, beta=beta / np.sqrt(c)):
+            return Scenario(id="units", n=50, k=3, beta=beta, sigma2=1.0,
+                            sigma_matrix=sigma_matrix)
+
+        unit, scaled = build(sigma, beta), build(c * sigma)
+        assert np.linalg.norm(scaled.g - unit.g) <= 1e-15 * np.linalg.norm(unit.g)
+        assert abs(scaled.p2 - unit.p2) <= 1e-15 * unit.p2
+        for share, error in [(1e-15, None), (1e-9, DomainError)]:
+            skewed = c * sigma
+            skewed[0, 1] += share * c
+            if error is None:
+                build(skewed)
+            else:
+                with pytest.raises(error, match="must be symmetric"):
+                    build(skewed)
+        with pytest.raises(NotPositiveDefiniteError, match="Cholesky pivot"):
+            build(c * np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-13, 0.0], [0.0, 0.0, 1.0]]))
+
     @pytest.mark.parametrize(
         "fields, error, message",
         [
