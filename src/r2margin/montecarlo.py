@@ -23,10 +23,10 @@ conditioning of the covariance and sigma2 never enter a floating-point sum.
 ``_r2_from_normals`` reads it off the Cholesky factor of the centered
 (K+1)-square cross-products of [z e]; no N-row x, y or centered copy is
 formed.  Replicates are decided in batches, the one unit of work: each
-replicate draws its normals into its own row of the batch's buffer, and one
-set of stacked numpy calls forms and factors the cross-products of the whole
-batch.  A replicate is skipped where its covariate normals are collinear or
-its R2 is not finite.  Counts are those of the rejection region; they can
+replicate draws its normals into its own row of a draw buffer, and one set of
+stacked numpy calls forms and factors the cross-products of the whole batch.
+A replicate is skipped where its covariate normals are collinear or its R2
+is not finite.  Counts are those of the rejection region; they can
 differ from per-replicate p-values only for an R2 within about 1e-12 of a
 critical value, where either answer
 is a rounding artifact.
@@ -35,8 +35,10 @@ Replicate ``j`` of scenario ``s`` draws its normals from a Philox generator
 keyed by a hash of (master_seed, s.id, j), ``_philox_key``, so results are
 independent of evaluation order and worker count; rejection counts reduce by
 plain integer addition, which keeps parallel runs bit-identical to serial
-ones.  Each batch owns its buffers and one generator, which ``_draw_normals``
-re-keys for every replicate.
+ones.  A run owns at most one draw buffer per worker, made when a batch first
+finds none free and reused by every later batch; one beyond ``_BATCH_FLOATS``
+doubles is mapped outside malloc's heap (``_draw_buffer``).  Each batch owns
+one generator, which ``_draw_normals`` re-keys for every replicate.
 
 The environment variable ``R2MARGIN_THREADS`` sets the worker count, capped
 at one per CPU (0 = one per CPU); runs are serial while it is unset.  Serial
@@ -49,7 +51,9 @@ import contextlib
 import functools
 import hashlib
 import math
+import mmap
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -100,7 +104,7 @@ _COLLINEAR_TOL = 1e-10
 
 # Float64s in one batch of the replicate kernel's draw buffer (2 MiB): at the
 # paper grid's N a batch holds 6 to 1456 replicates, and from
-# N (K+1) > 2^18 it holds one.
+# N (K+1) > 2^18 it holds one, in a buffer that ``_draw_buffer`` maps.
 _BATCH_FLOATS = 2**18
 
 # Standard 30-cell grid.
@@ -258,6 +262,36 @@ def _philox_key(key_parts) -> np.ndarray:
     return np.frombuffer(digest, dtype="<u8").astype(np.uint64)
 
 
+def _draw_buffer(rows: int, floats: int) -> np.ndarray:
+    """An uninitialised (rows, floats) float64 draw buffer.
+
+    Up to ``_BATCH_FLOATS`` doubles it comes from numpy's allocator.  Beyond
+    that (a one-replicate batch) it is an anonymous mapping of its own,
+    unmapped when the array is freed: from malloc, freeing it would raise
+    glibc's mmap threshold to its size, and later buffers of up to that size
+    would stay in the heap under the next, larger one.  The mapping is
+    advised to use huge pages where the platform offers them, as numpy
+    advises its own large arrays.  A mapping that fails raises MemoryError,
+    as a failed numpy allocation does.
+    """
+    if rows * floats <= _BATCH_FLOATS:
+        return np.empty((rows, floats))
+    size = rows * floats * 8
+    # private where the platform has the flag (Windows has none): mmap's
+    # default, MAP_SHARED, is shared memory, which by default gets no
+    # transparent huge pages
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    try:
+        mapping = mmap.mmap(-1, size, **private)
+    except OSError as exc:
+        raise MemoryError(f"cannot map a {size}-byte draw buffer: {exc}") from None
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # only advice: a kernel without transparent huge pages refuses it
+        with contextlib.suppress(OSError):
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(mapping).reshape(rows, floats)
+
+
 def _draw_normals(generator: np.random.Generator, out: np.ndarray, *key_parts) -> None:
     """Fill ``out`` with the first ``out.size`` normals of the stream keyed by
     ``_philox_key(key_parts)``, re-keying ``generator``, a Philox generator,
@@ -316,29 +350,27 @@ def _r2_from_normals(grams: np.ndarray, g: np.ndarray) -> np.ndarray:
     return r2
 
 
-def _replicate_counts(scenario, start, stop, master_seed, roots):
+def _replicate_counts(scenario, start, stop, master_seed, roots, buffer):
     """Rejection counts and skips of replicates [start, stop), decided as one
-    batch; ``run_scenario`` sizes the batches.
+    batch in the first stop - start rows of the draw ``buffer``;
+    ``run_scenario`` sizes the batches and owns the buffers.
 
     ``roots`` holds each margin's critical R2.  A replicate rejects at every
     margin whose root exceeds its R2, and is skipped where
     ``_r2_from_normals`` gives NaN.
 
-    Each replicate's normals come in one draw into its own row of one buffer:
-    z, shaped (N, K), then the N noise normals e.  One set of stacked numpy
-    calls forms the batch's centered cross-products of [z e] from z'z, e'z,
-    e'e and the column sums, and reads their R2 through ``_r2_from_normals``.
+    Each replicate's normals come in one draw that overwrites its own row of
+    ``buffer``: z, shaped (N, K), then the N noise normals e.  One set of
+    stacked numpy calls forms the batch's centered cross-products of [z e]
+    from z'z, e'z, e'e and the column sums, and reads their R2 through
+    ``_r2_from_normals``.
     """
     n, k = scenario.n, scenario.k
     size = stop - start
-    # The batch's own buffer, one row per replicate: [z | noise], filled by one
-    # draw.  One allocation rather than one per region: glibc maps blocks
-    # beyond 32 MiB and unmaps them when freed, where smaller N-length arrays
-    # would stay behind in the heap and raise the peak RSS of later, larger
-    # scenarios.  The ones that sum the columns are a separate N-vector on
-    # purpose: folded into the buffer, they would make its block as large as
-    # a buffer of K+2 columns, which raised that peak.
-    buffer = np.empty((size, _replicate_floats(n, k)))
+    # One row per replicate: [z | noise], filled by one draw.  The ones that
+    # sum the columns are a separate N-vector on purpose: folded into the
+    # buffer, they would make it as large as a buffer of K+2 columns.
+    buffer = buffer[:size]
     generator = np.random.Generator(np.random.Philox())
     for row, j in enumerate(range(start, stop)):
         _draw_normals(generator, buffer[row], master_seed, scenario.id, j)
@@ -397,7 +429,10 @@ def run_scenario(
     _BATCH_FLOATS doubles at N (K+1) each, at least one, and each batch is
     one call of ``_replicate_counts``: in order in the calling thread when
     ``R2MARGIN_THREADS`` resolves to one worker, else over a pool of that
-    many threads.
+    many threads.  A batch takes a draw buffer from the run's free list, or
+    makes one by ``_draw_buffer`` when none is free, and returns it when it
+    ends, so that a run makes at most one buffer per worker and frees them
+    when it returns.
 
     A replicate whose covariate normals are collinear, or whose R2 is not
     finite (coefficients so large against sigma that its sums of squares
@@ -413,10 +448,21 @@ def run_scenario(
     workers = _resolve_workers()
     roots = np.array([_critical_r2(scenario.n, scenario.k, d, alpha) for d in deltas])
 
-    step = max(1, _BATCH_FLOATS // _replicate_floats(scenario.n, scenario.k))
+    floats = _replicate_floats(scenario.n, scenario.k)
+    step = max(1, _BATCH_FLOATS // floats)
+    free = queue.SimpleQueue()
 
     def batch(lo):
-        return _replicate_counts(scenario, lo, min(lo + step, n_sims), master_seed, roots)
+        try:
+            buffer = free.get_nowait()
+        except queue.Empty:
+            buffer = _draw_buffer(min(step, n_sims), floats)
+        try:
+            return _replicate_counts(
+                scenario, lo, min(lo + step, n_sims), master_seed, roots, buffer
+            )
+        finally:
+            free.put(buffer)
 
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         batches = list((pool.map if pool else map)(batch, range(0, n_sims, step)))

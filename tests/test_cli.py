@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import csv
+import errno
 import hashlib
 import inspect
 import json
 import math
+import mmap
 import os
 import pathlib
 import subprocess
@@ -868,6 +870,27 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert text == "error: out of memory: Unable to allocate 1.42 PiB for an array\n"
+
+    def test_unmappable_draw_buffer_exits_2(self, capsys, tmp_path, monkeypatch):
+        # N (K+1) = 300000 > 2^18 doubles: the draw buffer is mapped, not
+        # allocated by numpy, and the mapping is refused
+        def refused(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", refused)
+        config = {"scenarios": [{"id": "a", "n": 100_000, "k": 2, "beta": [0.1, 0.2],
+                                 "sigma2": 1.0, "sigma_offdiag": 0.0}], "deltas": [0.05]}
+        config_path = tmp_path / "large.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        code, _, text = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "2", "--seed", "1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert text == (
+            "error: out of memory: cannot map a 2400000-byte draw buffer: "
+            f"[Errno {errno.ENOMEM}] {os.strerror(errno.ENOMEM)}\n"
+        )
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "run_scenario", _unexpected_run)

@@ -204,6 +204,27 @@ class TestUpperCiP2:
     def test_bisection_steps_stay_within_budget(self, r2, n, k):
         assert upper_ci_p2(TestInput(r2=r2, n=n, k=k), 0.05).iterations <= 64
 
+    def test_few_paulson_quantiles_per_bound(self, monkeypatch):
+        # The secant steps toward Paulson's fixed point take 8.5 quantiles per
+        # bound on these inputs (at most 16).  A wrong step still ends at the
+        # root through the Brent fallback, at 33.9 per bound.
+        calls = []
+        paulson = distributions._paulson_quantile
+
+        def counting(q, d1, d2):
+            calls.append(q)
+            return paulson(q, d1, d2)
+
+        monkeypatch.setattr(distributions, "_paulson_quantile", counting)
+        rng = np.random.default_rng(22)
+        bounds = 400
+        for _ in range(bounds):
+            n = int(round(math.exp(rng.uniform(math.log(60), math.log(1e7)))))
+            k = int(rng.integers(1, 11))
+            r2 = float(rng.uniform(0.0, min(0.5, 1e5 / n)))
+            upper_ci_p2(TestInput(r2=r2, n=n, k=k), 0.05)
+        assert len(calls) / bounds <= 12.0
+
     def test_seed_beyond_paulsons_reach_at_r2_is_still_found(self):
         # At v(r2) = 1.2 Paulson's approximation cannot reach the 2.5% tail,
         # which it does at the root's v = 3.6; the search over the whole

@@ -1,6 +1,8 @@
 """Tests for the simulation harness: generation, seeding, and rejection rates."""
 
+import mmap
 import os
+import sys
 import threading
 from fractions import Fraction
 
@@ -31,6 +33,11 @@ from r2margin.inference import TestInput, noninferiority_pvalue
 from r2margin.regression import Dataset, fit_ols
 
 from oracles import RandomStream, design, generate_dataset, r2_exact, replicate_counts_exact
+
+
+def _buffer(scenario, rows):
+    """A draw buffer for ``rows`` replicates of ``scenario``, as a run makes."""
+    return mc._draw_buffer(rows, mc._replicate_floats(scenario.n, scenario.k))
 
 
 def _small_scenario(n=120, k=2, sigma2=1.0):
@@ -346,7 +353,7 @@ class TestCriticalR2Decisions:
         gram_r2 = _record_r2(monkeypatch)
         roots = np.array([mc._critical_r2(scenario.n, scenario.k, d, 0.05)
                           for d in default_delta_grid()])
-        counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots)
+        counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots, _buffer(scenario, 5))
         return counts, skipped, gram_r2
 
     @staticmethod
@@ -408,7 +415,7 @@ class TestReplicateKernel:
         monkeypatch.setattr(mc, "_draw_normals", recorded)
         # one span of several replicates: each re-keying must replay its
         # stream from the start, whatever the last draw left buffered
-        mc._replicate_counts(scenario, 3, 9, 17, self._roots(scenario))
+        mc._replicate_counts(scenario, 3, 9, 17, self._roots(scenario), _buffer(scenario, 6))
         assert [key for key, _ in draws] == [(17, scenario.id, j) for j in range(3, 9)]
         for key_parts, normals in draws:
             stream = RandomStream(*key_parts)
@@ -439,7 +446,8 @@ class TestReplicateKernel:
     )
     def test_r2_equals_qr_fit_of_the_dataset(self, monkeypatch, scenario, n_sims):
         values = _record_r2(monkeypatch)
-        mc._replicate_counts(scenario, 0, n_sims, 5, self._roots(scenario))
+        mc._replicate_counts(scenario, 0, n_sims, 5, self._roots(scenario),
+                             _buffer(scenario, n_sims))
         assert len(values) == n_sims
         for j, r2 in enumerate(values):
             expected = fit_ols(generate_dataset(scenario, RandomStream(5, scenario.id, j))).r2
@@ -465,7 +473,7 @@ class TestReplicateKernel:
         scenario = Scenario(id="hard", n=n, k=2, beta=np.array(beta), sigma2=sigma2,
                             sigma_matrix=exchangeable_covariance(2, offdiag))
         values = _record_r2(monkeypatch)
-        mc._replicate_counts(scenario, 0, 2, 5, self._roots(scenario))
+        mc._replicate_counts(scenario, 0, 2, 5, self._roots(scenario), _buffer(scenario, 2))
         for j, r2 in enumerate(values):
             data = generate_dataset(scenario, RandomStream(5, scenario.id, j))
             exact = r2_exact(data.y, data.x)
@@ -476,21 +484,25 @@ class TestReplicateKernel:
         monkeypatch.delenv("R2MARGIN_THREADS", raising=False)
         # batches of three replicates: a run of 22 ends in a batch of one
         monkeypatch.setattr(mc, "_BATCH_FLOATS", 3 * scenario.n * (scenario.k + 1) + 1)
-        draws, spans = [], []
+        draws, spans, buffers = [], [], []
         draw_normals, replicate_counts = mc._draw_normals, mc._replicate_counts
 
         def recorded_draw(generator, out, *key_parts):
             draws.append(key_parts[-1])
             draw_normals(generator, out, *key_parts)
 
-        def recorded_batch(scenario, start, stop, *args):
+        def recorded_batch(scenario, start, stop, master_seed, roots, buffer):
             spans.append((start, stop))
-            return replicate_counts(scenario, start, stop, *args)
+            buffers.append(buffer)
+            return replicate_counts(scenario, start, stop, master_seed, roots, buffer)
 
         monkeypatch.setattr(mc, "_draw_normals", recorded_draw)
         monkeypatch.setattr(mc, "_replicate_counts", recorded_batch)
         counts = _counts(run_scenario(scenario, default_delta_grid(), 22, 0.05, 9))
         assert spans == [(lo, min(lo + 3, 22)) for lo in range(0, 22, 3)]
+        # one buffer of one batch's rows serves every batch, the last in part
+        assert all(buffer is buffers[0] for buffer in buffers)
+        assert buffers[0].shape == (3, scenario.n * (scenario.k + 1))
         assert draws == list(range(22))
         assert counts == replicate_counts_exact(scenario, default_delta_grid(), 22, 0.05, 9)
         assert 0 < sum(counts[0]) < 19 * 22
@@ -517,6 +529,85 @@ class TestReplicateKernel:
         assert _counts(serial) == _counts(threaded)
         # margins next to the true share, so the counts say something
         assert 0 < sum(_counts(serial)[0]) < len(deltas) * n_sims
+
+
+class TestDrawBuffers:
+    """A run makes at most one draw buffer per worker; one beyond
+    ``_BATCH_FLOATS`` doubles is a mapping of its own, not numpy's."""
+
+    @staticmethod
+    def _owner(array):
+        """The object that owns an array's memory, past views and memoryviews."""
+        while isinstance(array, np.ndarray) and array.base is not None:
+            array = array.base
+        return array.obj if isinstance(array, memoryview) else array
+
+    def test_buffers_beyond_the_batch_are_mapped(self):
+        floats = mc._BATCH_FLOATS // 2
+        numpy_owned = mc._draw_buffer(2, floats)
+        mapped = mc._draw_buffer(1, mc._BATCH_FLOATS + 1)
+        assert numpy_owned.base is None and numpy_owned.shape == (2, floats)
+        assert isinstance(self._owner(mapped), mmap.mmap)
+        assert mapped.shape == (1, mc._BATCH_FLOATS + 1) and mapped.flags.writeable
+        assert mapped.flags.c_contiguous and mapped.dtype == np.float64
+
+    def test_serial_one_replicate_batches_share_one_mapped_buffer(self, monkeypatch):
+        # N (K+1) = 300000 > 2^18: three batches of one replicate
+        scenario = _small_scenario(n=100_000)
+        monkeypatch.delenv("R2MARGIN_THREADS", raising=False)
+        outs = []
+        draw_normals = mc._draw_normals
+
+        def recorded(generator, out, *key_parts):
+            outs.append(out)
+            draw_normals(generator, out, *key_parts)
+
+        monkeypatch.setattr(mc, "_draw_normals", recorded)
+        deltas = [0.03, 0.035, 0.04]
+        counts = _counts(run_scenario(scenario, deltas, 3, 0.05, 4))
+        assert len(outs) == 3
+        assert len({out.ctypes.data for out in outs}) == 1
+        assert isinstance(self._owner(outs[0]), mmap.mmap)
+        assert counts == replicate_counts_exact(scenario, deltas, 3, 0.05, 4)
+
+    def test_threads_share_at_most_one_buffer_each(self, monkeypatch):
+        # three workers whatever the CPU count, switched as often as the
+        # interpreter allows: a buffer handed to two batches at once would
+        # mix their draws and move the counts
+        scenario = _small_scenario(n=60)
+        deltas = [0.02, 0.04, 0.06]
+        monkeypatch.setattr(mc, "_BATCH_FLOATS", 2 * scenario.n * (scenario.k + 1))
+        monkeypatch.delenv("R2MARGIN_THREADS", raising=False)
+        serial = _counts(run_scenario(scenario, deltas, 200, 0.05, 8))
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("R2MARGIN_THREADS", "3")
+        lock, held, seen, clashes = threading.Lock(), set(), set(), []
+        replicate_counts = mc._replicate_counts
+
+        def recorded_batch(scenario, start, stop, master_seed, roots, buffer):
+            key = buffer.ctypes.data
+            with lock:
+                if key in held:
+                    clashes.append(key)
+                held.add(key)
+                seen.add(key)
+            try:
+                return replicate_counts(scenario, start, stop, master_seed, roots, buffer)
+            finally:
+                with lock:
+                    held.discard(key)
+
+        monkeypatch.setattr(mc, "_replicate_counts", recorded_batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _counts(run_scenario(scenario, deltas, 200, 0.05, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert clashes == []
+        assert 1 <= len(seen) <= 3
+        assert threaded == serial
+        assert 0 < sum(serial[0]) < len(deltas) * 200
 
 
 class TestR2FromNormals:
@@ -682,7 +773,8 @@ class TestR2DependsOnlyOnTheStandardizedSignal:
         for scale in (1.0, 2.0**power):
             scenario = Scenario(id="scaled", n=60, k=2, beta=scale * np.array([0.2, -0.1]),
                                 sigma2=scale * scale, sigma_matrix=exchangeable_covariance(2))
-            counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots)
+            counts, skipped = mc._replicate_counts(scenario, 0, 5, 1, roots,
+                                                   _buffer(scenario, 5))
             runs.append((recorded[-5:], counts, skipped))
         assert len(recorded) == 10 and runs[0][2] == 0
         assert runs[1] == runs[0]
@@ -745,6 +837,10 @@ class TestGridConstruction:
         np.testing.assert_array_equal(exchangeable_covariance(1), [[1.0]])
         with pytest.raises(DomainError):
             exchangeable_covariance(3, offdiag=-0.6)
+        # the lower end itself is singular: the matrix maps a vector of ones to 0
+        for k in (2, 3, 5):
+            with pytest.raises(DomainError):
+                exchangeable_covariance(k, offdiag=-1.0 / (k - 1))
 
     def test_scenario_validation(self):
         with pytest.raises(DimensionMismatchError):

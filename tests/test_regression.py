@@ -143,8 +143,14 @@ class TestFitOls:
 
     def test_residual_variance_is_nonnegative(self):
         rng = np.random.default_rng(2)
-        fit = fit_ols(_random_dataset(rng))
+        data = _random_dataset(rng)
+        fit = fit_ols(data)
         assert fit.residual_variance_hat >= 0.0
+        # and is the residual sum of squares over n - k - 1
+        n, k = data.x.shape
+        design = np.column_stack([np.ones(n), data.x])
+        sse = np.linalg.lstsq(design, data.y, rcond=None)[1][0]
+        assert abs(fit.residual_variance_hat / (sse / (n - k - 1)) - 1.0) <= 1e-12
 
 
 class TestRSquared:
