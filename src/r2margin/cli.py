@@ -18,7 +18,7 @@ Exit codes: 0 success, otherwise the ``exit_code`` of the error class
 raised (see ``errors``): 2 validation failure (an input too large for the
 memory available exits 2 as well), 3 convergence failure, 4 excessive Monte
 Carlo skips.  ``R2MARGIN_THREADS`` sets the simulate worker count (0 = one per
-CPU), capped at one per CPU.
+CPU the process may run on), capped at one per such CPU.
 """
 
 from __future__ import annotations

@@ -193,8 +193,12 @@ def _paulson_quantile(q: float, d1: float, d2: float) -> float:
     search: it is worst at few degrees of freedom and in the far tails.
     """
     a1, a2 = 2.0 / (9.0 * d1), 2.0 / (9.0 * d2)
+    # tested before ``disc``: at 1e-160 degrees of freedom and below,
+    # (1 - a) ** 2 overflows, which a float ** raises as OverflowError
+    if not (a1 < 1.0 and a2 < 1.0):
+        return math.nan
     disc = a2 * (1.0 - a1) ** 2 + a1 * (1.0 - a2) ** 2 - q * q * a1 * a2
-    if not (disc >= 0.0 and a1 < 1.0 and a2 < 1.0):
+    if not disc >= 0.0:
         return math.nan
     half_b, curve = (1.0 - a1) * (1.0 - a2), (1.0 - a2) ** 2 - q * q * a2
     if q < 0.0:

@@ -20,9 +20,9 @@ A replicate's R2 is read in the coordinates of its own standard normals
 g = L' beta / sigma, R2 of y on x is R2 of z g + e on z, so it depends on the
 scenario only through g, which the scenario fixes when it is built, and the
 conditioning of the covariance and sigma2 never enter a floating-point sum.
-``_r2_from_normals`` reads it off the Cholesky factor of the centered
-(K+1)-square cross-products of [z e]; no N-row x, y or centered copy is
-formed.  Replicates are decided in batches, the one unit of work: each
+``_cholesky`` factors the centered (K+1)-square cross-products of [z e] and
+``_r2_from_factor`` reads R2 off the factor; no N-row x, y or centered copy
+is formed.  Replicates are decided in batches, the one unit of work: each
 replicate draws its normals into its own row of a draw buffer, and one set of
 stacked numpy calls forms and factors the cross-products of the whole batch.
 A replicate is skipped where its covariate normals are collinear or its R2
@@ -35,14 +35,14 @@ Replicate ``j`` of scenario ``s`` draws its normals from a Philox generator
 keyed by a hash of (master_seed, s.id, j), ``_philox_key``, so results are
 independent of evaluation order and worker count; rejection counts reduce by
 plain integer addition, which keeps parallel runs bit-identical to serial
-ones.  A run owns at most one draw buffer per worker, made when a batch first
-finds none free and reused by every later batch; one beyond ``_BATCH_FLOATS``
-doubles is mapped outside malloc's heap (``_draw_buffer``).  Each batch owns
-one generator, which ``_draw_normals`` re-keys for every replicate.
+ones.  Each of a run's W workers makes one draw buffer and decides batches
+w, w + W, w + 2W, ... in it; one beyond ``_BATCH_FLOATS`` doubles is mapped
+outside malloc's heap (``_draw_buffer``).  Each batch owns one generator,
+which ``_draw_normals`` re-keys for every replicate.
 
-The environment variable ``R2MARGIN_THREADS`` sets the worker count, capped
-at one per CPU (0 = one per CPU); runs are serial while it is unset.  Serial
-runs decide the batches in order; others map them over a pool of threads.
+``R2MARGIN_THREADS`` sets the worker count, capped at the batch count and at
+one per CPU the process may run on (0 = one per such CPU); unset, it is 1.
+One worker runs in the calling thread, more in a pool of threads.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import hashlib
 import math
 import mmap
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -314,38 +313,45 @@ def _draw_normals(generator: np.random.Generator, out: np.ndarray, *key_parts) -
     generator.standard_normal(out=out)
 
 
-def _r2_from_normals(grams: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """R2 of each of a stack of replicates from the centered cross-products of
-    its normals; NaN where the replicate is skipped.
-
-    ``grams`` holds, shaped (B, K+1, K+1), the centered cross-products of each
-    replicate's [z e], and ``g`` = L' beta / sigma.  Its Cholesky factor holds
-    the factor L_z of z_c'z_c in its leading block, w = L_z^-1 z_c'e_c in its
-    last row and the pivot s last, so with v = L_z' g + w, SSR / sigma2 =
-    |v|^2 and SSE / sigma2 = s^2, and R2 = |v|^2 / (|v|^2 + s^2), with no
-    cancelling subtraction.  One Cholesky call factors the whole stack; if
-    LAPACK refuses it, each matrix is factored alone, which gives each the
-    same factor.  NaN where the Cholesky fails, where a squared covariate
-    pivot is at or below ``_COLLINEAR_TOL`` times its column's centered sum of
-    squares (collinear covariate normals), or where R2 is not finite (|v|^2
-    overflows).  Only the covariate pivots are tested: at N = K + 2 a small
-    noise pivot is a legitimate R2 near 1.
-    """
-    k = grams.shape[-1] - 1
+def _cholesky(grams: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (B, M, M) stack, NaN where a matrix has
+    none: one call for the stack, or if LAPACK refuses it, one per matrix,
+    which gives each the same factor."""
     try:
-        lower = np.linalg.cholesky(grams)
+        return np.linalg.cholesky(grams)
     except np.linalg.LinAlgError:
         lower = np.full_like(grams, np.nan)
         for i, gram in enumerate(grams):
             with contextlib.suppress(np.linalg.LinAlgError):
                 lower[i] = np.linalg.cholesky(gram)
-    pivots = lower.diagonal(0, 1, 2)[:, :k]
+        return lower
+
+
+def _r2_from_factor(lower: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """R2 of each of a stack of replicates from the lower Cholesky factor,
+    shaped (B, K+1, K+1), of the centered cross-products of its [z e]; NaN
+    where the replicate is skipped.
+
+    The factor holds L_z, that of z_c'z_c, in its leading block,
+    w = L_z^-1 z_c'e_c in its last row and the pivot s last, so with
+    v = L_z' g + w (``g`` = L' beta / sigma), SSR / sigma2 = |v|^2 and
+    SSE / sigma2 = s^2, and R2 = |v|^2 / (|v|^2 + s^2), with no cancelling
+    subtraction.  NaN where the factor is NaN, where a squared covariate
+    pivot is at or below ``_COLLINEAR_TOL`` times its row's squared norm in
+    the factor, which is its column's centered sum of squares (collinear
+    covariate normals), or where R2 is not finite (|v|^2 overflows).  Only
+    the covariate pivots are tested: at N = K + 2 a small noise pivot is a
+    legitimate R2 near 1.
+    """
+    k = lower.shape[-1] - 1
+    covariates = lower[:, :k, :k]
+    pivots = covariates.diagonal(0, 1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = g @ lower[:, :k, :k] + lower[:, k, :k]
+        v = g @ covariates + lower[:, k, :k]
         explained = (v * v).sum(axis=1)
         r2 = explained / (explained + lower[:, k, k] ** 2)
         # written so that a NaN pivot fails it
-        independent = (pivots * pivots > _COLLINEAR_TOL * grams.diagonal(0, 1, 2)[:, :k]).all(axis=1)
+        independent = (pivots * pivots > _COLLINEAR_TOL * np.square(covariates).sum(axis=2)).all(axis=1)
     r2[~(independent & np.isfinite(r2))] = np.nan
     return r2
 
@@ -357,13 +363,13 @@ def _replicate_counts(scenario, start, stop, master_seed, roots, buffer):
 
     ``roots`` holds each margin's critical R2.  A replicate rejects at every
     margin whose root exceeds its R2, and is skipped where
-    ``_r2_from_normals`` gives NaN.
+    ``_r2_from_factor`` gives NaN.
 
     Each replicate's normals come in one draw that overwrites its own row of
     ``buffer``: z, shaped (N, K), then the N noise normals e.  One set of
     stacked numpy calls forms the batch's centered cross-products of [z e]
-    from z'z, e'z, e'e and the column sums, and reads their R2 through
-    ``_r2_from_normals``.
+    from z'z, e'z, e'e and the column sums, factors them by ``_cholesky``
+    and reads their R2 through ``_r2_from_factor``.
     """
     n, k = scenario.n, scenario.k
     size = stop - start
@@ -386,14 +392,14 @@ def _replicate_counts(scenario, start, stop, master_seed, roots, buffer):
     np.matmul(ones, zs, out=sums[:, :k])
     np.matmul(es, ones, out=sums[:, k])
     gram -= sums[:, :, None] * (sums[:, None, :] / n)
-    r2 = _r2_from_normals(gram, scenario.g)
+    r2 = _r2_from_factor(_cholesky(gram), scenario.g)
     skipped = int(np.isnan(r2).sum())  # a NaN R2 rejects nowhere
     return (r2[:, None] < roots).sum(axis=0).tolist(), skipped
 
 
 def _resolve_workers() -> int:
     """The worker count that ``R2MARGIN_THREADS`` sets: 1 when unset, one per
-    CPU at 0, and never more than one per CPU."""
+    CPU the process may run on at 0, and never more than one per such CPU."""
     raw = os.environ.get("R2MARGIN_THREADS", "").strip()
     if not raw:
         return 1
@@ -402,7 +408,7 @@ def _resolve_workers() -> int:
     except ValueError:
         raise DomainError(f"R2MARGIN_THREADS must be an integer, got {raw!r}") from None
     workers = _check_int("R2MARGIN_THREADS (0 means one per CPU)", workers, 0)
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(workers, cpus) if workers else cpus
 
 
@@ -427,12 +433,12 @@ def run_scenario(
 
     Replicates [0, n_sims) are cut into batches of as many as fit in
     _BATCH_FLOATS doubles at N (K+1) each, at least one, and each batch is
-    one call of ``_replicate_counts``: in order in the calling thread when
-    ``R2MARGIN_THREADS`` resolves to one worker, else over a pool of that
-    many threads.  A batch takes a draw buffer from the run's free list, or
-    makes one by ``_draw_buffer`` when none is free, and returns it when it
-    ends, so that a run makes at most one buffer per worker and frees them
-    when it returns.
+    one call of ``_replicate_counts``.  ``R2MARGIN_THREADS`` sets the worker
+    count W, capped at the number of batches.  Worker w makes one draw
+    buffer by ``_draw_buffer`` and decides batches w, w + W, w + 2W, ... in
+    it, so that a run makes one buffer per worker and frees them when it
+    returns; one worker runs in the calling thread, more in a pool of W
+    threads.
 
     A replicate whose covariate normals are collinear, or whose R2 is not
     finite (coefficients so large against sigma that its sums of squares
@@ -450,22 +456,16 @@ def run_scenario(
 
     floats = _replicate_floats(scenario.n, scenario.k)
     step = max(1, _BATCH_FLOATS // floats)
-    free = queue.SimpleQueue()
+    starts = range(0, n_sims, step)
+    workers = min(workers, len(starts))
 
-    def batch(lo):
-        try:
-            buffer = free.get_nowait()
-        except queue.Empty:
-            buffer = _draw_buffer(min(step, n_sims), floats)
-        try:
-            return _replicate_counts(
-                scenario, lo, min(lo + step, n_sims), master_seed, roots, buffer
-            )
-        finally:
-            free.put(buffer)
+    def worker(w):
+        buffer = _draw_buffer(min(step, n_sims), floats)
+        return [_replicate_counts(scenario, lo, min(lo + step, n_sims), master_seed, roots, buffer)
+                for lo in starts[w::workers]]
 
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        batches = list((pool.map if pool else map)(batch, range(0, n_sims, step)))
+        batches = [b for done in (pool.map if pool else map)(worker, range(workers)) for b in done]
     counts = [sum(column) for column in zip(*(c for c, _ in batches))]
     skipped = sum(s for _, s in batches)
 

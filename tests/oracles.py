@@ -14,7 +14,9 @@ takes its F quantile from scipy; the Monte Carlo oracle evaluates every
 replicate's p-values instead of comparing R2 with cached critical values; and
 the dataset oracle draws each replicate from its own freshly built generator
 and forms x and y, where the replicate kernel re-keys one generator and reads
-R2 from cross-products.
+R2 from cross-products; and the Bartlett oracle draws the Cholesky factors of
+null cross-products directly, with no normals, no cross-products and no
+factorization.
 """
 
 from __future__ import annotations
@@ -354,3 +356,20 @@ def replicate_counts_exact(scenario, deltas, n_sims, alpha, master_seed):
             if p < alpha:
                 counts[i] += 1
     return counts, skipped
+
+
+def bartlett_factors(rng: np.random.Generator, size: int, n: int, k: int) -> np.ndarray:
+    """``size`` lower Cholesky factors, shaped (size, K+1, K+1), of the
+    centered cross-products of N rows of K+1 independent standard normals.
+
+    Those cross-products are Wishart(I, N-1), whose factor has independent
+    entries (Bartlett, M. S. 1933, "On the theory of statistical regression",
+    Proc. Roy. Soc. Edinburgh 53: 260-283): pivot i is the root of a
+    chi-square on N-1-i degrees of freedom, and each entry below the diagonal
+    is standard normal.
+    """
+    m = k + 1
+    lower = np.tril(rng.standard_normal((size, m, m)), -1)
+    pivots = np.arange(m)
+    lower[:, pivots, pivots] = np.sqrt(rng.chisquare(n - 1 - pivots, size=(size, m)))
+    return lower

@@ -235,6 +235,15 @@ class TestFQuantile:
         with pytest.raises(ConvergenceError):
             f_quantile(prob, d1, d2)
 
+    # degrees of freedom that the checks accept but at which (1 - 2/(9d))^2
+    # overflows a float: the roots lie below the bracket's 1e-300 end
+    @pytest.mark.parametrize(
+        "d1,d2", [(1e-300, 1.0), (1.0, 1e-300), (1e-160, 3.0), (3.0, 1e-160)]
+    )
+    def test_tiny_degrees_of_freedom_raise_convergence_error(self, d1, d2):
+        with pytest.raises(ConvergenceError):
+            f_quantile(0.5, d1, d2)
+
     @staticmethod
     def cdf_calls(monkeypatch, keys):
         """The F CDFs each critical R2 key's quantile evaluates, with the key."""
@@ -334,6 +343,9 @@ class TestPaulsonQuantile:
         # approximation's reach; below 2/9 degrees of freedom it is no CDF.
         assert math.isnan(_paulson_quantile(_normal_quantile(_logit(0.025)), d1, d2))
 
+    def test_no_cdf_gives_nan_where_its_terms_overflow(self):
+        assert math.isnan(_paulson_quantile(0.3, 1e-300, 1.0))
+
 
 @st.composite
 def root_problems(draw):
@@ -421,6 +433,32 @@ class TestRoot:
         assert shifts == [0.0, fn(seen[0])] if len(shifts) == 2 else shifts == [0.0]
         slack = math.ulp(max(abs(lo), abs(hi)))
         assert abs(found - root) <= 0.5 * width + slack, (found, root)
+
+    # Roots that Brent's method must interpolate toward, each with the calls
+    # it spends from the true end values down to a width of 1e-12: a slip in
+    # its interpolation or step bookkeeping costs calls but still lands.
+    @pytest.mark.parametrize(
+        "fn,lo,hi,root,calls",
+        [
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 2.0945514815423265, 6),
+            (lambda x: math.atan(x - 0.3), -10.0, 30.0, 0.3, 8),
+            (lambda x: math.exp(x) - 7.0, -5.0, 20.0, math.log(7.0), 13),
+            (lambda x: math.tanh(0.2 * (x - 3.3)), -50.0, 50.0, 3.3, 8),
+        ],
+        ids=["cubic", "atan", "exp", "tanh"],
+    )
+    def test_interpolating_call_counts(self, fn, lo, hi, root, calls):
+        seen = []
+
+        def excess(x):
+            seen.append(x)
+            if len(seen) > 200:
+                raise AssertionError("the search did not stop in 200 calls")
+            return fn(x)
+
+        found, counted = _root(excess, lo, hi, 1e-12, fn(lo), fn(hi))
+        assert counted == len(seen) == calls
+        assert abs(found - root) <= 0.5e-12 + math.ulp(root)
 
     def test_evaluated_ends_start_by_interpolation(self):
         # A straight line is solved by the first secant step, where a

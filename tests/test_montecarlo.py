@@ -1,7 +1,6 @@
 """Tests for the simulation harness: generation, seeding, and rejection rates."""
 
 import mmap
-import os
 import sys
 import threading
 from fractions import Fraction
@@ -32,7 +31,14 @@ from r2margin.montecarlo import (
 from r2margin.inference import TestInput, noninferiority_pvalue
 from r2margin.regression import Dataset, fit_ols
 
-from oracles import RandomStream, design, generate_dataset, r2_exact, replicate_counts_exact
+from oracles import (
+    RandomStream,
+    bartlett_factors,
+    design,
+    generate_dataset,
+    r2_exact,
+    replicate_counts_exact,
+)
 
 
 def _buffer(scenario, rows):
@@ -203,7 +209,7 @@ class TestRunScenario:
     def test_excessive_skips_raise(self, monkeypatch):
         scenario = _small_scenario()
         # every replicate is skipped
-        monkeypatch.setattr(mc, "_r2_from_normals", lambda grams, g: np.full(len(grams), np.nan))
+        monkeypatch.setattr(mc, "_r2_from_factor", lambda lower, g: np.full(len(lower), np.nan))
         with pytest.raises(ExcessiveSkipsError):
             run_scenario(scenario, [0.05], 40, 0.05, 1)
 
@@ -227,13 +233,22 @@ class TestRunScenario:
 
     def test_thread_count_is_capped_at_the_cpu_count(self, monkeypatch):
         # only the resolver runs: no simulation is started at this setting
+        _usable_cpus(monkeypatch, range(3))
         monkeypatch.setenv("R2MARGIN_THREADS", str(10**6))
-        assert mc._resolve_workers() <= os.cpu_count()
+        assert mc._resolve_workers() == 3
         monkeypatch.setenv("R2MARGIN_THREADS", "0")
-        assert mc._resolve_workers() == os.cpu_count()
+        assert mc._resolve_workers() == 3
         monkeypatch.setenv("R2MARGIN_THREADS", "-1")
         with pytest.raises(DomainError):
             mc._resolve_workers()
+
+    @pytest.mark.parametrize("threads", ["0", "5"])
+    def test_thread_count_is_capped_at_the_usable_cpus(self, monkeypatch, threads):
+        # a process pinned to one of eight CPUs may run on one
+        _usable_cpus(monkeypatch, {0})
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("R2MARGIN_THREADS", threads)
+        assert mc._resolve_workers() == 1
 
     @pytest.mark.parametrize("threads", [None, "1"], ids=["unset", "one"])
     def test_serial_run_starts_no_thread(self, monkeypatch, threads):
@@ -253,18 +268,23 @@ class TestRunScenario:
         assert records[0].n_sims == 10
 
 
+def _usable_cpus(monkeypatch, cpus):
+    """Patch the CPUs the process may run on to the set ``cpus``."""
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
 def _record_r2(monkeypatch):
-    """Patch the kernel's ``_r2_from_normals`` to record what it returns, one
+    """Patch the kernel's ``_r2_from_factor`` to record what it returns, one
     float per replicate; the list it records into."""
     values = []
-    r2_from_normals = mc._r2_from_normals
+    r2_from_factor = mc._r2_from_factor
 
-    def recorded(grams, g):
-        r2 = r2_from_normals(grams, g)
+    def recorded(lower, g):
+        r2 = r2_from_factor(lower, g)
         values.extend(r2.tolist())
         return r2
 
-    monkeypatch.setattr(mc, "_r2_from_normals", recorded)
+    monkeypatch.setattr(mc, "_r2_from_factor", recorded)
     return values
 
 
@@ -341,14 +361,14 @@ class TestCriticalR2Decisions:
         deltas = default_delta_grid()
         roots = [mc._critical_r2(scenario.n, scenario.k, d, 0.05) for d in deltas]
         r2 = roots[9] + offset
-        monkeypatch.setattr(mc, "_r2_from_normals", lambda grams, g: np.full(len(grams), r2))
+        monkeypatch.setattr(mc, "_r2_from_factor", lambda lower, g: np.full(len(lower), r2))
         records = run_scenario(scenario, deltas, 3, 0.05, 1)
         assert _counts(records) == ([3 if root > r2 else 0 for root in roots], 0)
         assert records[9].rejections == (3 if offset < 0 else 0)
 
     def _patched_counts(self, monkeypatch, fill, scenario):
         """Counts and skips of five replicates whose normals ``fill`` writes,
-        and what ``_r2_from_normals`` returned for each."""
+        and what ``_r2_from_factor`` returned for each."""
         monkeypatch.setattr(mc, "_draw_normals", fill)
         gram_r2 = _record_r2(monkeypatch)
         roots = np.array([mc._critical_r2(scenario.n, scenario.k, d, 0.05)
@@ -532,8 +552,22 @@ class TestReplicateKernel:
 
 
 class TestDrawBuffers:
-    """A run makes at most one draw buffer per worker; one beyond
-    ``_BATCH_FLOATS`` doubles is a mapping of its own, not numpy's."""
+    """A run makes one draw buffer per worker; one beyond ``_BATCH_FLOATS``
+    doubles is a mapping of its own, not numpy's."""
+
+    @staticmethod
+    def _made(monkeypatch):
+        """Patch ``_draw_buffer`` to record the shape of each buffer it makes;
+        the list it records into."""
+        made = []
+        draw_buffer = mc._draw_buffer
+
+        def recorded(rows, floats):
+            made.append((rows, floats))
+            return draw_buffer(rows, floats)
+
+        monkeypatch.setattr(mc, "_draw_buffer", recorded)
+        return made
 
     @staticmethod
     def _owner(array):
@@ -563,8 +597,10 @@ class TestDrawBuffers:
             draw_normals(generator, out, *key_parts)
 
         monkeypatch.setattr(mc, "_draw_normals", recorded)
+        made = self._made(monkeypatch)
         deltas = [0.03, 0.035, 0.04]
         counts = _counts(run_scenario(scenario, deltas, 3, 0.05, 4))
+        assert made == [(1, 300_000)]
         assert len(outs) == 3
         assert len({out.ctypes.data for out in outs}) == 1
         assert isinstance(self._owner(outs[0]), mmap.mmap)
@@ -579,8 +615,9 @@ class TestDrawBuffers:
         monkeypatch.setattr(mc, "_BATCH_FLOATS", 2 * scenario.n * (scenario.k + 1))
         monkeypatch.delenv("R2MARGIN_THREADS", raising=False)
         serial = _counts(run_scenario(scenario, deltas, 200, 0.05, 8))
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        _usable_cpus(monkeypatch, range(8))
         monkeypatch.setenv("R2MARGIN_THREADS", "3")
+        made = self._made(monkeypatch)
         lock, held, seen, clashes = threading.Lock(), set(), set(), []
         replicate_counts = mc._replicate_counts
 
@@ -605,13 +642,27 @@ class TestDrawBuffers:
         finally:
             sys.setswitchinterval(interval)
         assert clashes == []
+        assert len(made) == 3
         assert 1 <= len(seen) <= 3
         assert threaded == serial
         assert 0 < sum(serial[0]) < len(deltas) * 200
 
+    def test_workers_are_capped_at_the_batch_count(self, monkeypatch):
+        # two batches of two replicates for three workers: a third would make
+        # a buffer and decide nothing in it
+        scenario = _small_scenario(n=60)
+        monkeypatch.setattr(mc, "_BATCH_FLOATS", 2 * scenario.n * (scenario.k + 1))
+        _usable_cpus(monkeypatch, range(8))
+        monkeypatch.setenv("R2MARGIN_THREADS", "3")
+        made = self._made(monkeypatch)
+        records = run_scenario(scenario, [0.05], 4, 0.05, 1)
+        assert made == [(2, 180), (2, 180)]
+        assert records[0].n_sims == 4
+
 
 class TestR2FromNormals:
-    """``_r2_from_normals`` on stacks of centered cross-products of normals."""
+    """``_r2_from_factor`` on the ``_cholesky`` factors of stacks of centered
+    cross-products of normals."""
 
     @staticmethod
     def _stack(rng, size, n=80, k=3):
@@ -622,13 +673,13 @@ class TestR2FromNormals:
 
     @staticmethod
     def _r2(z, e, g):
-        """``_r2_from_normals`` on the centered cross-products of one
-        replicate's [z e], formed column by column with no shortcut."""
+        """``_r2_from_factor`` on the factor of the centered cross-products of
+        one replicate's [z e], formed column by column with no shortcut."""
         columns = np.column_stack([z, e])
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite input leaves NaNs
             centered = columns - columns.mean(axis=0)
             gram = centered.T @ centered
-        return float(mc._r2_from_normals(gram[None], np.asarray(g, dtype=float))[0])
+        return float(mc._r2_from_factor(mc._cholesky(gram[None]), np.asarray(g, dtype=float))[0])
 
     # y = z g + e is the replicate's outcome in its normals' own coordinates,
     # which sigma scales: g = L' beta / sigma
@@ -648,8 +699,8 @@ class TestR2FromNormals:
         rng = np.random.default_rng(20 + k)
         grams = self._stack(rng, 37, k=k)
         g = rng.normal(size=k)
-        stacked = mc._r2_from_normals(grams, g)
-        alone = [mc._r2_from_normals(grams[i : i + 1], g)[0] for i in range(37)]
+        stacked = mc._r2_from_factor(mc._cholesky(grams), g)
+        alone = [mc._r2_from_factor(mc._cholesky(grams[i : i + 1]), g)[0] for i in range(37)]
         assert not np.isnan(stacked).any()
         assert stacked.tolist() == alone
 
@@ -657,14 +708,24 @@ class TestR2FromNormals:
         rng = np.random.default_rng(31)
         grams = self._stack(rng, 6)
         g = np.array([0.3, -0.2, 0.1])
-        expected = mc._r2_from_normals(grams, g)
+        expected = mc._r2_from_factor(mc._cholesky(grams), g)
         broken = grams.copy()
         broken[1, 2, 2] = -1.0  # not positive definite: Cholesky fails
         broken[4, 0, 3] = broken[4, 3, 0] = np.nan
-        r2 = mc._r2_from_normals(broken, g)
+        r2 = mc._r2_from_factor(mc._cholesky(broken), g)
         assert np.isnan(r2[[1, 4]]).all()
         keep = [0, 2, 3, 5]
         assert r2[keep].tolist() == expected[keep].tolist()
+
+    @pytest.mark.parametrize("share,skipped", [(2e-10, False), (0.5e-10, True)])
+    def test_skip_scale_is_the_covariate_row_of_the_factor(self, share, skipped):
+        # the second covariate's squared pivot against its row's squared norm
+        # in the factor (its column's centered sum of squares): a large noise
+        # entry below the pivot must not move the decision
+        pivot = np.sqrt(share / (1.0 - share))
+        lower = np.array([[[1.0, 0.0, 0.0], [1.0, pivot, 0.0], [0.3, 1e5, 1.0]]])
+        r2 = mc._r2_from_factor(lower, np.zeros(2))
+        assert np.isnan(r2[0]) == skipped
 
     def test_only_a_small_covariate_pivot_skips(self):
         rng = np.random.default_rng(41)
@@ -677,7 +738,7 @@ class TestR2FromNormals:
             grams.append(centered.T @ centered)
         grams = np.array(grams)
         np.linalg.cholesky(grams)  # LAPACK factors both: only the pivot test tells
-        r2 = mc._r2_from_normals(grams, np.zeros(2))
+        r2 = mc._r2_from_factor(mc._cholesky(grams), np.zeros(2))
         assert np.isnan(r2[0])
         assert 1.0 - 1e-12 < r2[1] < 1.0
 
@@ -778,6 +839,65 @@ class TestR2DependsOnlyOnTheStandardizedSignal:
             runs.append((recorded[-5:], counts, skipped))
         assert len(recorded) == 10 and runs[0][2] == 0
         assert runs[1] == runs[0]
+
+
+# (N, K) -> (replicates, margins) of the null checks: the margins put the
+# exact rejection rates between about 0.05 and 0.9
+NULL_CELLS = {
+    (60, 2): (2000, (0.01, 0.02, 0.05, 0.1)),
+    (1000, 4): (2000, (0.002, 0.004, 0.006, 0.01)),
+    (8000, 2): (500, (0.0003, 0.0006, 0.001, 0.0015)),
+    (12, 10): (2000, (0.1, 0.3, 0.7, 0.9)),
+}
+# the family-wise level of each set of seeded checks, Bonferroni-corrected
+NULL_LEVEL = 0.01
+
+
+def _null_law(n, k):
+    """The exact law of R2 at beta = 0: Beta(K/2, (N-K-1)/2)."""
+    return stats.beta(k / 2, (n - k - 1) / 2)
+
+
+@pytest.fixture(scope="module")
+def null_runs():
+    """Per null cell, the kernel's recorded R2 and its records, at seed 17."""
+    runs = {}
+    for (n, k), (n_sims, deltas) in NULL_CELLS.items():
+        scenario = Scenario(id=f"null_k{k}_n{n}", n=n, k=k, beta=np.zeros(k), sigma2=1.0,
+                            sigma_matrix=exchangeable_covariance(k))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            recorded = _record_r2(monkeypatch)
+            runs[n, k] = recorded, run_scenario(scenario, deltas, n_sims, 0.05, 17)
+    return runs
+
+
+class TestExactNullLaw:
+    """At beta = 0, R2 ~ Beta(K/2, (N-K-1)/2) exactly, whatever N."""
+
+    @pytest.mark.parametrize("n,k", list(NULL_CELLS))
+    def test_reader_on_bartlett_factors_follows_the_beta_law(self, n, k):
+        factors = bartlett_factors(np.random.default_rng(n + k), 20_000, n, k)
+        r2 = mc._r2_from_factor(factors, np.zeros(k))
+        assert stats.kstest(r2, _null_law(n, k).cdf).pvalue > NULL_LEVEL / len(NULL_CELLS)
+
+    @pytest.mark.parametrize("n,k", list(NULL_CELLS))
+    def test_kernel_r2_follows_the_beta_law(self, null_runs, n, k):
+        r2, records = null_runs[n, k]
+        assert len(r2) == records[0].n_sims and records[0].skipped == 0
+        assert stats.kstest(r2, _null_law(n, k).cdf).pvalue > NULL_LEVEL / len(NULL_CELLS)
+
+    def test_rejection_counts_match_the_exact_rate(self, null_runs):
+        # the test rejects where R2 < r2_crit, with probability I_{r2_crit}
+        # of the Beta law; two-sided exact binomial tests over every pair
+        p_values = {}
+        for (n, k), (_, records) in null_runs.items():
+            for record in records:
+                rate = _null_law(n, k).cdf(mc._critical_r2(n, k, record.delta, 0.05))
+                test = stats.binomtest(record.rejections, record.n_sims, rate)
+                p_values[n, k, record.delta] = test.pvalue
+        assert len(p_values) == 16
+        worst = min(p_values, key=p_values.get)
+        assert p_values[worst] > NULL_LEVEL / len(p_values), worst
 
 
 class TestGridConstruction:
